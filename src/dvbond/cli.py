@@ -13,6 +13,7 @@ import copy
 import csv
 import dataclasses
 import math
+import re
 import sys
 
 from .config import ConfigError, Scenario, load_scenarios, scenario_from_dict, \
@@ -204,7 +205,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Roundoff floor of the z-score standard error, relative to the price.
+_SE_ROUNDOFF = 1e-14
+
+
 def cmd_validate(args) -> int:
+    """Compare both closed-form modes to the simulation; gate on 3 SE.
+
+    Every z-score divides by max(SE, _SE_ROUNDOFF * |MC price|). A
+    scenario without randomness (s_r = 0, full recovery) has an SE of
+    ~1e-18 from summation roundoff alone, which would turn agreement to
+    the last printed digit into |z| >> 3. Any stochastic SE lies many
+    orders of magnitude above the floor, so the 3-SE gate is not widened.
+    """
+    if args.paths < 2:
+        return _fail(2, f"--paths must be at least 2, got {args.paths}")
     scenario = _select(_load(args.file), args.scenario)
     inputs = scenario.pricing_inputs()
     try:
@@ -214,17 +229,21 @@ def cmd_validate(args) -> int:
         return _fail(3, f"quadrature failure: {err}")
     cfg = McConfig(
         n_paths=args.paths,
-        rate_steps_per_year=args.steps_per_year,
         seed=args.seed,
         antithetic=args.antithetic,
         n_threads=args.threads,
     )
     est = simulate_price(inputs, cfg)
+    se_floor = _SE_ROUNDOFF * abs(est.price)
 
-    z_corr = (corrected.price - est.price) / est.std_error
-    z_lit = (literal.price - est.price) / est.std_error
+    def z_score(closed: float, mc: float, se: float) -> float:
+        se = max(se, se_floor)
+        return 0.0 if se == 0.0 else (closed - mc) / se
+
+    z_corr = z_score(corrected.price, est.price, est.std_error)
+    z_lit = z_score(literal.price, est.price, est.std_error)
     print(f"scenario {scenario.name}: {args.paths} paths, seed {args.seed}, "
-          f"{args.steps_per_year} rate steps/year"
+          "exact rate transitions"
           + (", antithetic" if args.antithetic else ""))
     print(f"  closed corrected      {_fmt(corrected.price)}")
     print(f"  closed paper-literal  {_fmt(literal.price)}")
@@ -254,11 +273,10 @@ def cmd_validate(args) -> int:
         )
         print("  legs (corrected closed form vs monte carlo):")
         for name, cf, mc, se in legs:
-            z = 0.0 if se == 0.0 else (cf - mc) / se
+            z = z_score(cf, mc, se)
             print(f"    {name:20s} {_fmt(cf):>22s} vs {_fmt(mc):>22s}  z {z:+.3f}")
-        se1 = est.leg_std_error["expected_t1"]
-        z_lit_leg = 0.0 if se1 == 0.0 else \
-            (lit_leg - est.leg_breakdown["expected_t1"]) / se1
+        z_lit_leg = z_score(lit_leg, est.leg_breakdown["expected_t1"],
+                            est.leg_std_error["expected_t1"])
         print(f"    expected_t1 (paper-literal grouping)"
               f" {_fmt(lit_leg):>22s}  z {z_lit_leg:+.3f}")
 
@@ -267,6 +285,21 @@ def cmd_validate(args) -> int:
           if ok else
           "FAIL: corrected closed form beyond 3 SE of the simulation")
     return 0 if ok else 1
+
+
+def _attach_grid(argv: list[str]) -> list[str]:
+    """Join a ``--grid`` value that starts with a minus sign to its flag.
+
+    argparse exempts only a bare negative number from option parsing, so
+    it reads "--grid -0.01,0.02" as a flag with no value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--grid={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
@@ -303,13 +336,12 @@ def main(argv=None) -> int:
     p_val.add_argument("--scenario")
     p_val.add_argument("--paths", type=int, default=200_000)
     p_val.add_argument("--seed", type=int, default=42)
-    p_val.add_argument("--steps-per-year", type=int, default=64,
-                       dest="steps_per_year")
     p_val.add_argument("--threads", type=int, default=1)
     p_val.add_argument("--antithetic", action="store_true")
     p_val.set_defaults(fn=cmd_validate)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_grid(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except SystemExit as err:

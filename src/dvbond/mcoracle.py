@@ -9,10 +9,15 @@ two closed-form grouping conventions.
 Design:
 
 * The declared values V1, V2 are drawn from their exact lognormal
-  transitions, so the only discretization error lives in the discount
-  factor, which integrates Euler-Maruyama rate paths with the
-  trapezoid rule (``rate_steps_per_year`` controls the grid; the first
-  announcement date is always a grid point).
+  transitions.
+* The short rate and its time integral are drawn jointly and exactly:
+  with piecewise-constant coefficients, (r_{s+h}, int_s^{s+h} r) given
+  r_s is bivariate Gaussian with closed-form moments (Glasserman 2003,
+  *Monte Carlo Methods in Financial Engineering*, sec. 3.3). Each path
+  takes two transitions, t -> s1 and s1 -> s2, to the payment time,
+  each chained over the coefficient segments it overlaps. The discount
+  factor therefore carries no discretisation error, and memory is
+  O(paths) whatever the maturity.
 * Jump default within an interval uses the inverse CDF of the
   truncated exponential clock, and the recovery R_u * Z(r, tau) is
   discounted pathwise from the actual jump time tau rather than
@@ -23,9 +28,11 @@ Design:
 * Paths are processed in fixed chunks of 65536, each owning a jumped
   substream of a counter-based Philox generator; chunk results merge
   in chunk order, so the estimate is bit-identical for a given seed
-  regardless of the thread count.
-* Antithetic variates mirror every draw (normals negated, uniforms
-  reflected); the standard error then comes from the pair means.
+  regardless of the thread count. Each chunk's stream yields z1, z2,
+  u1, u2 and then the rate normals.
+* Antithetic variates mirror every draw (normals, rate normals
+  included, negated; uniforms reflected); the standard error then
+  comes from the pair means.
 
 Leg bookkeeping groups each path by its barrier outcome: the
 ``expected_t1`` leg collects every path whose first declared value
@@ -59,15 +66,20 @@ LEG_NAMES = ("survive_both", "unexpected_leg1", "unexpected_leg2",
 # Largest double below 1; keeps mirrored uniforms inside [0, 1).
 _U_CAP = math.nextafter(1.0, 0.0)
 
+# Below this a2*h the rate-integral moments switch to Taylor series
+# (truncation and cancellation error both ~1e-12 relative here).
+_SMALL_X = 1e-2
+
 
 @dataclass(frozen=True)
 class McConfig:
     """Simulation controls.
 
-    ``n_paths`` total paths (must be even when antithetic);
-    ``rate_steps_per_year`` sets the Euler grid for the discount
-    factor; ``seed`` keys the Philox substreams; ``n_threads`` only
-    parallelizes over chunks and never changes the result.
+    ``n_paths`` total paths (must be even when antithetic); ``seed``
+    keys the Philox substreams; ``n_threads`` only parallelizes over
+    chunks and never changes the result. ``rate_steps_per_year`` is
+    validated but not read: the rate transitions are exact, so there
+    is no grid. It remains for callers that still pass it.
     """
 
     n_paths: int
@@ -110,7 +122,11 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Scenario constants shared by every chunk."""
+    """Scenario constants shared by every chunk.
+
+    ``segments`` splits [t, t2] at the rate-coefficient breakpoints into
+    (left, right, a1, a2, s_r) spans of constant rate dynamics.
+    """
 
     rate_model: ShortRateModel
     firm: FirmModel
@@ -118,44 +134,28 @@ class _Plan:
     r0: float
     t: float
     V1_known: float | None
-    times: np.ndarray
-    h: np.ndarray
-    sqh: np.ndarray
-    a1_k: np.ndarray
-    a2_k: np.ndarray
-    s_k: np.ndarray
+    segments: tuple[tuple[float, float, float, float, float], ...]
     antithetic: bool
 
 
 def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
-    spec = inputs.spec
+    spec, rate = inputs.spec, inputs.rate_model
     t, t2 = inputs.t, spec.t2
-    n_steps = max(1, math.ceil((t2 - t) * cfg.rate_steps_per_year))
-    times = np.linspace(t, t2, n_steps + 1)
-    # Pin the announcement date and any coefficient breakpoints to the
-    # grid so each Euler step sees constant rate dynamics.
-    extra = [spec.t1] if t < spec.t1 else []
-    for f in (inputs.rate_model.a1, inputs.rate_model.a2, inputs.rate_model.s_r):
-        extra.extend(b for b in f.breakpoints if t < b < t2)
-    for point in extra:
-        if not np.any(np.abs(times - point) < 1e-12):
-            times = np.append(times, point)
-    times = np.sort(times)
-    h = np.diff(times)
-    left = times[:-1]
+    edges = sorted({t, t2}.union(
+        b for f in (rate.a1, rate.a2, rate.s_r) for b in f.breakpoints
+        if t < b < t2
+    ))
     return _Plan(
-        rate_model=inputs.rate_model,
+        rate_model=rate,
         firm=inputs.firm,
         spec=spec,
         r0=inputs.r,
         t=t,
         V1_known=inputs.V1,
-        times=times,
-        h=h,
-        sqh=np.sqrt(h),
-        a1_k=np.atleast_1d(inputs.rate_model.a1(left)),
-        a2_k=np.atleast_1d(inputs.rate_model.a2(left)),
-        s_k=np.atleast_1d(inputs.rate_model.s_r(left)),
+        segments=tuple(
+            (lo, hi, float(rate.a1(lo)), float(rate.a2(lo)), float(rate.s_r(lo)))
+            for lo, hi in zip(edges, edges[1:])
+        ),
         antithetic=cfg.antithetic,
     )
 
@@ -167,16 +167,54 @@ def _truncated_exp_clock(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(lam > 0.0, -np.log1p(-u) / safe, np.inf)
 
 
-def _interp_rate(plan: _Plan, r: np.ndarray, cum: np.ndarray, tau: np.ndarray):
-    """Rate and accumulated integral at scattered times on [t, t2]."""
-    k = np.clip(np.searchsorted(plan.times, tau, side="right") - 1,
-                0, len(plan.h) - 1)
-    rows = np.arange(len(tau))
-    frac = tau - plan.times[k]
-    rk = r[rows, k]
-    r_tau = rk + (r[rows, k + 1] - rk) * (frac / plan.h[k])
-    i_tau = cum[rows, k] + 0.5 * (rk + r_tau) * frac
-    return r_tau, i_tau
+def _segment_moments(a1: float, a2: float, s_r: float, h):
+    """Moments of constant-coefficient steps with lengths h >= 0 (an array).
+
+    Given r at the start, r' = decay*r + a1*ramp + noise and
+    int r = ramp*r + a1*lag + noise, with ramp = (1 - e^{-a2 h})/a2 and
+    lag = (h - ramp)/a2. Returns (decay, ramp, lag, var_r, cov, var_int):
+    the noise variances Var r' = s^2 (1 - e^{-2 a2 h})/(2 a2),
+    Var int r = s^2/a2^2 [h - 2 ramp + (1 - e^{-2 a2 h})/(2 a2)] and
+    their covariance s^2 ramp^2 / 2. ``lag`` and ``var_int`` lose
+    ~eps/x^2 to cancellation at x = a2*h, and ``var_int`` turns
+    negative near x ~ 1e-8, so both use Taylor series below _SMALL_X.
+    """
+    h = np.asarray(h, dtype=float)
+    x = a2 * h
+    decay = np.exp(-x)
+    ramp = -np.expm1(-x) / a2
+    half_ramp2 = 0.5 * ramp * (1.0 + decay)  # (1 - e^{-2x}) / (2 a2)
+    lag = (h - ramp) / a2
+    var_int = (h - 2.0 * ramp + half_ramp2) * (s_r / a2) ** 2
+    small = np.flatnonzero(x < _SMALL_X)
+    if small.size:
+        hs, xs = h.flat[small], x.flat[small]
+        lag.flat[small] = hs * hs * (
+            1 / 2 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs / 720))))
+        var_int.flat[small] = s_r * s_r * hs ** 3 * (
+            1 / 3 - xs * (1 / 4 - xs * (7 / 60 - xs * (1 / 24 - xs * 31 / 2520))))
+    return decay, ramp, lag, s_r * s_r * half_ramp2, 0.5 * (s_r * ramp) ** 2, var_int
+
+
+def _rate_transition(plan: _Plan, r: np.ndarray, lo, hi, z: np.ndarray):
+    """Exact joint draw of (r_hi, int_lo^hi r) given r at lo, per path.
+
+    ``hi`` holds per-path times, ``lo`` per-path or shared ones, with
+    lo <= hi; ``z`` holds standard normals of shape
+    (len(plan.segments), 2, paths). The step is chained over the
+    coefficient segments; a segment it does not overlap has length zero
+    and is an exact identity.
+    """
+    integral = np.zeros_like(r)
+    for (left, right, a1, a2, s_r), (z_r, z_i) in zip(plan.segments, z):
+        h = np.maximum(np.minimum(hi, right) - np.maximum(lo, left), 0.0)
+        decay, ramp, lag, var_r, cov, var_int = _segment_moments(a1, a2, s_r, h)
+        sd_r = np.sqrt(var_r)
+        load = np.divide(cov, sd_r, out=np.zeros_like(cov), where=sd_r > 0.0)
+        sd_int = np.sqrt(np.maximum(var_int - load * load, 0.0))
+        integral += ramp * r + a1 * lag + load * z_r + sd_int * z_i
+        r = decay * r + a1 * ramp + sd_r * z_r
+    return r, integral
 
 
 def _zcb_at(plan: _Plan, tau: np.ndarray, r_tau: np.ndarray) -> np.ndarray:
@@ -188,32 +226,21 @@ def _zcb_at(plan: _Plan, tau: np.ndarray, r_tau: np.ndarray) -> np.ndarray:
 def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dict:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
     spec, firm = plan.spec, plan.firm
-    n_steps = len(plan.h)
 
     z1 = rng.standard_normal(n_units)
     z2 = rng.standard_normal(n_units)
     u1 = rng.random(n_units)
     u2 = rng.random(n_units)
-    zr = rng.standard_normal((n_units, n_steps))
+    # Two transitions (t -> s1, s1 -> s2), each with a pair of normals
+    # per coefficient segment.
+    zr = rng.standard_normal((2, len(plan.segments), 2, n_units))
     if plan.antithetic:
         z1 = np.concatenate([z1, -z1])
         z2 = np.concatenate([z2, -z2])
         u1 = np.concatenate([u1, np.minimum(1.0 - u1, _U_CAP)])
         u2 = np.concatenate([u2, np.minimum(1.0 - u2, _U_CAP)])
-        zr = np.concatenate([zr, -zr], axis=0)
+        zr = np.concatenate([zr, -zr], axis=-1)
     m = len(z1)
-
-    r = np.empty((m, n_steps + 1))
-    r[:, 0] = plan.r0
-    for k in range(n_steps):
-        r[:, k + 1] = (
-            r[:, k]
-            + (plan.a1_k[k] - plan.a2_k[k] * r[:, k]) * plan.h[k]
-            + plan.s_k[k] * plan.sqh[k] * zr[:, k]
-        )
-    cum = np.empty((m, n_steps + 1))
-    cum[:, 0] = 0.0
-    np.cumsum(0.5 * (r[:, :-1] + r[:, 1:]) * plan.h, axis=1, out=cum[:, 1:])
 
     delta = spec.t2 - spec.t1
     pre_announcement = plan.t < spec.t1
@@ -226,11 +253,13 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
         jump1 = xi1 < spec.t1 - plan.t
         barrier1 = V1 <= spec.K1
         seg2_start = spec.t1
+        s1 = np.where(jump1, plan.t + xi1, spec.t1)
     else:
         V1 = np.full(m, plan.V1_known)
         jump1 = np.zeros(m, dtype=bool)
         barrier1 = np.zeros(m, dtype=bool)
         seg2_start = plan.t
+        s1 = np.full(m, plan.t)
     enter2 = ~jump1 & ~barrier1
 
     V2 = V1 * np.exp(firm.log_drift * delta + firm.s_V * math.sqrt(delta) * z2)
@@ -238,25 +267,22 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     xi2 = _truncated_exp_clock(spec.intensity(V1), u2)
     jump2 = enter2 & (xi2 < spec.t2 - seg2_start)
 
-    pay = np.empty(m)
-    surv_t2 = enter2 & ~jump2
-    disc_full = np.exp(-cum[:, -1])
-    pay[surv_t2] = disc_full[surv_t2] * np.where(barrier2[surv_t2], spec.R_e, 1.0)
+    # Every path ends at its payment time s2: the jump time, the first
+    # announcement date for a barrier-1 breach, or maturity. Paths that
+    # stop in the first interval take a zero-length second transition.
+    s2 = np.where(jump2, seg2_start + xi2, np.where(enter2, spec.t2, s1))
+    r1, int1 = _rate_transition(plan, np.full(m, plan.r0), plan.t, s1, zr[0])
+    r2, int2 = _rate_transition(plan, r1, s1, s2, zr[1])
 
-    if pre_announcement:
-        if jump1.any():
-            tau = plan.t + xi1[jump1]
-            r_tau, i_tau = _interp_rate(plan, r[jump1], cum[jump1], tau)
-            pay[jump1] = np.exp(-i_tau) * spec.R_u * _zcb_at(plan, tau, r_tau)
-        exp1 = ~jump1 & barrier1
-        if exp1.any():
-            tau = np.full(int(exp1.sum()), spec.t1)
-            r_tau, i_tau = _interp_rate(plan, r[exp1], cum[exp1], tau)
-            pay[exp1] = np.exp(-i_tau) * spec.R_e * _zcb_at(plan, tau, r_tau)
-    if jump2.any():
-        tau = seg2_start + xi2[jump2]
-        r_tau, i_tau = _interp_rate(plan, r[jump2], cum[jump2], tau)
-        pay[jump2] = np.exp(-i_tau) * spec.R_u * _zcb_at(plan, tau, r_tau)
+    # Discount each payoff along its own path from tau, then value the
+    # recovery claim on the default-free bond at (r_tau, tau).
+    pay = np.exp(-(int1 + int2))
+    surv_t2 = enter2 & ~jump2
+    pay[surv_t2 & barrier2] *= spec.R_e
+    early = ~surv_t2
+    if early.any():
+        recovery = np.where(jump1[early] | jump2[early], spec.R_u, spec.R_e)
+        pay[early] *= recovery * _zcb_at(plan, s2[early], r2[early])
 
     legs = {
         "survive_both": enter2 & ~jump2 & ~barrier2,
@@ -275,7 +301,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
 
     stats = {"price": pair_stats(pay)}
     for name, mask in legs.items():
-        stats[f"leg_{name}"] = pair_stats(np.where(mask, pay, 0.0))
+        stats[f"leg_{name}"] = pair_stats(pay * mask)
     return {"n": n_units, "stats": stats}
 
 

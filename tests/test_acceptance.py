@@ -258,8 +258,7 @@ def test_criterion_7_bounds_and_monotonicity():
     # -1 must not increase it.
     directions = (("R_u", +1), ("R_e", +1), ("K1", -1), ("K2", -1), ("V0", +1))
 
-    for _ in range(200):
-        inputs = random_scenario(rng)
+    for i, inputs in enumerate(random_scenario(rng) for _ in range(200)):
         base = price_full(inputs, PricingMode.CORRECTED)
         lo = min(inputs.spec.R_u, inputs.spec.R_e) * base.zcb
         worst_bound = max(worst_bound,

@@ -216,6 +216,13 @@ class TestSweepCommand:
     def test_invalid_grid_value_exits_2(self, p0_file):
         assert main(["sweep", p0_file, "--axis", "s_V", "--grid", "0.2,-0.1"]) == 2
 
+    def test_negative_grid_value(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "r0",
+                     "--grid", "-0.01,0.02"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        values = [line.split(",")[3] for line in lines[1:]]
+        assert values == ["-0.01", "0.02"]
+
     def test_csv_written(self, p0_file, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", p0_file, "--axis", "K2", "--grid", "60,80",
@@ -240,6 +247,26 @@ class TestValidateCommand:
         code = main(["validate", p0_file, "--paths", "2000", "--seed", "88"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_single_path_rejected(self, p0_file, capsys):
+        # One path has no standard error; this is an input error, not a
+        # validation mismatch.
+        assert main(["validate", p0_file, "--paths", "1"]) == 2
+        assert "--paths" in capsys.readouterr().err
+
+    def test_zero_variance_scenario_passes(self, tmp_path, capsys):
+        # No rate noise and full recovery: every path pays the discount
+        # bond, and the SE is summation roundoff only.
+        path = tmp_path / "flat.yaml"
+        path.write_text(PAR_YAML.replace("s_r: 0.01", "s_r: 0.0")
+                        .replace("r0: 0.05", "r0: 0.03"))
+        code = main(["validate", str(path), "--paths", "20000", "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PASS" in out
+        z = {line.split()[1]: float(line.split()[2])
+             for line in out.splitlines() if line.startswith("  z ")}
+        assert abs(z["corrected"]) <= 3.0 and abs(z["paper-literal"]) <= 3.0
 
     def test_antithetic_flag(self, p0_file, capsys):
         code = main(["validate", p0_file, "--paths", "40000", "--seed", "21",

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from dvbond import (
     DefaultSpec,
     FirmModel,
     IntensityFunction,
     McConfig,
+    PiecewiseConstant,
     PricingInputs,
     PricingMode,
     ShortRateModel,
@@ -18,7 +21,12 @@ from dvbond import (
     simulate_price,
     zcb_price,
 )
-from dvbond.mcoracle import LEG_NAMES
+from dvbond.mcoracle import (
+    LEG_NAMES,
+    _build_plan,
+    _rate_transition,
+    _segment_moments,
+)
 
 from conftest import make_inputs
 
@@ -101,6 +109,13 @@ class TestEstimatorMechanics:
         cfg3 = McConfig(n_paths=(1 << 16) + 1234, seed=8, n_threads=3)
         assert simulate_price(p0_inputs, cfg1) == simulate_price(p0_inputs, cfg3)
 
+    def test_uneven_final_chunk_antithetic(self, p0_inputs):
+        cfg1 = McConfig(n_paths=(1 << 16) + 1234, seed=8, antithetic=True,
+                        n_threads=1)
+        cfg3 = McConfig(n_paths=(1 << 16) + 1234, seed=8, antithetic=True,
+                        n_threads=3)
+        assert simulate_price(p0_inputs, cfg1) == simulate_price(p0_inputs, cfg3)
+
     def test_antithetic_unbiased_and_tighter(self, p0_inputs):
         plain = simulate_price(p0_inputs, McConfig(n_paths=200_000, seed=7))
         anti = simulate_price(p0_inputs, McConfig(n_paths=200_000, seed=7,
@@ -108,6 +123,16 @@ class TestEstimatorMechanics:
         gap = math.hypot(plain.std_error, anti.std_error)
         assert anti.price == pytest.approx(plain.price, abs=4 * gap)
         assert anti.std_error < plain.std_error
+
+    def test_antithetic_mirrors_rate_normals(self):
+        # Full recovery: the payoff is the path's discount factor alone,
+        # nearly linear in the rate normals, so mirrored pairs cancel.
+        inputs = make_inputs(rate=dict(s_r=0.05),
+                             default=dict(R_u=1.0, R_e=1.0))
+        plain = simulate_price(inputs, McConfig(n_paths=20_000, seed=7))
+        anti = simulate_price(inputs, McConfig(n_paths=20_000, seed=7,
+                                               antithetic=True))
+        assert anti.std_error < 0.1 * plain.std_error
 
     def test_leg_decompose_is_the_same_sampler(self, p0_inputs):
         cfg = McConfig(n_paths=60_000, seed=4)
@@ -182,12 +207,133 @@ class TestAgainstClosedForm:
         closed = price_full(inputs, PricingMode.CORRECTED).price
         assert abs(closed - est.price) <= 3 * est.std_error
 
-    def test_rate_step_halving_within_noise(self, p0_inputs):
-        coarse = simulate_price(p0_inputs, McConfig(n_paths=1_000_000, seed=13,
-                                                    n_threads=4))
-        fine = simulate_price(
-            p0_inputs,
-            McConfig(n_paths=1_000_000, seed=13, rate_steps_per_year=128,
-                     n_threads=4),
-        )
-        assert abs(coarse.price - fine.price) <= coarse.std_error
+    def test_long_maturity_memory_is_per_path(self):
+        # 30 years: a per-step rate grid would need gigabytes per chunk.
+        inputs = make_inputs(default=dict(t1=15.0, t2=30.0))
+        tracemalloc.start()
+        try:
+            est = simulate_price(inputs, McConfig(n_paths=1 << 16, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        closed = price_full(inputs, PricingMode.CORRECTED).price
+        assert abs(closed - est.price) <= 3 * est.std_error
+
+
+def ode_moments(rate: ShortRateModel, r0: float, lo: float, hi: float):
+    """Mean and covariance of (r_hi, int_lo^hi r) given r_lo = r0.
+
+    Integrates the moment equations m_r' = a1 - a2 m_r, m_I' = m_r,
+    v_rr' = s^2 - 2 a2 v_rr, v_rI' = v_rr - a2 v_rI, v_II' = 2 v_rI
+    piece by piece between the coefficient breakpoints.
+    """
+    cuts = sorted({lo, hi}.union(
+        b for f in (rate.a1, rate.a2, rate.s_r) for b in f.breakpoints
+        if lo < b < hi))
+    y = np.array([r0, 0.0, 0.0, 0.0, 0.0])
+    for left, right in zip(cuts, cuts[1:]):
+        a1, a2, s = rate.a1(left), rate.a2(left), rate.s_r(left)
+
+        def rhs(_, v, a1=a1, a2=a2, s=s):
+            m_r, _m_i, v_rr, v_ri, _v_ii = v
+            return [a1 - a2 * m_r, m_r, s * s - 2 * a2 * v_rr,
+                    v_rr - a2 * v_ri, 2 * v_ri]
+
+        y = solve_ivp(rhs, (left, right), y, method="DOP853", rtol=1e-13,
+                      atol=1e-20).y[:, -1]
+    m_r, m_i, v_rr, v_ri, v_ii = y
+    return np.array([m_r, m_i]), np.array([[v_rr, v_ri], [v_ri, v_ii]])
+
+
+def piecewise_inputs(p0_firm, p0_spec):
+    rate = ShortRateModel(
+        a1=PiecewiseConstant((0.4,), (0.01, 0.03)),
+        a2=PiecewiseConstant((0.7,), (0.2, 0.35)),
+        s_r=PiecewiseConstant((0.5,), (0.01, 0.02)),
+        maturity=1.0,
+    )
+    return PricingInputs(rate_model=rate, firm=p0_firm, spec=p0_spec,
+                         r=0.05, t=0.0)
+
+
+class TestRateTransition:
+    @pytest.mark.parametrize("r0", [0.0, 0.05])
+    @pytest.mark.parametrize("h", [1e-3, 0.049, 0.051, 0.5, 4.0])
+    def test_segment_moments_match_ode(self, h, r0):
+        # a2 = 0.2: h = 0.049 / 0.051 sit on either side of the series switch.
+        rate = ShortRateModel(a1=0.01, a2=0.2, s_r=0.01, maturity=10.0)
+        mean, cov = ode_moments(rate, r0, 0.0, h)
+        decay, ramp, lag, var_r, cov_ri, var_i = (
+            v[0] for v in _segment_moments(0.01, 0.2, 0.01, np.array([h])))
+        got_mean = [decay * r0 + 0.01 * ramp, ramp * r0 + 0.01 * lag]
+        got_cov = [[var_r, cov_ri], [cov_ri, var_i]]
+        np.testing.assert_allclose(got_mean, mean, rtol=1e-10)
+        np.testing.assert_allclose(got_cov, cov, rtol=1e-9)
+
+    def test_integral_variance_nonnegative_for_tiny_steps(self):
+        h = 5e-9  # a2 * h = 1e-9
+        _, _, _, var_r, cov, var_i = (
+            v[0] for v in _segment_moments(0.01, 0.2, 0.01, np.array([h])))
+        assert var_i == pytest.approx(0.01**2 * h**3 / 3, rel=1e-8)
+        # Conditional variance of the integral given r: s^2 h^3 / 12.
+        assert var_i - cov * cov / var_r == pytest.approx(0.01**2 * h**3 / 12,
+                                                          rel=1e-6)
+
+    @staticmethod
+    def sample(inputs, lo, hi, n, seed):
+        plan = _build_plan(inputs, McConfig(n_paths=n))
+        z = np.random.default_rng(seed).standard_normal(
+            (len(plan.segments), 2, n))
+        r, integral = _rate_transition(plan, np.full(n, inputs.r), lo,
+                                       np.full(n, hi), z)
+        return plan, np.stack([r, integral])
+
+    @staticmethod
+    def assert_sample_moments(sample, mean, cov):
+        n = sample.shape[1]
+        sd = np.sqrt(np.diag(cov))
+        assert np.all(np.abs(sample.mean(axis=1) - mean) <= 4 * sd / math.sqrt(n))
+        got = np.cov(sample)
+        np.testing.assert_allclose(np.diag(got) / np.diag(cov), 1.0,
+                                   atol=4 * math.sqrt(2 / n))
+        rho = cov[0, 1] / (sd[0] * sd[1])
+        got_rho = got[0, 1] / math.sqrt(got[0, 0] * got[1, 1])
+        assert abs(got_rho - rho) <= 4 * (1 - rho * rho) / math.sqrt(n)
+
+    def test_constant_coefficients(self, p0_inputs):
+        _, sample = self.sample(p0_inputs, 0.1, 0.9, 400_000, 11)
+        self.assert_sample_moments(
+            sample, *ode_moments(p0_inputs.rate_model, 0.05, 0.1, 0.9))
+
+    def test_straddles_every_breakpoint(self, p0_firm, p0_spec):
+        inputs = piecewise_inputs(p0_firm, p0_spec)
+        plan, sample = self.sample(inputs, 0.3, 0.8, 400_000, 12)
+        assert len(plan.segments) == 4
+        mean, cov = ode_moments(inputs.rate_model, 0.05, 0.3, 0.8)
+        self.assert_sample_moments(sample, mean, cov)
+        # Zero normals give the conditional mean exactly.
+        r, integral = _rate_transition(plan, np.full(1, 0.05), 0.3,
+                                       np.full(1, 0.8), np.zeros((4, 2, 1)))
+        np.testing.assert_allclose([r[0], integral[0]], mean, rtol=1e-10)
+
+    def test_per_path_lengths(self, p0_firm, p0_spec):
+        # Each path stops at its own time; a zero-length step is an identity.
+        inputs = piecewise_inputs(p0_firm, p0_spec)
+        plan = _build_plan(inputs, McConfig(n_paths=4))
+        hi = np.array([0.0, 0.45, 0.6, 1.0])
+        z = np.random.default_rng(5).standard_normal((4, 2, 4))
+        r, integral = _rate_transition(plan, np.full(4, 0.05), 0.0, hi, z)
+        assert r[0] == 0.05 and integral[0] == 0.0
+        for k in range(1, 4):
+            mean, _ = ode_moments(inputs.rate_model, 0.05, 0.0, hi[k])
+            r_k, i_k = _rate_transition(plan, np.full(1, 0.05), 0.0,
+                                        np.full(1, hi[k]), np.zeros((4, 2, 1)))
+            np.testing.assert_allclose([r_k[0], i_k[0]], mean, rtol=1e-10)
+            # Segments beyond hi[k] draw nothing: their normals are unused.
+            z_k = z[:, :, k:k + 1].copy()
+            z_k[np.array([s[0] for s in plan.segments]) >= hi[k]] = 99.0
+            r_z, i_z = _rate_transition(plan, np.full(1, 0.05), 0.0,
+                                        np.full(1, hi[k]), z_k)
+            np.testing.assert_allclose([r_z[0], i_z[0]], [r[k], integral[k]],
+                                       rtol=1e-14)
