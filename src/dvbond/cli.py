@@ -220,6 +220,8 @@ def cmd_validate(args) -> int:
     """
     if args.paths < 2:
         return _fail(2, f"--paths must be at least 2, got {args.paths}")
+    if args.threads < 1:
+        return _fail(2, f"--threads must be at least 1, got {args.threads}")
     scenario = _select(_load(args.file), args.scenario)
     inputs = scenario.pricing_inputs()
     try:

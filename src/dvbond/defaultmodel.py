@@ -46,6 +46,13 @@ __all__ = [
 _CUSTOM_PROBE = np.logspace(-6.0, 6.0, 61)
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FirmModel:
     """Declared-firm-value GBM: initial value, drift, payout, volatility."""
@@ -56,6 +63,7 @@ class FirmModel:
     s_V: float
 
     def __post_init__(self):
+        _require_finite(self, ("V0", "mu", "b", "s_V"))
         if not self.V0 > 0.0:
             raise ValueError(f"V0 must be positive, got {self.V0}")
         if not self.s_V > 0.0:
@@ -86,6 +94,7 @@ class IntensityFunction:
     def __post_init__(self):
         if self.family not in ("log_reciprocal", "constant", "custom"):
             raise ValueError(f"unknown intensity family {self.family!r}")
+        _require_finite(self, ("lambda0",))
         if self.family == "constant" and self.lambda0 < 0.0:
             raise ValueError(f"lambda0 must be nonnegative, got {self.lambda0}")
         if self.family == "custom":
@@ -112,6 +121,11 @@ class IntensityFunction:
         return cls("custom", fn=fn)
 
     def __call__(self, V):
+        if isinstance(V, (int, float)) and self.family != "custom":
+            if not V > 0.0:
+                raise ValueError("intensity requires V > 0")
+            return math.log1p(1.0 / V) if self.family == "log_reciprocal" \
+                else self.lambda0
         V_arr = np.asarray(V, dtype=float)
         if np.any(V_arr <= 0.0):
             raise ValueError("intensity requires V > 0")
@@ -147,6 +161,7 @@ class DefaultSpec:
     intensity: IntensityFunction = field(default_factory=IntensityFunction.log_reciprocal)
 
     def __post_init__(self):
+        _require_finite(self, ("t1", "t2", "K1", "K2", "R_u", "R_e"))
         if not 0.0 < self.t1 < self.t2:
             raise ValueError(f"need 0 < t1 < t2, got t1={self.t1}, t2={self.t2}")
         if self.K1 < 0.0 or self.K2 < 0.0:

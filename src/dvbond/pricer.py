@@ -24,8 +24,12 @@ where Z = Z(r, t) is the default-free discount bond and
     expected_default_term   the first-barrier-breach leg.
 
 I21 and I23 are bivariate normal probabilities in the quadratic-form
-parameterization (unit determinant, coupling +/- sqrt(t1/(t2-t1)));
-I22 and I24 are Gaussian-weighted left-tail integrals.
+parameterization (unit determinant, coupling +/- sqrt(t1/(t2-t1))),
+evaluated in closed form as standard bivariate normal CDFs with
+correlation -/+ sqrt(t1/t2). I22 and I24 are Gaussian-weighted
+left-tail integrals; with a constant intensity the jump-survival
+kernel F is the constant exp(-lambda0 (t2 - t1)), and they are F times
+the same two probabilities as I21 and I23.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -123,6 +127,10 @@ class PricingInputs:
     V1: float | None = None
 
     def __post_init__(self):
+        for name in ("r", "t", "V1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.t < self.spec.t2:
             raise ValueError(
                 f"valuation time must lie in [0, {self.spec.t2}), got {self.t}"
@@ -225,7 +233,12 @@ def price_last_interval(inputs: PricingInputs, V1: float | None = None) -> float
         raise ValueError(
             f"valuation time must lie in [{spec.t1}, {spec.t2}), got {inputs.t}"
         )
-    z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
+    return _last_interval(inputs, V1, zcb_price(inputs.rate_model, inputs.r, inputs.t))
+
+
+def _last_interval(inputs: PricingInputs, V1: float, z: float) -> float:
+    """``price_last_interval`` for a validated V1 and the discount bond z."""
+    spec = inputs.spec
     lam = spec.intensity(V1)
     surv = survival_prob(inputs.firm, V1, spec.K2, spec.t2 - spec.t1)
     u_cleared = interval_factor_u1(spec, lam, inputs.t, True)
@@ -340,25 +353,29 @@ def term_I21_I23(
 
         I21 = R_u       * N2(alpha1,  alpha2 : M+)
         I23 = R_u * R_e * N2(alpha1, -alpha2 : M-).
+
+    Both probabilities are closed-form; ``quad`` is accepted for
+    compatibility and not used.
     """
     if spec.R_u == 0.0:
         return 0.0, 0.0
+    n_up, n_dn = _barrier_probabilities(alphas, spec, mode)
+    coeff23 = spec.R_u if mode is PricingMode.CORRECTED else spec.R_u * spec.R_e
+    return spec.R_u * n_up, coeff23 * n_dn
+
+
+def _barrier_probabilities(alphas: Alpha, spec: DefaultSpec,
+                           mode: PricingMode) -> tuple[float, float]:
+    """The two bivariate probabilities of the decomposition.
+
+    First the one I21 (and, for a constant intensity, I22) weights,
+    then the one of I23 (and I24); the modes pair them with opposite
+    coupling matrices.
+    """
     plus, minus = quadform_pair(spec.t1, spec.t2)
-    if mode is PricingMode.CORRECTED:
-        i21 = spec.R_u * bivariate_cdf_quadform(
-            alphas.alpha1, alphas.alpha2, minus, quad
-        )
-        i23 = spec.R_u * bivariate_cdf_quadform(
-            alphas.alpha1, -alphas.alpha2, plus, quad
-        )
-    else:
-        i21 = spec.R_u * bivariate_cdf_quadform(
-            alphas.alpha1, alphas.alpha2, plus, quad
-        )
-        i23 = spec.R_u * spec.R_e * bivariate_cdf_quadform(
-            alphas.alpha1, -alphas.alpha2, minus, quad
-        )
-    return i21, i23
+    up, dn = (minus, plus) if mode is PricingMode.CORRECTED else (plus, minus)
+    return (bivariate_cdf_quadform(alphas.alpha1, alphas.alpha2, up),
+            bivariate_cdf_quadform(alphas.alpha1, -alphas.alpha2, dn))
 
 
 def _jump_survival_kernel(firm: FirmModel, spec: DefaultSpec):
@@ -394,31 +411,38 @@ def term_I22_I24(
         I22 = (1 - R_u)       * int F(x) N( alpha2 + c x) phi(x) dx
         I24 = (1 - R_u) * R_e * int F(x) N(-alpha2 - c x) phi(x) dx
 
-    With a constant intensity F factors out of either integral; the
-    kernel can have slope kinks for custom intensities, which the
-    adaptive panels absorb.
+    With a constant intensity F factors out of either integral, leaving
+    F times the bivariate probabilities of ``term_I21_I23``, which are
+    used with no quadrature. The kernel can have slope kinks for custom
+    intensities, which the adaptive panels absorb.
     """
     delta = spec.t2 - spec.t1
-    c = math.sqrt(spec.t1 / delta)
-    F = _jump_survival_kernel(firm, spec)
     a1, a2 = alphas.alpha1, alphas.alpha2
-
+    coeff22 = 1.0 - spec.R_u
     if mode is PricingMode.CORRECTED:
-        coeff22 = 1.0 - spec.R_u
         coeff24 = spec.R_e - spec.R_u
-        up = lambda x: F(-x) * ndtr(a2 - c * x)
-        dn = lambda x: F(-x) * ndtr(-a2 + c * x)
     else:
-        coeff22 = 1.0 - spec.R_u
         coeff24 = spec.R_e * (1.0 - spec.R_u)
-        up = lambda x: F(x) * ndtr(a2 + c * x)
-        dn = lambda x: F(x) * ndtr(-a2 - c * x)
 
-    i22 = 0.0 if coeff22 == 0.0 else coeff22 * integrate_left_tail(up, a1, quad)
-    if coeff24 == 0.0 or a2 == math.inf:
-        i24 = 0.0
+    if spec.intensity.family == "constant":
+        F = math.exp(-spec.intensity.lambda0 * delta)
+        n_up, n_dn = _barrier_probabilities(alphas, spec, mode)
+        tail_up = lambda: F * n_up
+        tail_dn = lambda: F * n_dn
     else:
-        i24 = coeff24 * integrate_left_tail(dn, a1, quad)
+        c = math.sqrt(spec.t1 / delta)
+        F = _jump_survival_kernel(firm, spec)
+        if mode is PricingMode.CORRECTED:
+            up = lambda x: F(-x) * ndtr(a2 - c * x)
+            dn = lambda x: F(-x) * ndtr(-a2 + c * x)
+        else:
+            up = lambda x: F(x) * ndtr(a2 + c * x)
+            dn = lambda x: F(x) * ndtr(-a2 - c * x)
+        tail_up = lambda: integrate_left_tail(up, a1, quad)
+        tail_dn = lambda: integrate_left_tail(dn, a1, quad)
+
+    i22 = 0.0 if coeff22 == 0.0 else coeff22 * tail_up()
+    i24 = 0.0 if coeff24 == 0.0 or a2 == math.inf else coeff24 * tail_dn()
     return i22, i24
 
 
@@ -441,11 +465,18 @@ def expected_default_leg(inputs: PricingInputs,
             f"valuation time must lie in [0, {spec.t1}), got {inputs.t}"
         )
     alphas = compute_alphas(inputs.firm, spec)
-    if alphas.alpha1 == math.inf:
-        return 0.0
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
     decay1 = math.exp(-spec.intensity(inputs.firm.V0) * (spec.t1 - inputs.t))
-    n_breach = normal_cdf(-alphas.alpha1)
+    return _default_leg(spec, mode, z, decay1, alphas.alpha1)
+
+
+def _default_leg(spec: DefaultSpec, mode: PricingMode, z: float,
+                 decay1: float, alpha1: float) -> float:
+    """``expected_default_leg`` from the discount bond, the first-interval
+    jump survival exp(-lambda(V0)(t1 - t)) and alpha1."""
+    if alpha1 == math.inf:
+        return 0.0
+    n_breach = normal_cdf(-alpha1)
     if mode is PricingMode.CORRECTED:
         return z * (spec.R_u + (spec.R_e - spec.R_u) * decay1) * n_breach
     return z * spec.R_e * (spec.R_u + (1.0 - spec.R_u) * decay1) * n_breach
@@ -477,7 +508,7 @@ def price_full(
     n_surv1 = 1.0 if alphas.alpha1 == math.inf else normal_cdf(alphas.alpha1)
 
     i1 = spec.R_u * z * (1.0 - decay1) * n_surv1
-    leg = expected_default_leg(inputs, mode)
+    leg = _default_leg(spec, mode, z, decay1, alphas.alpha1)
     try:
         i21, i23 = term_I21_I23(alphas, spec, mode, quad)
         i22, i24 = term_I22_I24(alphas, inputs.firm, spec, mode, quad)
@@ -503,9 +534,9 @@ def price_bond(
     """
     if inputs.t < inputs.spec.t1:
         return price_full(inputs, mode, quad)
-    value = price_last_interval(inputs)
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    return PriceResult(price=value, mode=mode, terms=None, zcb=z)
+    return PriceResult(price=_last_interval(inputs, inputs.V1, z), mode=mode,
+                       terms=None, zcb=z)
 
 
 def credit_spread(

@@ -14,10 +14,18 @@ where B solves B' = a2(t) * B - 1 backward from B(T) = 0 and
 
     A(t) = -int_t^T [ a1(u) * B(u) - s_r(u)^2 * B(u)^2 / 2 ] du.
 
-For constant coefficients both A and B have closed forms; piecewise
-coefficients are handled segment by segment (B still in closed form,
-A by fixed high-order Gauss-Legendre quadrature per segment, which is
-exact to machine precision for these smooth integrands).
+Both coefficients are in closed form segment by segment. On a
+constant-coefficient segment with level l, reversion a and volatility
+s whose right edge e carries B(e) = beta and A(e), a time t = e - tau
+inside it has
+
+    B(t) = beta * exp(-a tau) + R(a)
+    A(t) = A(e) + A0(l, a, s, tau) - l beta R(a)
+           + s^2 / 2 * (beta^2 R(2a) + beta R(a)^2)
+
+with R(x) = (1 - exp(-x tau)) / x and A0 the constant-coefficient A
+over tau (the beta = 0 case). The values at the segment edges are
+swept backward from maturity once per model and cached.
 
 ``paper_literal_a`` is a diagnostic switch that builds A from the
 mean-reversion coefficient a2 instead of the drift level a1. That
@@ -25,12 +33,18 @@ variant is NOT a solution of the discount-bond equation (the PDE
 residual check exposes it); it exists so the discrepancy between the
 two conventions can be demonstrated from the command line.
 
-All functions accept scalar or ndarray times and are pure.
+All functions accept scalar or ndarray times and are pure. A float
+time (and, for ``zcb_price``, a float rate) takes a scalar path in
+``math``; arrays are evaluated elementwise with numpy.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +61,11 @@ __all__ = [
 _SMALL_B = 1e-6
 _SMALL_A = 1e-4
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+def _require_finite(name: str, values) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +82,8 @@ class PiecewiseConstant:
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _require_finite("breakpoints", self.breakpoints)
+        _require_finite("values", self.values)
         if len(self.values) != len(self.breakpoints) + 1:
             raise ValueError(
                 f"need {len(self.breakpoints) + 1} values for "
@@ -87,10 +107,25 @@ class PiecewiseConstant:
         return float(out) if out.ndim == 0 else out
 
 
-def _as_step(f) -> PiecewiseConstant:
+def _as_step(name: str, f) -> PiecewiseConstant:
     if isinstance(f, PiecewiseConstant):
         return f
+    _require_finite(name, (float(f),))
     return PiecewiseConstant.constant(f)
+
+
+class _SegmentTable(NamedTuple):
+    """Constant-coefficient spans 0 = e0 < ... < em = T and A, B at the edges.
+
+    ``level`` is a1 per segment (a2 under ``paper_literal_a``).
+    """
+
+    edges: tuple[float, ...]
+    level: tuple[float, ...]
+    a2: tuple[float, ...]
+    s_r: tuple[float, ...]
+    b_edges: tuple[float, ...]
+    a_edges: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -111,10 +146,10 @@ class ShortRateModel:
     paper_literal_a: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", _as_step(self.a1))
-        object.__setattr__(self, "a2", _as_step(self.a2))
-        object.__setattr__(self, "s_r", _as_step(self.s_r))
+        for name in ("a1", "a2", "s_r"):
+            object.__setattr__(self, name, _as_step(name, getattr(self, name)))
         object.__setattr__(self, "maturity", float(self.maturity))
+        _require_finite("maturity", (self.maturity,))
         if not self.maturity > 0.0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
         for name in ("a1", "a2", "s_r"):
@@ -124,28 +159,86 @@ class ShortRateModel:
                     f"{name} breakpoints must lie strictly inside "
                     f"(0, {self.maturity}), got {bps}"
                 )
-        grid = self._segment_edges()[:-1]
-        if np.any(np.atleast_1d(self.a2(grid)) <= 0.0):
+        # With every breakpoint inside (0, T), each value applies somewhere.
+        if any(v <= 0.0 for v in self.a2.values):
             raise ValueError("a2(t) must be positive on [0, maturity]")
-        if np.any(np.atleast_1d(self.s_r(grid)) < 0.0):
+        if any(v < 0.0 for v in self.s_r.values):
             raise ValueError("s_r(t) must be nonnegative on [0, maturity]")
 
-    def _segment_edges(self) -> np.ndarray:
-        """Boundaries 0 = e0 < ... < em = T between constant-coefficient spans."""
+    @functools.cached_property
+    def _table(self) -> _SegmentTable:
+        """Segment constants and A, B at the edges, built on first use."""
         pts = {0.0, self.maturity}
         for f in (self.a1, self.a2, self.s_r):
             pts.update(f.breakpoints)
-        return np.array(sorted(pts))
+        edges = tuple(sorted(pts))
+        left = edges[:-1]
 
-    @property
-    def is_constant(self) -> bool:
-        return self.a1.is_constant and self.a2.is_constant and self.s_r.is_constant
+        def on_segments(f: PiecewiseConstant) -> tuple[float, ...]:
+            return tuple(f.values[bisect.bisect_right(f.breakpoints, e)] for e in left)
+
+        level = on_segments(self.a2 if self.paper_literal_a else self.a1)
+        a2 = on_segments(self.a2)
+        s_r = on_segments(self.s_r)
+        m = len(left)
+        b_edges = [0.0] * (m + 1)
+        a_edges = [0.0] * (m + 1)
+        for j in range(m - 1, -1, -1):
+            a_edges[j], b_edges[j] = _segment_AB(
+                level[j], a2[j], s_r[j], edges[j + 1] - edges[j],
+                b_edges[j + 1], a_edges[j + 1])
+        return _SegmentTable(edges, level, a2, s_r, tuple(b_edges), tuple(a_edges))
+
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, (int, float))
+
+
+def _ramp1(a2: float, tau: float) -> float:
+    """(1 - exp(-a2*tau)) / a2 with a Taylor branch for tiny a2*tau."""
+    x = a2 * tau
+    if x < _SMALL_B:
+        return tau * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
+    return -math.expm1(-x) / a2
+
+
+def _A_constant1(level: float, a2: float, s_r: float, tau: float, b: float) -> float:
+    """Closed-form A over tau with constant coefficients; b = _ramp1(a2, tau)."""
+    x = a2 * tau
+    if x < _SMALL_A:
+        tau2 = tau * tau
+        return (-level * tau2 * (0.5 - x / 6.0 + x * x / 24.0)
+                + 0.5 * s_r**2 * tau2 * tau * (1.0 / 3.0 - x / 4.0 + 7.0 * x * x / 60.0))
+    return (b - tau) * (level / a2 - s_r**2 / (2.0 * a2**2)) - s_r**2 * b * b / (4.0 * a2)
+
+
+def _segment_AB(level: float, a2: float, s_r: float, tau: float,
+                beta: float, a_end: float) -> tuple[float, float]:
+    """(A, B) at tau before a segment's right edge, where B = beta, A = a_end."""
+    ramp = _ramp1(a2, tau)
+    b = beta * math.exp(-a2 * tau) + ramp
+    a = a_end + _A_constant1(level, a2, s_r, tau, ramp)
+    if beta != 0.0:
+        a += -level * beta * ramp + 0.5 * s_r**2 * (
+            beta * beta * _ramp1(2.0 * a2, tau) + beta * ramp * ramp)
+    return a, b
+
+
+def _time_error(model: ShortRateModel, t) -> ValueError:
+    return ValueError(f"time must lie in [0, {model.maturity}], got {t!r}")
+
+
+def _scalar_AB(model: ShortRateModel, t: float) -> tuple[float, float]:
+    if not 0.0 <= t <= model.maturity:
+        raise _time_error(model, t)
+    tab = model._table
+    j = min(bisect.bisect_right(tab.edges, t), len(tab.a2)) - 1
+    return _segment_AB(tab.level[j], tab.a2[j], tab.s_r[j], tab.edges[j + 1] - t,
+                       tab.b_edges[j + 1], tab.a_edges[j + 1])
 
 
 def _ramp(a2, tau):
-    """(1 - exp(-a2*tau)) / a2 with a Taylor branch for tiny a2*tau."""
-    a2 = np.asarray(a2, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+    """Elementwise ``_ramp1``."""
     x = a2 * tau
     small = x < _SMALL_B
     safe_a2 = np.where(small, 1.0, a2)
@@ -154,52 +247,11 @@ def _ramp(a2, tau):
     return np.where(small, series, exact)
 
 
-def _check_time(model: ShortRateModel, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t)) or np.any(t < 0.0) or np.any(t > model.maturity):
-        raise ValueError(
-            f"time must lie in [0, {model.maturity}], got {t!r}"
-        )
-    return t
-
-
-def _boundary_B(model: ShortRateModel) -> tuple[np.ndarray, np.ndarray]:
-    """B at every segment edge, swept backward from B(T) = 0."""
-    edges = model._segment_edges()
-    m = len(edges) - 1
-    b = np.zeros(m + 1)
-    for j in range(m - 1, -1, -1):
-        a2 = float(model.a2(edges[j]))
-        length = edges[j + 1] - edges[j]
-        b[j] = b[j + 1] * np.exp(-a2 * length) + _ramp(a2, length)
-    return edges, b
-
-
-def coeff_B(model: ShortRateModel, t):
-    """Rate-sensitivity coefficient B(t) of the discount bond.
-
-    Closed form per constant-coefficient segment; B(T) = 0 and B >= 0.
-    Scalar in, scalar out; arrays are mapped elementwise.
-    """
-    t_arr = _check_time(model, t)
-    edges, b_edges = _boundary_B(model)
-    j = np.clip(np.searchsorted(edges, t_arr, side="right") - 1, 0, len(edges) - 2)
-    a2 = np.asarray(model.a2(edges[j]))
-    tau = edges[j + 1] - t_arr
-    out = b_edges[j + 1] * np.exp(-a2 * tau) + _ramp(a2, tau)
-    return float(out) if out.ndim == 0 else out
-
-
-def _A_constant(level, a2, s_r, tau):
-    """Closed-form A over a horizon tau with constant coefficients."""
-    level = np.asarray(level, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    s_r = np.asarray(s_r, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+def _A_constant(level, a2, s_r, tau, b):
+    """Elementwise ``_A_constant1``."""
     x = a2 * tau
     small = x < _SMALL_A
     safe_a2 = np.where(small, 1.0, a2)
-    b = _ramp(a2, tau)
     exact = (b - tau) * (level / safe_a2 - s_r**2 / (2.0 * safe_a2**2)) \
         - s_r**2 * b * b / (4.0 * safe_a2)
     tau2 = tau * tau
@@ -210,54 +262,59 @@ def _A_constant(level, a2, s_r, tau):
     return np.where(small, series, exact)
 
 
+def _locate(model: ShortRateModel, t):
+    """Segment table, segment index and distance to its right edge, per time."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.isnan(t)) or np.any(t < 0.0) or np.any(t > model.maturity):
+        raise _time_error(model, t)
+    tab = model._table
+    edges = np.asarray(tab.edges)
+    j = np.minimum(np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
+    return tab, j, edges[j + 1] - t
+
+
+def _out(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def coeff_B(model: ShortRateModel, t):
+    """Rate-sensitivity coefficient B(t) of the discount bond.
+
+    Closed form per constant-coefficient segment; B(T) = 0 and B >= 0.
+    Scalar in, scalar out; arrays are mapped elementwise.
+    """
+    if _is_scalar(t):
+        return _scalar_AB(model, t)[1]
+    tab, j, tau = _locate(model, t)
+    a2 = np.asarray(tab.a2)[j]
+    return _out(np.asarray(tab.b_edges)[j + 1] * np.exp(-a2 * tau) + _ramp(a2, tau))
+
+
 def coeff_A(model: ShortRateModel, t):
     """Log-level coefficient A(t) of the discount bond; A(T) = 0.
 
-    Constant coefficients use the closed form. Piecewise-constant
-    coefficients integrate a1(u)*B(u) - s_r(u)^2*B(u)^2/2 segment by
-    segment with 64-point Gauss-Legendre rules (absolute accuracy well
-    below 1e-12 for these analytic pieces).
+    Closed form per constant-coefficient segment (module docs), with A
+    at the segment edges cached on the model.
     """
-    t_arr = _check_time(model, t)
-    level_fn = model.a2 if model.paper_literal_a else model.a1
-
-    if model.is_constant:
-        out = _A_constant(
-            float(level_fn(0.0)),
-            float(model.a2(0.0)),
-            float(model.s_r(0.0)),
-            model.maturity - t_arr,
-        )
-        return float(out) if out.ndim == 0 else out
-
-    def integrand(u):
-        b = coeff_B(model, u)
-        return np.asarray(level_fn(u)) * b - 0.5 * np.asarray(model.s_r(u)) ** 2 * b * b
-
-    def gl_piece(lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        u = c[..., None] + h[..., None] * _GL_NODES
-        vals = integrand(u.ravel()).reshape(u.shape)
-        return h * (vals @ _GL_WEIGHTS)
-
-    edges = model._segment_edges()
-    # Tail integrals from each edge out to maturity.
-    seg_int = np.array([gl_piece(edges[k], edges[k + 1]) for k in range(len(edges) - 1)])
-    tail = np.concatenate([np.cumsum(seg_int[::-1])[::-1], [0.0]])
-
-    flat = np.atleast_1d(t_arr)
-    j = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, len(edges) - 2)
-    partial = gl_piece(flat, edges[j + 1])
-    out = -(partial + tail[j + 1])
-    return float(out[0]) if np.ndim(t_arr) == 0 else out.reshape(t_arr.shape)
+    if _is_scalar(t):
+        return _scalar_AB(model, t)[0]
+    tab, j, tau = _locate(model, t)
+    level = np.asarray(tab.level)[j]
+    a2 = np.asarray(tab.a2)[j]
+    s_r = np.asarray(tab.s_r)[j]
+    beta = np.asarray(tab.b_edges)[j + 1]
+    ramp = _ramp(a2, tau)
+    out = np.asarray(tab.a_edges)[j + 1] + _A_constant(level, a2, s_r, tau, ramp) \
+        - level * beta * ramp \
+        + 0.5 * s_r**2 * (beta * beta * _ramp(2.0 * a2, tau) + beta * ramp * ramp)
+    return _out(out)
 
 
 def zcb_price(model: ShortRateModel, r, t):
     """Discount bond price Z(r, t) = exp(A(t) - B(t) * r); Z(r, T) = 1."""
-    a = coeff_A(model, t)
-    b = coeff_B(model, t)
-    out = np.exp(np.asarray(a) - np.asarray(b) * np.asarray(r, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    if _is_scalar(t) and _is_scalar(r):
+        a, b = _scalar_AB(model, t)
+        return math.exp(a - b * r)
+    out = np.exp(np.asarray(coeff_A(model, t)) - np.asarray(coeff_B(model, t))
+                 * np.asarray(r, dtype=float))
+    return _out(out)

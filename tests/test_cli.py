@@ -149,6 +149,13 @@ class TestPriceCommand:
         assert main(["price", str(path)]) == 2
         assert "s_V" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.yaml"
+        path.write_text(P0_YAML.replace("s_r: 0.01", "s_r: .inf"))
+        assert main(["price", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "scenarios.P0.rate" in err and "s_r must be finite" in err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["price", str(tmp_path / "nope.yaml")]) == 2
 
@@ -253,6 +260,12 @@ class TestValidateCommand:
         # validation mismatch.
         assert main(["validate", p0_file, "--paths", "1"]) == 2
         assert "--paths" in capsys.readouterr().err
+
+    def test_zero_threads_rejected(self, p0_file, capsys):
+        # The error names the flag, not the McConfig field behind it.
+        assert main(["validate", p0_file, "--paths", "1000", "--threads", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "n_threads" not in err
 
     def test_zero_variance_scenario_passes(self, tmp_path, capsys):
         # No rate noise and full recovery: every path pays the discount

@@ -14,6 +14,7 @@ from dvbond.mathkit import (
     QuadratureSpec,
     bivariate_cdf_bruteforce,
     bivariate_cdf_quadform,
+    bvn_cdf,
     integrate_left_tail,
     normal_cdf,
 )
@@ -170,3 +171,54 @@ class TestBivariateCdf:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             bivariate_cdf_quadform(math.nan, 0.0, UNIT_PLUS)
+
+
+def bvn_oracle(mpmath, h, k, rho):
+    """Phi2(h, k; rho) in 30 digits from Sheppard's formula
+
+    Phi(h) Phi(k) + (1/2pi) int_0^asin(rho)
+        exp(-(h^2 + k^2 - 2 h k sin t) / (2 cos^2 t)) dt.
+    """
+    with mpmath.workdps(30):
+        h, k, rho = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(rho)
+        f = lambda t: mpmath.exp(-(h * h + k * k - 2 * h * k * mpmath.sin(t))
+                                 / (2 * mpmath.cos(t) ** 2))
+        return float(mpmath.ncdf(h) * mpmath.ncdf(k)
+                     + mpmath.quad(f, [0, mpmath.asin(rho)]) / (2 * mpmath.pi))
+
+
+class TestBvnCdf:
+    # |rho| < 0.3, < 0.75 and < 0.925 select 6, 12 and 20 nodes; the
+    # asymptotic expansion takes over from 0.925.
+    RHOS = (0.1, 0.29, 0.5, 0.74, 0.8, 0.92, 0.93, 0.99)
+    POINTS = ((-8.0, 3.0), (8.0, -1.5), (0.0, 0.0), (0.7, -0.4), (-1.5, 2.5),
+              (3.0, 3.0), (8.0, 8.0), (-2.0, -2.5), (-0.3, -8.0))
+
+    def test_against_high_precision_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for rho in self.RHOS + tuple(-r for r in self.RHOS):
+            for h, k in self.POINTS:
+                worst = max(worst, abs(bvn_cdf(h, k, rho)
+                                       - bvn_oracle(mpmath, h, k, rho)))
+        assert worst <= 1e-14
+
+    def test_infinite_bounds(self):
+        for rho in (-0.95, -0.5, 0.0, 0.6, 0.97):
+            for x in (-8.0, -1.0, 0.0, 2.0, 8.0):
+                assert bvn_cdf(math.inf, x, rho) == normal_cdf(x)
+                assert bvn_cdf(x, math.inf, rho) == normal_cdf(x)
+                assert bvn_cdf(-math.inf, x, rho) == 0.0
+                assert bvn_cdf(x, -math.inf, rho) == 0.0
+            assert bvn_cdf(math.inf, math.inf, rho) == 1.0
+
+    def test_independence(self):
+        for h, k in self.POINTS:
+            assert bvn_cdf(h, k, 0.0) == pytest.approx(
+                normal_cdf(h) * normal_cdf(k), abs=1e-16)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            bvn_cdf(math.nan, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            bvn_cdf(0.0, 0.0, 1.5)

@@ -231,6 +231,30 @@ class TestTermI22I24:
                 want24 = (spec.R_e - spec.R_u) * decay * i23 / spec.R_u
             assert i24 == pytest.approx(want24, abs=1e-11)
 
+    def test_constant_intensity_against_quadrature(self, p0_firm):
+        # The left-tail integrals of the constant kernel F, as the
+        # log-reciprocal and custom intensities still evaluate them.
+        for t1, t2, K1, K2, lam in ((0.5, 1.0, 70.0, 80.0, 0.1),
+                                    (0.3, 1.2, 90.0, 85.0, 0.0),
+                                    (1.5, 2.0, 40.0, 120.0, 0.2)):
+            spec = DefaultSpec(t1=t1, t2=t2, K1=K1, K2=K2, R_u=0.4, R_e=0.3,
+                               intensity=IntensityFunction.constant(lam))
+            a = compute_alphas(p0_firm, spec)
+            F = math.exp(-lam * (t2 - t1))
+            c = math.sqrt(t1 / (t2 - t1))
+            sign = {PricingMode.CORRECTED: -1.0, PricingMode.PAPER_LITERAL: 1.0}
+            coeff24 = {PricingMode.CORRECTED: spec.R_e - spec.R_u,
+                       PricingMode.PAPER_LITERAL: spec.R_e * (1 - spec.R_u)}
+            for mode in PricingMode:
+                s = sign[mode]
+                want22 = (1 - spec.R_u) * F * integrate_left_tail(
+                    lambda x: ndtr(a.alpha2 + s * c * x), a.alpha1)
+                want24 = coeff24[mode] * F * integrate_left_tail(
+                    lambda x: ndtr(-a.alpha2 - s * c * x), a.alpha1)
+                i22, i24 = term_I22_I24(a, p0_firm, spec, mode)
+                assert i22 == pytest.approx(want22, abs=1e-12)
+                assert i24 == pytest.approx(want24, abs=1e-12)
+
     def test_corrected_term_sign(self, p0_firm, p0_spec):
         # R_e < R_u makes the corrected breach adjustment negative.
         a = compute_alphas(p0_firm, p0_spec)

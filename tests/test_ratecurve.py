@@ -21,6 +21,11 @@ PIECEWISE = ShortRateModel(
     maturity=1.0,
 )
 
+LITERAL_PIECEWISE = ShortRateModel(
+    a1=PIECEWISE.a1, a2=PIECEWISE.a2, s_r=PIECEWISE.s_r, maturity=1.0,
+    paper_literal_a=True,
+)
+
 
 def pde_residual(model, r, t, h=1e-4):
     """Relative residual of the discount-bond equation by central differences."""
@@ -99,10 +104,11 @@ class TestCoeffB:
                                                           abs=1e-10)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            coeff_B(VASICEK, -0.1)
-        with pytest.raises(ValueError):
-            coeff_B(VASICEK, 1.1)
+        for t in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError):
+                coeff_B(VASICEK, t)
+            with pytest.raises(ValueError):
+                zcb_price(VASICEK, 0.05, t)
 
     def test_vectorized_matches_scalar(self):
         ts = np.linspace(0.0, 1.0, 9)
@@ -149,6 +155,22 @@ class TestCoeffA:
             np.testing.assert_allclose(coeff_A(model, ts),
                                        [coeff_A(model, t) for t in ts],
                                        rtol=0, atol=1e-14)
+
+    def test_piecewise_closed_form_against_quadrature(self):
+        # Both A conventions on a model with breaks in all three
+        # coefficients, at and between the segment edges.
+        for model in (PIECEWISE, LITERAL_PIECEWISE):
+            level = model.a2 if model.paper_literal_a else model.a1
+
+            def integrand(u):
+                b = coeff_B(model, u)
+                return level(u) * b - 0.5 * model.s_r(u) ** 2 * b * b
+
+            for t in (0.0, 0.1, 0.3, 0.45, 0.5, 0.6, 0.65, 0.7, 0.9, 1.0):
+                edges = [t] + [e for e in (0.3, 0.5, 0.6, 0.7, 1.0) if e > t]
+                ref = sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-14)[0]
+                          for lo, hi in zip(edges, edges[1:]))
+                assert abs(coeff_A(model, t) + ref) <= 1e-13
 
 
 class TestZcbPrice:
@@ -200,3 +222,17 @@ class TestZcbPrice:
         se = disc.std(ddof=1) / math.sqrt(n)
         assert zcb_price(VASICEK, 0.05, 0.0) == pytest.approx(
             float(disc.mean()), abs=3 * se)
+
+    def test_scalar_path_matches_array_path(self):
+        # a2 = 1e-9 keeps a2*tau below both series switches, a2 = 2e-4
+        # crosses both, and the piecewise models cross their breaks.
+        series = ShortRateModel(a1=0.02, a2=1e-9, s_r=0.01, maturity=1.0)
+        switch = ShortRateModel(a1=0.02, a2=2e-4, s_r=0.01, maturity=1.0)
+        edges = np.array([0.3, 0.5, 0.6, 0.7])
+        ts = np.concatenate([np.linspace(0.0, 1.0, 101), edges,
+                             edges - 1e-12, edges + 1e-12, [1.0 - 1e-9]])
+        for model in (series, switch, PIECEWISE, LITERAL_PIECEWISE):
+            for r in (-0.02, 0.05):
+                z_arr = zcb_price(model, np.full_like(ts, r), ts)
+                z_one = np.array([zcb_price(model, r, float(t)) for t in ts])
+                np.testing.assert_allclose(z_one, z_arr, rtol=1e-15, atol=0)
