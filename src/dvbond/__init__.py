@@ -15,7 +15,6 @@ from .defaultmodel import (
     IntensityFunction,
     d_minus,
     firm_value_step,
-    intensity_at,
     survival_prob,
 )
 from .mathkit import (
@@ -27,7 +26,7 @@ from .mathkit import (
     integrate_left_tail,
     normal_cdf,
 )
-from .mcoracle import McConfig, McEstimate, leg_decompose, simulate_price
+from .mcoracle import McConfig, McEstimate, simulate_price
 from .pricer import (
     Alpha,
     PriceResult,
@@ -78,9 +77,7 @@ __all__ = [
     "firm_value_step",
     "g_components",
     "integrate_left_tail",
-    "intensity_at",
     "interval_factor_u1",
-    "leg_decompose",
     "normal_cdf",
     "price_bond",
     "price_full",

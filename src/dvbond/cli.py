@@ -20,7 +20,7 @@ from .config import ConfigError, Scenario, load_scenarios, scenario_from_dict, \
     scenario_to_dict
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
-from .pricer import PriceResult, PricingMode, price_bond
+from .pricer import PriceResult, PricingMode, _spread, price_bond
 from .ratecurve import PiecewiseConstant
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
@@ -86,13 +86,6 @@ def _mode(scenario: Scenario, flag: str | None) -> PricingMode:
     return PricingMode(flag) if flag else scenario.mode
 
 
-def _spread(result: PriceResult, scenario: Scenario) -> float:
-    raw = -math.log(result.price / result.zcb) / (
-        scenario.spec.t2 - scenario.valuation_time
-    )
-    return max(raw, 0.0)
-
-
 def _price_row(scenario: Scenario, result: PriceResult) -> list[str]:
     t = result.terms
     return [
@@ -100,7 +93,7 @@ def _price_row(scenario: Scenario, result: PriceResult) -> list[str]:
         result.mode.value,
         _fmt(result.price),
         _fmt(result.zcb),
-        _fmt(_spread(result, scenario)),
+        _fmt(_spread(result, scenario.spec.t2 - scenario.valuation_time)),
         _fmt(t.i1 if t else None),
         _fmt(t.i21 if t else None),
         _fmt(t.i22 if t else None),
@@ -140,7 +133,8 @@ def cmd_price(args) -> int:
           + (", literal-A discount curve" if args.paper_literal_a else "") + ")")
     print(f"  price   {_fmt(result.price)}")
     print(f"  zcb     {_fmt(result.zcb)}")
-    print(f"  spread  {_fmt(_spread(result, scenario))}")
+    horizon = scenario.spec.t2 - scenario.valuation_time
+    print(f"  spread  {_fmt(_spread(result, horizon))}")
     if result.terms:
         t = result.terms
         print(f"  I1      {_fmt(t.i1)}")

@@ -36,7 +36,6 @@ __all__ = [
     "FirmModel",
     "IntensityFunction",
     "DefaultSpec",
-    "intensity_at",
     "firm_value_step",
     "d_minus",
     "survival_prob",
@@ -136,11 +135,6 @@ class IntensityFunction:
         else:
             out = np.asarray(self.fn(V_arr), dtype=float)
         return float(out) if out.ndim == 0 else out
-
-
-def intensity_at(intensity: IntensityFunction, V: float) -> float:
-    """Hazard rate lambda(V); V must be positive."""
-    return intensity(V)
 
 
 @dataclass(frozen=True)

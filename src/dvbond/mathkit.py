@@ -10,7 +10,9 @@ Provides three building blocks:
        (1/sqrt(2*pi)) * int_{-inf}^{upper} f(x) * exp(-x^2/2) dx
 
    which serves every semi-infinite kernel of the pricer that has no
-   closed form.
+   closed form. An integrand may return k rows; they then share one
+   panel set and one Gaussian-weight evaluation per node, and a panel
+   is bisected while any row misses its error budget.
 3. ``bvn_cdf`` - the standard bivariate normal CDF with correlation
    rho, by the Drezner-Wesolowsky/Genz method (Genz 2004, Statistics
    and Computing 14:251-260): a 6-, 12- or 20-point Gauss-Legendre
@@ -64,10 +66,12 @@ class QuadratureConvergenceError(ArithmeticError):
     """Adaptive quadrature ran out of its node budget.
 
     Carries the best available estimate and the error bound at the
-    point of failure.
+    point of failure: floats for a 1-D integrand, length-k arrays for
+    a k-row one.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float | np.ndarray,
+                 error_bound: float | np.ndarray):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
@@ -165,52 +169,51 @@ _WGK = np.array([
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
 ])
-# Embedded Gauss-7 weights live on the odd Kronrod nodes.
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-_GAUSS_IDX = np.arange(1, 15, 2)
-
-
-def _weighted(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
-    return fx * np.exp(-0.5 * x * x) / _SQRT_2PI
+# Columns: the Kronrod weights, and the Kronrod weights minus the
+# embedded Gauss-7 weights (on the odd Kronrod nodes), both over
+# sqrt(2*pi); one matmul gives each panel's estimate and error estimate.
+_WKE = np.column_stack([_WGK, _WGK])
+_WKE[1::2, 1] -= np.polynomial.legendre.leggauss(7)[1]
+_WKE /= _SQRT_2PI
 
 
 def _panel_estimates(f, lows: np.ndarray, highs: np.ndarray):
-    """Gauss-Kronrod estimate and error for a batch of panels."""
-    centers = 0.5 * (lows + highs)
+    """Kronrod estimates and Kronrod-Gauss error estimates per panel,
+    shaped (n_panels,) for a 1-D integrand and (k, n_panels) for k rows.
+    """
     half = 0.5 * (highs - lows)
-    nodes = centers[:, None] + half[:, None] * _XGK[None, :]
-    vals = _weighted(f, nodes.ravel()).reshape(nodes.shape)
-    kron = half * (vals @ _WGK)
-    gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
-    return kron, np.abs(kron - gauss)
+    x = ((lows + half)[:, None] + half[:, None] * _XGK).ravel()
+    fx = np.asarray(f(x), dtype=float)
+    if fx.ndim < 2 and fx.shape != x.shape:
+        fx = np.broadcast_to(fx, x.shape)
+    vals = fx * np.exp(-0.5 * x * x)
+    sums = half[:, None] * (vals.reshape(*fx.shape[:-1], -1, 15) @ _WKE)
+    return sums[..., 0], np.abs(sums[..., 1])
+
+
+def _per_row(sums: np.ndarray) -> float | np.ndarray:
+    """A float for a 1-D integrand, the length-k array for k rows."""
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def integrate_left_tail(
     f: Callable[[np.ndarray], np.ndarray],
     upper: float | None = None,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+) -> float | np.ndarray:
     """Gaussian-weighted integral of f over the left tail.
 
     Computes (1/sqrt(2*pi)) * int f(x) exp(-x^2/2) dx from
     ``spec.lower`` to ``upper`` (``spec.upper`` when not given). The
-    integrand callback must accept a 1-D numpy array and return values
-    of the same shape (scalars broadcast).
+    integrand callback receives a 1-D numpy array of n nodes. Values
+    of shape (n,) (scalars broadcast) give a float; k rows of shape
+    (k, n) give a length-k array, all rows sharing one panel set and
+    one evaluation of the Gaussian weight per node.
 
-    Panels are bisected until every local Gauss-Kronrod error estimate
-    drops below ``abs_tol / n_panels``; a panel budget overflow raises
-    QuadratureConvergenceError carrying the best estimate and bound.
+    A panel is bisected while any row's local Gauss-Kronrod error
+    estimate exceeds ``abs_tol / n_panels``, so every row meets the
+    tolerance. A panel budget overflow raises QuadratureConvergenceError
+    with the best estimate and bound of each row.
     """
     hi = spec.upper if upper is None else upper
     lo = spec.lower
@@ -220,31 +223,33 @@ def integrate_left_tail(
         raise ValueError(f"upper bound {hi} below lower bound {lo}")
     lo = max(lo, -GAUSSIAN_TAIL_CUTOFF)
     hi = min(hi, GAUSSIAN_TAIL_CUTOFF)
-    if hi <= -GAUSSIAN_TAIL_CUTOFF:
-        return 0.0
     if hi <= lo:
-        return 0.0
+        # Called on no nodes only to learn the number of rows.
+        fx = np.asarray(f(np.empty(0)))
+        return np.zeros(len(fx)) if fx.ndim == 2 else 0.0
 
     # Initial panels of width <= 1 keep the first Kronrod pass honest
     # on the full 24-sigma range.
     n0 = max(2, int(math.ceil(hi - lo)))
-    edges = np.linspace(lo, hi, n0 + 1)
+    edges = lo + (hi - lo) / n0 * np.arange(n0 + 1.0)
     lows, highs = edges[:-1], edges[1:]
     kron, err = _panel_estimates(f, lows, highs)
     nodes_used = 15 * n0
 
     while True:
         n_panels = len(lows)
-        bad = err > spec.abs_tol / n_panels
-        if not bad.any():
-            return float(np.sum(kron))
+        over = err > spec.abs_tol / n_panels
+        if not over.any():
+            return _per_row(kron.sum(axis=-1))
+        bad = over.reshape(-1, n_panels).any(axis=0)
         if nodes_used + 30 * int(bad.sum()) > spec.max_nodes:
+            bound = err.sum(axis=-1)
             raise QuadratureConvergenceError(
                 f"quadrature did not converge within {spec.max_nodes} nodes "
-                f"(error bound {float(np.sum(err)):.3e}, "
+                f"(error bound {np.max(bound):.3e}, "
                 f"target {spec.abs_tol:.3e})",
-                estimate=float(np.sum(kron)),
-                error_bound=float(np.sum(err)),
+                estimate=_per_row(kron.sum(axis=-1)),
+                error_bound=_per_row(bound),
             )
         b_lo, b_hi = lows[bad], highs[bad]
         mid = 0.5 * (b_lo + b_hi)
@@ -254,12 +259,13 @@ def integrate_left_tail(
         nodes_used += 15 * len(new_lows)
         lows = np.concatenate([lows[~bad], new_lows])
         highs = np.concatenate([highs[~bad], new_highs])
-        kron = np.concatenate([kron[~bad], new_kron])
-        err = np.concatenate([err[~bad], new_err])
+        kron = np.concatenate([kron[..., ~bad], new_kron], axis=-1)
+        err = np.concatenate([err[..., ~bad], new_err], axis=-1)
         # Fixed ordering keeps the panel set (and thus the float sum)
         # deterministic for a given integrand.
         order = np.argsort(lows, kind="stable")
-        lows, highs, kron, err = lows[order], highs[order], kron[order], err[order]
+        lows, highs = lows[order], highs[order]
+        kron, err = kron[..., order], err[..., order]
 
 
 # Gauss-Legendre rules on [-1, 1] for the three |rho| bands of bvn_cdf.

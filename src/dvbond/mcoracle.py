@@ -56,7 +56,7 @@ from .pricer import PricingInputs
 from .ratecurve import ShortRateModel, coeff_A, coeff_B
 
 __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
-           "simulate_price", "leg_decompose"]
+           "simulate_price"]
 
 CHUNK_PATHS = 1 << 16
 
@@ -368,14 +368,3 @@ def simulate_price(inputs: PricingInputs, cfg: McConfig) -> McEstimate:
         leg_breakdown=leg_means,
         leg_std_error=leg_ses,
     )
-
-
-def leg_decompose(inputs: PricingInputs, cfg: McConfig) -> McEstimate:
-    """Leg-focused view of the simulation.
-
-    Identical sampling to ``simulate_price``; exposed separately
-    because the ``expected_t1`` leg is the direct simulation
-    counterpart of the closed form's first-barrier term and is what
-    arbitrates between the two grouping conventions.
-    """
-    return simulate_price(inputs, cfg)

@@ -26,10 +26,12 @@ where Z = Z(r, t) is the default-free discount bond and
 I21 and I23 are bivariate normal probabilities in the quadratic-form
 parameterization (unit determinant, coupling +/- sqrt(t1/(t2-t1))),
 evaluated in closed form as standard bivariate normal CDFs with
-correlation -/+ sqrt(t1/t2). I22 and I24 are Gaussian-weighted
-left-tail integrals; with a constant intensity the jump-survival
-kernel F is the constant exp(-lambda0 (t2 - t1)), and they are F times
-the same two probabilities as I21 and I23.
+correlation -/+ sqrt(t1/t2); they sum to N(alpha1), so one bivariate
+CDF gives both. I22 and I24 are Gaussian-weighted left-tail integrals,
+taken in one quadrature pass over shared panels that evaluates F and
+one normal CDF per node. With a constant intensity F is the constant
+exp(-lambda0 (t2 - t1)), and they are F times the same two
+probabilities as I21 and I23; ``price_full`` computes those once.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -359,9 +361,14 @@ def term_I21_I23(
     """
     if spec.R_u == 0.0:
         return 0.0, 0.0
-    n_up, n_dn = _barrier_probabilities(alphas, spec, mode)
+    return _i21_i23(spec, mode, _barrier_probabilities(alphas, spec, mode))
+
+
+def _i21_i23(spec: DefaultSpec, mode: PricingMode,
+             probs: tuple[float, float]) -> tuple[float, float]:
+    """``term_I21_I23`` from the ``_barrier_probabilities`` pair."""
     coeff23 = spec.R_u if mode is PricingMode.CORRECTED else spec.R_u * spec.R_e
-    return spec.R_u * n_up, coeff23 * n_dn
+    return spec.R_u * probs[0], coeff23 * probs[1]
 
 
 def _barrier_probabilities(alphas: Alpha, spec: DefaultSpec,
@@ -370,24 +377,14 @@ def _barrier_probabilities(alphas: Alpha, spec: DefaultSpec,
 
     First the one I21 (and, for a constant intensity, I22) weights,
     then the one of I23 (and I24); the modes pair them with opposite
-    coupling matrices.
+    coupling matrices. The two matrices differ only in the sign of
+    the coupling, so the pair sums to N(alpha1) in either mode and the
+    second is N(alpha1) minus the first.
     """
     plus, minus = quadform_pair(spec.t1, spec.t2)
-    up, dn = (minus, plus) if mode is PricingMode.CORRECTED else (plus, minus)
-    return (bivariate_cdf_quadform(alphas.alpha1, alphas.alpha2, up),
-            bivariate_cdf_quadform(alphas.alpha1, -alphas.alpha2, dn))
-
-
-def _jump_survival_kernel(firm: FirmModel, spec: DefaultSpec):
-    """F(x): second-interval jump survival at standardized displacement x."""
-    delta = spec.t2 - spec.t1
-    scale = firm.s_V * math.sqrt(spec.t1)
-    log_v1 = math.log(firm.V0) + firm.log_drift * spec.t1
-
-    def F(x):
-        return np.exp(-delta * spec.intensity(np.exp(log_v1 + scale * x)))
-
-    return F
+    up = minus if mode is PricingMode.CORRECTED else plus
+    n_up = bivariate_cdf_quadform(alphas.alpha1, alphas.alpha2, up)
+    return n_up, normal_cdf(alphas.alpha1) - n_up
 
 
 def term_I22_I24(
@@ -411,39 +408,55 @@ def term_I22_I24(
         I22 = (1 - R_u)       * int F(x) N( alpha2 + c x) phi(x) dx
         I24 = (1 - R_u) * R_e * int F(x) N(-alpha2 - c x) phi(x) dx
 
+    The modes differ only in the orientation sign s (-1 CORRECTED, +1
+    PAPER_LITERAL) of F(s x) N(alpha2 + s c x). One quadrature pass
+    evaluates both once per node and both integrals on shared panels,
+    the breach kernel taken as F(s x) - F(s x) N(alpha2 + s c x).
     With a constant intensity F factors out of either integral, leaving
     F times the bivariate probabilities of ``term_I21_I23``, which are
     used with no quadrature. The kernel can have slope kinks for custom
     intensities, which the adaptive panels absorb.
     """
+    probs = _barrier_probabilities(alphas, spec, mode)
+    return _i22_i24(alphas, firm, spec, mode, quad, probs)
+
+
+def _i22_i24(alphas: Alpha, firm: FirmModel, spec: DefaultSpec,
+             mode: PricingMode, quad: QuadratureSpec,
+             probs: tuple[float, float]) -> tuple[float, float]:
+    """``term_I22_I24``; ``probs`` is the ``_barrier_probabilities`` pair,
+    read only for a constant intensity."""
     delta = spec.t2 - spec.t1
     a1, a2 = alphas.alpha1, alphas.alpha2
     coeff22 = 1.0 - spec.R_u
-    if mode is PricingMode.CORRECTED:
+    if a2 == math.inf:
+        coeff24 = 0.0
+    elif mode is PricingMode.CORRECTED:
         coeff24 = spec.R_e - spec.R_u
     else:
-        coeff24 = spec.R_e * (1.0 - spec.R_u)
+        coeff24 = spec.R_e * coeff22
+    if coeff22 == 0.0 and coeff24 == 0.0:
+        return 0.0, 0.0
 
     if spec.intensity.family == "constant":
         F = math.exp(-spec.intensity.lambda0 * delta)
-        n_up, n_dn = _barrier_probabilities(alphas, spec, mode)
-        tail_up = lambda: F * n_up
-        tail_dn = lambda: F * n_dn
+        tail_up, tail_dn = F * probs[0], F * probs[1]
     else:
-        c = math.sqrt(spec.t1 / delta)
-        F = _jump_survival_kernel(firm, spec)
-        if mode is PricingMode.CORRECTED:
-            up = lambda x: F(-x) * ndtr(a2 - c * x)
-            dn = lambda x: F(-x) * ndtr(-a2 + c * x)
-        else:
-            up = lambda x: F(x) * ndtr(a2 + c * x)
-            dn = lambda x: F(x) * ndtr(-a2 - c * x)
-        tail_up = lambda: integrate_left_tail(up, a1, quad)
-        tail_dn = lambda: integrate_left_tail(dn, a1, quad)
+        s = -1.0 if mode is PricingMode.CORRECTED else 1.0
+        sc = s * math.sqrt(spec.t1 / delta)
+        scale = s * firm.s_V * math.sqrt(spec.t1)
+        log_v1 = math.log(firm.V0) + firm.log_drift * spec.t1
 
-    i22 = 0.0 if coeff22 == 0.0 else coeff22 * tail_up()
-    i24 = 0.0 if coeff24 == 0.0 or a2 == math.inf else coeff24 * tail_dn()
-    return i22, i24
+        def rows(x):
+            F = np.exp(-delta * spec.intensity(np.exp(log_v1 + scale * x)))
+            up = F * ndtr(a2 + sc * x)
+            return np.array([up, F - up])
+
+        tail_up, tail_dn = integrate_left_tail(rows, a1, quad)
+
+    i22 = 0.0 if coeff22 == 0.0 else coeff22 * tail_up
+    i24 = 0.0 if coeff24 == 0.0 else coeff24 * tail_dn
+    return float(i22), float(i24)
 
 
 def expected_default_leg(inputs: PricingInputs,
@@ -505,13 +518,14 @@ def price_full(
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
     decay1 = math.exp(-spec.intensity(inputs.firm.V0) * (spec.t1 - inputs.t))
     alphas = compute_alphas(inputs.firm, spec)
-    n_surv1 = 1.0 if alphas.alpha1 == math.inf else normal_cdf(alphas.alpha1)
+    n_surv1 = normal_cdf(alphas.alpha1)
 
     i1 = spec.R_u * z * (1.0 - decay1) * n_surv1
     leg = _default_leg(spec, mode, z, decay1, alphas.alpha1)
+    probs = _barrier_probabilities(alphas, spec, mode)
+    i21, i23 = _i21_i23(spec, mode, probs)
     try:
-        i21, i23 = term_I21_I23(alphas, spec, mode, quad)
-        i22, i24 = term_I22_I24(alphas, inputs.firm, spec, mode, quad)
+        i22, i24 = _i22_i24(alphas, inputs.firm, spec, mode, quad, probs)
     except QuadratureConvergenceError as err:
         err.partial_terms = {"i1": i1, "expected_default": leg, "zcb": z}
         raise
@@ -547,8 +561,14 @@ def credit_spread(
     """Continuously compounded yield spread over the default-free bond.
 
     -ln(price / Z) / (t2 - t), floored at zero against roundoff when
-    the price equals the discount bond exactly.
+    the price equals the discount bond exactly. A price of zero
+    (default certain, nothing recovered) has an infinite spread.
     """
-    result = price_bond(inputs, mode, quad)
-    spread = -math.log(result.price / result.zcb) / (inputs.spec.t2 - inputs.t)
-    return max(spread, 0.0)
+    return _spread(price_bond(inputs, mode, quad), inputs.spec.t2 - inputs.t)
+
+
+def _spread(result: PriceResult, horizon: float) -> float:
+    """``credit_spread`` of a priced result over ``horizon`` = t2 - t."""
+    if result.price <= 0.0:
+        return math.inf
+    return max(-math.log(result.price / result.zcb) / horizon, 0.0)

@@ -24,7 +24,6 @@ from dvbond import (
     coeff_B,
     compute_alphas,
     expected_default_leg,
-    leg_decompose,
     normal_cdf,
     price_full,
     simulate_price,
@@ -132,8 +131,8 @@ def test_criterion_3_leg_arbitration(p0_inputs, p0_megarun):
         default=dict(K1=95.0, R_u=0.8, R_e=0.2),
         intensity=IntensityFunction.constant(1.2),
     )
-    est = leg_decompose(engineered, McConfig(n_paths=400_000, seed=515,
-                                             n_threads=4))
+    est = simulate_price(engineered, McConfig(n_paths=400_000, seed=515,
+                                              n_threads=4))
     mc, se = est.leg_breakdown["expected_t1"], est.leg_std_error["expected_t1"]
     z_corr = (expected_default_leg(engineered, PricingMode.CORRECTED) - mc) / se
     z_lit = (expected_default_leg(engineered, PricingMode.PAPER_LITERAL) - mc) / se

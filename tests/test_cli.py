@@ -34,6 +34,8 @@ P0_YAML = textwrap.dedent("""\
     """)
 
 PAR_YAML = P0_YAML.replace("R_u: 0.4", "R_u: 1.0").replace("R_e: 0.3", "R_e: 1.0")
+ZERO_YAML = P0_YAML.replace("K1: 70.0", "K1: 10000000.0") \
+    .replace("R_u: 0.4", "R_u: 0.0").replace("R_e: 0.3", "R_e: 0.0")
 
 
 @pytest.fixture
@@ -122,6 +124,16 @@ class TestPriceCommand:
         _, row = out.read_text().strip().splitlines()
         fields = row.split(",")
         assert float(fields[2]) == pytest.approx(float(fields[3]), abs=1e-12)
+
+    def test_zero_price_has_infinite_spread(self, tmp_path, capsys):
+        # The first barrier is breached for certain and nothing is recovered.
+        path = tmp_path / "zero.yaml"
+        path.write_text(ZERO_YAML)
+        out = tmp_path / "row.csv"
+        assert main(["price", str(path), "--csv", str(out)]) == 0
+        assert "  spread  inf" in capsys.readouterr().out
+        _, row = out.read_text().strip().splitlines()
+        assert row.split(",")[2:5] == ["0", "0.951243107339629", "inf"]
 
     def test_csv_bit_stable(self, p0_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -213,6 +225,16 @@ class TestSweepCommand:
         price_col = lines[0].split(",").index("price")
         prices = [float(line.split(",")[price_col]) for line in lines[1:]]
         assert all(a <= b + 1e-15 for a, b in zip(prices, prices[1:]))
+
+    def test_zero_price_point_completes(self, tmp_path, capsys):
+        path = tmp_path / "zero.yaml"
+        path.write_text(ZERO_YAML)
+        assert main(["sweep", str(path), "--axis", "K1",
+                     "--grid", "70,10000000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        spread_col = lines[0].split(",").index("spread")
+        spreads = [float(line.split(",")[spread_col]) for line in lines[1:]]
+        assert math.isfinite(spreads[0]) and spreads[1] == math.inf
 
     def test_empty_grid_exits_2(self, p0_file):
         assert main(["sweep", p0_file, "--axis", "V0", "--grid", ""]) == 2

@@ -11,7 +11,6 @@ from dvbond.defaultmodel import (
     IntensityFunction,
     d_minus,
     firm_value_step,
-    intensity_at,
     survival_prob,
 )
 
@@ -23,16 +22,16 @@ BALANCED = FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=0.2)
 class TestIntensity:
     def test_log_reciprocal_at_one(self):
         f = IntensityFunction.log_reciprocal()
-        assert intensity_at(f, 1.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert f(1.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_vanishes_for_large_firms(self):
         f = IntensityFunction.log_reciprocal()
-        assert intensity_at(f, 1e12) < 1e-11
+        assert f(1e12) < 1e-11
 
     def test_constant_family(self):
         f = IntensityFunction.constant(0.1)
         for v in (0.5, 1.0, 1e6):
-            assert intensity_at(f, v) == 0.1
+            assert f(v) == 0.1
 
     def test_strictly_decreasing(self):
         f = IntensityFunction.log_reciprocal()
@@ -51,9 +50,9 @@ class TestIntensity:
     def test_domain_error(self):
         f = IntensityFunction.log_reciprocal()
         with pytest.raises(ValueError):
-            intensity_at(f, 0.0)
+            f(0.0)
         with pytest.raises(ValueError):
-            intensity_at(f, -1.0)
+            f(-1.0)
 
     def test_custom_validated(self):
         ok = IntensityFunction.custom(lambda v: 0.01 / v)

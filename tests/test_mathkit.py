@@ -93,6 +93,51 @@ class TestIntegrateLeftTail:
         assert err.value.estimate == pytest.approx(0.5, abs=1e-6)
         assert err.value.error_bound >= 0.0
 
+    def test_rows_match_separate_calls(self):
+        # Only the kinked row needs bisection; the shared panels must
+        # leave both rows where their own adaptive passes put them.
+        smooth = lambda x: ndtr(1.0 - 0.7 * x)
+        kinked = lambda x: np.abs(x - 0.37)
+        nodes = []
+
+        def counted(f):
+            def g(x):
+                nodes.append(x.size)
+                return f(x)
+            return g
+
+        separate = []
+        for f in (smooth, kinked):
+            nodes.clear()
+            separate.append(integrate_left_tail(counted(f), 1.3))
+            separate.append(sum(nodes))
+        first_pass = 15 * math.ceil(1.3 + GAUSSIAN_TAIL_CUTOFF)
+        assert separate[1] == first_pass < separate[3]
+
+        joint = integrate_left_tail(lambda x: np.array([smooth(x), kinked(x)]), 1.3)
+        assert isinstance(joint, np.ndarray) and joint.shape == (2,)
+        assert abs(joint[0] - separate[0]) <= 1e-13
+        assert abs(joint[1] - separate[2]) <= 1e-13
+
+    def test_rows_over_empty_range_are_zeros(self):
+        got = integrate_left_tail(lambda x: np.array([x, 2.0 * x, x * x]),
+                                  -GAUSSIAN_TAIL_CUTOFF - 1.0)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+    def test_budget_overflow_carries_estimate_per_row(self):
+        spec = QuadratureSpec(abs_tol=5e-324, max_nodes=64)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_left_tail(lambda x: np.array([np.ones_like(x), 2.0 * x]),
+                                0.0, spec)
+        assert err.value.estimate.shape == (2,)
+        assert err.value.estimate[0] == pytest.approx(0.5, abs=1e-6)
+        # int_{-inf}^0 2 x phi(x) dx = -2 phi(0)
+        assert err.value.estimate[1] == pytest.approx(
+            -2.0 / math.sqrt(2.0 * math.pi), abs=1e-6)
+        assert err.value.error_bound.shape == (2,)
+        assert (err.value.error_bound >= 0.0).all()
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_left_tail(lambda x: x, math.nan)

@@ -15,7 +15,6 @@ from dvbond import (
     PricingMode,
     ShortRateModel,
     expected_default_leg,
-    leg_decompose,
     price_full,
     price_last_interval,
     simulate_price,
@@ -134,10 +133,6 @@ class TestEstimatorMechanics:
                                                antithetic=True))
         assert anti.std_error < 0.1 * plain.std_error
 
-    def test_leg_decompose_is_the_same_sampler(self, p0_inputs):
-        cfg = McConfig(n_paths=60_000, seed=4)
-        assert leg_decompose(p0_inputs, cfg) == simulate_price(p0_inputs, cfg)
-
     def test_estimate_metadata(self, p0_inputs):
         est = simulate_price(p0_inputs, McConfig(n_paths=4096, seed=77))
         assert est.n_paths == 4096
@@ -153,8 +148,8 @@ class TestAgainstClosedForm:
         assert abs(closed - est.price) <= 3 * est.std_error
 
     def test_expected_t1_leg_matches_corrected_form(self, p0_inputs):
-        est = leg_decompose(p0_inputs, McConfig(n_paths=300_000, seed=101,
-                                                n_threads=4))
+        est = simulate_price(p0_inputs, McConfig(n_paths=300_000, seed=101,
+                                                 n_threads=4))
         leg = expected_default_leg(p0_inputs, PricingMode.CORRECTED)
         assert abs(leg - est.leg_breakdown["expected_t1"]) <= \
             3 * est.leg_std_error["expected_t1"]

@@ -28,10 +28,12 @@ from dvbond import (
     term_I22_I24,
     zcb_price,
 )
+from dvbond import mathkit
 from dvbond.mathkit import bivariate_cdf_bruteforce, integrate_left_tail, normal_cdf
 from dvbond.pricer import quadform_pair
 
 from conftest import make_inputs
+from test_acceptance import random_scenario
 
 
 def last_interval_factor(spec, firm, V1, t):
@@ -255,6 +257,69 @@ class TestTermI22I24:
                 assert i22 == pytest.approx(want22, abs=1e-12)
                 assert i24 == pytest.approx(want24, abs=1e-12)
 
+    def test_shared_pass_matches_separate_integrals(self):
+        # Acceptance criterion 7's 200 scenarios; the log-reciprocal
+        # ones against one scalar quadrature per term and mode.
+        rng = np.random.default_rng(7007)
+        checked = 0
+        for inputs in (random_scenario(rng) for _ in range(200)):
+            firm, spec = inputs.firm, inputs.spec
+            if spec.intensity.family != "log_reciprocal":
+                continue
+            a = compute_alphas(firm, spec)
+            a1, a2 = a.alpha1, a.alpha2
+            delta = spec.t2 - spec.t1
+            c = math.sqrt(spec.t1 / delta)
+            scale = firm.s_V * math.sqrt(spec.t1)
+            log_v1 = math.log(firm.V0) + firm.log_drift * spec.t1
+
+            def F(x):
+                return np.exp(-delta * spec.intensity(np.exp(log_v1 + scale * x)))
+
+            kernels = {
+                PricingMode.CORRECTED: (
+                    spec.R_e - spec.R_u,
+                    lambda x: F(-x) * ndtr(a2 - c * x),
+                    lambda x: F(-x) * ndtr(-a2 + c * x)),
+                PricingMode.PAPER_LITERAL: (
+                    spec.R_e * (1 - spec.R_u),
+                    lambda x: F(x) * ndtr(a2 + c * x),
+                    lambda x: F(x) * ndtr(-a2 - c * x)),
+            }
+            for mode, (coeff24, up, dn) in kernels.items():
+                i22, i24 = term_I22_I24(a, firm, spec, mode)
+                assert abs(i22 - (1 - spec.R_u) * integrate_left_tail(up, a1)) <= 1e-12
+                assert abs(i24 - coeff24 * integrate_left_tail(dn, a1)) <= 1e-12
+            checked += 1
+        assert checked > 100
+
+    def test_deep_first_barrier_breach(self):
+        # alpha1 below -12 leaves no left tail to integrate.
+        inputs = make_inputs(default=dict(K1=1e7))
+        assert compute_alphas(inputs.firm, inputs.spec).alpha1 < -12.0
+        for mode in PricingMode:
+            res = price_full(inputs, mode)
+            assert (res.terms.i22, res.terms.i24) == (0.0, 0.0)
+            assert res.price == pytest.approx(
+                expected_default_leg(inputs, mode), abs=1e-15)
+
+    def test_one_bivariate_cdf_per_price(self, monkeypatch):
+        calls = []
+        real = mathkit.bvn_cdf
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mathkit, "bvn_cdf", counted)
+        for intensity in (IntensityFunction.log_reciprocal(),
+                          IntensityFunction.constant(0.1)):
+            inputs = make_inputs(intensity=intensity)
+            for mode in PricingMode:
+                calls.clear()
+                price_full(inputs, mode)
+                assert len(calls) == 1
+
     def test_corrected_term_sign(self, p0_firm, p0_spec):
         # R_e < R_u makes the corrected breach adjustment negative.
         a = compute_alphas(p0_firm, p0_spec)
@@ -396,6 +461,13 @@ class TestCreditSpread:
 
     def test_positive_for_benchmark(self, p0_inputs):
         assert credit_spread(p0_inputs) > 0.0
+
+    def test_infinite_for_zero_price(self):
+        # The first barrier is breached for certain and nothing is recovered.
+        inputs = make_inputs(default=dict(K1=1e7, R_u=0.0, R_e=0.0))
+        for mode in PricingMode:
+            assert price_bond(inputs, mode).price == 0.0
+            assert credit_spread(inputs, mode) == math.inf
 
 
 class TestPriceProperties:
