@@ -39,6 +39,7 @@ from .pricer import (
     f_factor,
     g_components,
     interval_factor_u1,
+    price_batch,
     price_bond,
     price_full,
     price_last_interval,
@@ -79,6 +80,7 @@ __all__ = [
     "integrate_left_tail",
     "interval_factor_u1",
     "normal_cdf",
+    "price_batch",
     "price_bond",
     "price_full",
     "price_last_interval",

@@ -9,7 +9,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import math
@@ -20,7 +19,7 @@ from .config import ConfigError, Scenario, load_scenarios, scenario_from_dict, \
     scenario_to_dict
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
-from .pricer import PriceResult, PricingMode, _spread, price_bond
+from .pricer import PriceResult, PricingMode, _spread, price_batch, price_bond
 from .ratecurve import PiecewiseConstant
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
@@ -151,6 +150,12 @@ def cmd_price(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Price the scenario at each grid value of one field.
+
+    Every grid value is validated before any is priced, so an invalid
+    value exits 2 even when another value would fail to converge. The
+    points are then priced together by ``price_batch``.
+    """
     scenario = _select(_load(args.file), args.scenario)
     mode = _mode(scenario, args.mode)
     if args.axis not in _SWEEP_AXES:
@@ -164,32 +169,35 @@ def cmd_sweep(args) -> int:
         return _fail(2, "empty grid")
 
     section, key = _SWEEP_AXES[args.axis]
-    base = scenario_to_dict(scenario)
-    if args.axis == "lambda0" and base["default"]["intensity"]["family"] != "constant":
+    node = scenario_to_dict(scenario)
+    if args.axis == "lambda0" and node["default"]["intensity"]["family"] != "constant":
         return _fail(2, "axis lambda0 requires a constant intensity family")
     if args.axis in ("a1", "a2", "s_r") and not isinstance(
-        base["rate"][key], (int, float)
+        node["rate"][key], (int, float)
     ):
         return _fail(2, f"axis {args.axis} requires a constant coefficient")
 
-    rows = []
+    # scenario_from_dict copies every value it reads, so one node can be
+    # edited in place from point to point.
+    if args.axis == "lambda0":
+        target = node["default"]["intensity"]
+    else:
+        target = node if section is None else node[section]
+    points = []
     for value in grid:
-        node = copy.deepcopy(base)
-        if args.axis == "lambda0":
-            node["default"]["intensity"]["lambda0"] = value
-        elif section is None:
-            node[key] = value
-        else:
-            node[section][key] = value
+        target[key] = value
         try:
-            bumped = scenario_from_dict(scenario.name, node)
-            result = _priced_scenario(bumped, mode, False)
+            points.append(scenario_from_dict(scenario.name, node))
         except ConfigError as err:
             return _fail(2, f"grid value {value!r}: {err}")
-        except QuadratureConvergenceError as err:
-            return _fail(3, f"grid value {value!r}: quadrature failure: {err}")
-        rows.append([scenario.name, mode.value, args.axis, _fmt(value)]
-                    + _price_row(bumped, result)[2:])
+    try:
+        results = price_batch([p.pricing_inputs() for p in points], mode)
+    except QuadratureConvergenceError as err:
+        return _fail(3, f"grid value {grid[err.batch_index]!r}: "
+                        f"quadrature failure: {err}")
+    rows = [[scenario.name, mode.value, args.axis, _fmt(value)]
+            + _price_row(point, result)[2:]
+            for value, point, result in zip(grid, points, results)]
 
     writer = csv.writer(sys.stdout)
     writer.writerow(SWEEP_COLUMNS)

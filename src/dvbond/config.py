@@ -35,6 +35,7 @@ a library-only feature and cannot appear in scenario files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -48,6 +49,19 @@ __all__ = ["ConfigError", "Scenario", "load_scenarios", "scenario_from_dict",
 
 _INTENSITY_NAMES = {"log-reciprocal": "log_reciprocal", "constant": "constant"}
 _FAMILY_TO_NAME = {v: k for k, v in _INTENSITY_NAMES.items()}
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads the YAML 1.2 floats YAML 1.1 leaves as
+    strings: an exponent without a sign or a mantissa without a point
+    (1e7, 1.0e7, 2E-3). Quoted scalars stay strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 class ConfigError(ValueError):
@@ -229,7 +243,7 @@ def load_scenarios(path: str) -> dict[str, Scenario]:
     """Load and validate every scenario in a file, in file order."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as err:
             raise ConfigError(str(path), f"not valid YAML ({err})") from err
     doc = _require_mapping(doc, "<root>")

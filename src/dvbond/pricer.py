@@ -25,13 +25,20 @@ where Z = Z(r, t) is the default-free discount bond and
 
 I21 and I23 are bivariate normal probabilities in the quadratic-form
 parameterization (unit determinant, coupling +/- sqrt(t1/(t2-t1))),
-evaluated in closed form as standard bivariate normal CDFs with
-correlation -/+ sqrt(t1/t2); they sum to N(alpha1), so one bivariate
-CDF gives both. I22 and I24 are Gaussian-weighted left-tail integrals,
-taken in one quadrature pass over shared panels that evaluates F and
-one normal CDF per node. With a constant intensity F is the constant
-exp(-lambda0 (t2 - t1)), and they are F times the same two
-probabilities as I21 and I23; ``price_full`` computes those once.
+evaluated in closed form as standard bivariate normal CDFs at
+(alpha1, alpha2 sqrt((t2 - t1)/t2)) with correlation +/- sqrt(t1/t2);
+they sum to N(alpha1), so one bivariate CDF gives both. I22 and I24
+are Gaussian-weighted left-tail integrals, taken in one quadrature
+pass over shared panels that evaluates F and one normal CDF per node.
+With a constant intensity F is the constant exp(-lambda0 (t2 - t1)),
+and they are F times the same two probabilities as I21 and I23;
+``price_full`` computes those once.
+
+``price_bond`` prices one valuation; ``price_batch`` prices many with
+the same formulas evaluated on arrays. Every term but Z depends only
+on (firm, spec, t) and the price is linear in Z, so it computes each
+distinct term set once, evaluates the bivariate CDFs elementwise and
+integrates the I22/I24 tails of all term sets in one quadrature pass.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -69,17 +76,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
+from . import mathkit
 from .defaultmodel import DefaultSpec, FirmModel, survival_prob
 from .mathkit import (
     DEFAULT_QUADRATURE,
     QuadFormMatrix,
     QuadratureConvergenceError,
     QuadratureSpec,
-    bivariate_cdf_quadform,
     integrate_left_tail,
     normal_cdf,
 )
@@ -102,6 +110,7 @@ __all__ = [
     "expected_default_leg",
     "price_full",
     "price_bond",
+    "price_batch",
     "credit_spread",
 ]
 
@@ -361,30 +370,72 @@ def term_I21_I23(
     """
     if spec.R_u == 0.0:
         return 0.0, 0.0
-    return _i21_i23(spec, mode, _barrier_probabilities(alphas, spec, mode))
+    probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
+                                   mode, normal_cdf(alphas.alpha1))
+    return _i21_i23(spec.R_u, spec.R_e, mode, probs)
 
 
-def _i21_i23(spec: DefaultSpec, mode: PricingMode,
-             probs: tuple[float, float]) -> tuple[float, float]:
+# The helpers below hold the per-mode formulas of both routes. Their
+# numeric arguments are floats for ``price_full`` and arrays with one
+# entry per term set for ``price_batch``.
+
+
+def _i21_i23(R_u, R_e, mode: PricingMode, probs):
     """``term_I21_I23`` from the ``_barrier_probabilities`` pair."""
-    coeff23 = spec.R_u if mode is PricingMode.CORRECTED else spec.R_u * spec.R_e
-    return spec.R_u * probs[0], coeff23 * probs[1]
+    coeff23 = R_u if mode is PricingMode.CORRECTED else R_u * R_e
+    return R_u * probs[0], coeff23 * probs[1]
 
 
-def _barrier_probabilities(alphas: Alpha, spec: DefaultSpec,
-                           mode: PricingMode) -> tuple[float, float]:
+def _barrier_probabilities(alpha1, alpha2, t1, t2, mode: PricingMode, n_surv1):
     """The two bivariate probabilities of the decomposition.
 
     First the one I21 (and, for a constant intensity, I22) weights,
     then the one of I23 (and I24); the modes pair them with opposite
-    coupling matrices. The two matrices differ only in the sign of
-    the coupling, so the pair sums to N(alpha1) in either mode and the
-    second is N(alpha1) minus the first.
+    coupling matrices of ``quadform_pair``. With unit determinant,
+    N2(alpha1, alpha2 : M) is the standard bivariate normal CDF at
+    (alpha1, alpha2 sqrt((t2 - t1) / t2)) with correlation
+    +sqrt(t1/t2) for the CORRECTED pairing and -sqrt(t1/t2) for the
+    PAPER_LITERAL one. The two matrices differ only in the sign of the
+    coupling, so the pair sums to N(alpha1) = ``n_surv1`` in either
+    mode and the second is ``n_surv1`` minus the first.
     """
-    plus, minus = quadform_pair(spec.t1, spec.t2)
-    up = minus if mode is PricingMode.CORRECTED else plus
-    n_up = bivariate_cdf_quadform(alphas.alpha1, alphas.alpha2, up)
-    return n_up, normal_cdf(alphas.alpha1) - n_up
+    rho = (t1 / t2) ** 0.5
+    n_up = mathkit.bvn_cdf(alpha1, alpha2 * ((t2 - t1) / t2) ** 0.5,
+                           rho if mode is PricingMode.CORRECTED else -rho)
+    return n_up, n_surv1 - n_up
+
+
+def _i22_i24_coefficients(R_u, R_e, mode: PricingMode):
+    """Coefficients of the I22 and I24 tails."""
+    coeff22 = 1.0 - R_u
+    if mode is PricingMode.CORRECTED:
+        return coeff22, R_e - R_u
+    return coeff22, R_e * coeff22
+
+
+def _i22_i24_terms(coefficients, tails):
+    """I22 and I24 from their coefficients and tails. Adding 0.0 turns
+    the -0.0 of a negative coefficient times an empty tail (alpha1 below
+    the cutoff, or no maturity barrier for I24) into 0.0."""
+    return (coefficients[0] * tails[0] + 0.0, coefficients[1] * tails[1] + 0.0)
+
+
+def _tail_params(firm: FirmModel, spec: DefaultSpec, mode: PricingMode):
+    """The parameters of ``_tail_rows`` after alpha2: delta = t2 - t1,
+    the mean of ln V1, s s_V sqrt(t1) and s c."""
+    delta = spec.t2 - spec.t1
+    s = -1.0 if mode is PricingMode.CORRECTED else 1.0
+    return (delta, math.log(firm.V0) + firm.log_drift * spec.t1,
+            s * firm.s_V * math.sqrt(spec.t1), s * math.sqrt(spec.t1 / delta))
+
+
+def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
+    """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
+    and F(s x) minus it; parameters are floats, or arrays that broadcast
+    against x."""
+    F = np.exp(-delta * intensity(np.exp(log_v1 + scale * x)))
+    up = F * ndtr(alpha2 + sc * x)
+    return np.array([up, F - up])
 
 
 def term_I22_I24(
@@ -417,7 +468,8 @@ def term_I22_I24(
     used with no quadrature. The kernel can have slope kinks for custom
     intensities, which the adaptive panels absorb.
     """
-    probs = _barrier_probabilities(alphas, spec, mode)
+    probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
+                                   mode, normal_cdf(alphas.alpha1))
     return _i22_i24(alphas, firm, spec, mode, quad, probs)
 
 
@@ -426,36 +478,20 @@ def _i22_i24(alphas: Alpha, firm: FirmModel, spec: DefaultSpec,
              probs: tuple[float, float]) -> tuple[float, float]:
     """``term_I22_I24``; ``probs`` is the ``_barrier_probabilities`` pair,
     read only for a constant intensity."""
-    delta = spec.t2 - spec.t1
-    a1, a2 = alphas.alpha1, alphas.alpha2
-    coeff22 = 1.0 - spec.R_u
-    if a2 == math.inf:
-        coeff24 = 0.0
-    elif mode is PricingMode.CORRECTED:
-        coeff24 = spec.R_e - spec.R_u
-    else:
-        coeff24 = spec.R_e * coeff22
-    if coeff22 == 0.0 and coeff24 == 0.0:
+    coefficients = _i22_i24_coefficients(spec.R_u, spec.R_e, mode)
+    if coefficients == (0.0, 0.0):
         return 0.0, 0.0
-
     if spec.intensity.family == "constant":
-        F = math.exp(-spec.intensity.lambda0 * delta)
-        tail_up, tail_dn = F * probs[0], F * probs[1]
+        F = math.exp(-spec.intensity.lambda0 * (spec.t2 - spec.t1))
+        tails = F * probs[0], F * probs[1]
     else:
-        s = -1.0 if mode is PricingMode.CORRECTED else 1.0
-        sc = s * math.sqrt(spec.t1 / delta)
-        scale = s * firm.s_V * math.sqrt(spec.t1)
-        log_v1 = math.log(firm.V0) + firm.log_drift * spec.t1
+        params = _tail_params(firm, spec, mode)
 
         def rows(x):
-            F = np.exp(-delta * spec.intensity(np.exp(log_v1 + scale * x)))
-            up = F * ndtr(a2 + sc * x)
-            return np.array([up, F - up])
+            return _tail_rows(x, spec.intensity, alphas.alpha2, *params)
 
-        tail_up, tail_dn = integrate_left_tail(rows, a1, quad)
-
-    i22 = 0.0 if coeff22 == 0.0 else coeff22 * tail_up
-    i24 = 0.0 if coeff24 == 0.0 else coeff24 * tail_dn
+        tails = integrate_left_tail(rows, alphas.alpha1, quad)
+    i22, i24 = _i22_i24_terms(coefficients, tails)
     return float(i22), float(i24)
 
 
@@ -480,19 +516,16 @@ def expected_default_leg(inputs: PricingInputs,
     alphas = compute_alphas(inputs.firm, spec)
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
     decay1 = math.exp(-spec.intensity(inputs.firm.V0) * (spec.t1 - inputs.t))
-    return _default_leg(spec, mode, z, decay1, alphas.alpha1)
+    return _default_leg(spec.R_u, spec.R_e, mode, z, decay1,
+                        normal_cdf(-alphas.alpha1))
 
 
-def _default_leg(spec: DefaultSpec, mode: PricingMode, z: float,
-                 decay1: float, alpha1: float) -> float:
+def _default_leg(R_u, R_e, mode: PricingMode, z, decay1, n_breach):
     """``expected_default_leg`` from the discount bond, the first-interval
-    jump survival exp(-lambda(V0)(t1 - t)) and alpha1."""
-    if alpha1 == math.inf:
-        return 0.0
-    n_breach = normal_cdf(-alpha1)
+    jump survival exp(-lambda(V0)(t1 - t)) and N(-alpha1)."""
     if mode is PricingMode.CORRECTED:
-        return z * (spec.R_u + (spec.R_e - spec.R_u) * decay1) * n_breach
-    return z * spec.R_e * (spec.R_u + (1.0 - spec.R_u) * decay1) * n_breach
+        return z * (R_u + (R_e - R_u) * decay1) * n_breach
+    return z * R_e * (R_u + (1.0 - R_u) * decay1) * n_breach
 
 
 def price_full(
@@ -521,9 +554,10 @@ def price_full(
     n_surv1 = normal_cdf(alphas.alpha1)
 
     i1 = spec.R_u * z * (1.0 - decay1) * n_surv1
-    leg = _default_leg(spec, mode, z, decay1, alphas.alpha1)
-    probs = _barrier_probabilities(alphas, spec, mode)
-    i21, i23 = _i21_i23(spec, mode, probs)
+    leg = _default_leg(spec.R_u, spec.R_e, mode, z, decay1, normal_cdf(-alphas.alpha1))
+    probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
+                                   mode, n_surv1)
+    i21, i23 = _i21_i23(spec.R_u, spec.R_e, mode, probs)
     try:
         i22, i24 = _i22_i24(alphas, inputs.firm, spec, mode, quad, probs)
     except QuadratureConvergenceError as err:
@@ -551,6 +585,144 @@ def price_bond(
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
     return PriceResult(price=_last_interval(inputs, inputs.V1, z), mode=mode,
                        terms=None, zcb=z)
+
+
+def price_batch(
+    inputs: Sequence[PricingInputs],
+    mode: PricingMode = PricingMode.CORRECTED,
+    quad: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> list[PriceResult]:
+    """``price_bond`` of many valuations, in input order.
+
+    Equals ``[price_bond(x, mode, quad) for x in inputs]`` up to
+    roundoff. Valuations at or after t1 and custom intensities are
+    priced by ``price_bond``. The others are priced together:
+
+    * every term but Z depends only on (firm, spec, t) and the price
+      is linear in Z, so the terms are computed once per distinct
+      (firm, spec, t) (a sweep over r0 or a rate coefficient shares one
+      set) and Z once per valuation, one ``zcb_price`` call per
+      distinct rate model;
+    * the term sets are computed as arrays: the bivariate CDF
+      elementwise and the I22/I24 tails in one quadrature pass over
+      the panels of all of them.
+
+    A term set whose quadrature runs out of its node budget is priced
+    by ``price_bond``, which raises QuadratureConvergenceError with
+    ``partial_terms``. An error raised here also carries
+    ``batch_index``, the position in ``inputs`` of the valuation.
+    """
+    results: list[PriceResult | None] = [None] * len(inputs)
+    scalar, batched, term_set = [], [], []
+    keys: dict[tuple, int] = {}
+    for i, x in enumerate(inputs):
+        if x.t >= x.spec.t1 or x.spec.intensity.family == "custom":
+            scalar.append(i)
+        else:
+            batched.append(i)
+            term_set.append(keys.setdefault((x.firm, x.spec, x.t), len(keys)))
+    if batched:
+        terms = _term_sets(list(keys), mode, quad)
+        g = np.array(term_set)
+        z = _discount_bonds([inputs[i] for i in batched])
+        i1 = z * terms.i1[g]
+        leg = z * terms.leg[g]
+        price = i1 + z * (terms.decay1 * (terms.i21 + terms.i22 + terms.i23
+                                          + terms.i24))[g] + leg
+        i2x = np.stack([terms.i21, terms.i22, terms.i23, terms.i24]).T.tolist()
+        failed = terms.failed.tolist()
+        for i, k, p, zk, i1k, legk in zip(batched, term_set, price.tolist(),
+                                          z.tolist(), i1.tolist(), leg.tolist()):
+            if failed[k]:
+                scalar.append(i)
+                continue
+            breakdown = TermBreakdown(i1k, *i2x[k], expected_default=legk)
+            results[i] = PriceResult(price=p, mode=mode, terms=breakdown, zcb=zk)
+    for i in sorted(scalar):
+        try:
+            results[i] = price_bond(inputs[i], mode, quad)
+        except QuadratureConvergenceError as err:
+            err.batch_index = i
+            raise
+    return results
+
+
+class _TermSets(NamedTuple):
+    """Per term set: ``TermBreakdown`` with ``i1`` and ``leg`` per unit
+    Z, the first-interval jump survival, and the quadrature failures."""
+
+    i1: np.ndarray
+    i21: np.ndarray
+    i22: np.ndarray
+    i23: np.ndarray
+    i24: np.ndarray
+    leg: np.ndarray
+    decay1: np.ndarray
+    failed: np.ndarray
+
+
+def _term_sets(keys: list[tuple], mode: PricingMode,
+               quad: QuadratureSpec) -> _TermSets:
+    """The terms of ``price_full`` but Z for each (firm, spec, t) key,
+    t < t1, of a built-in intensity.
+
+    The alphas and the kernel parameters come from the scalar
+    ``compute_alphas`` and ``_tail_params``, so each quadrature keeps
+    the upper bound, and thus the panels, of the scalar route.
+    """
+    rows = []
+    for firm, spec, t in keys:
+        alphas = compute_alphas(firm, spec)
+        rows.append((t, spec.t1, spec.t2, spec.R_u, spec.R_e,
+                     spec.intensity(firm.V0), alphas.alpha1, alphas.alpha2,
+                     spec.intensity.family == "constant"))
+    t, t1, t2, R_u, R_e, lam0, a1, a2, constant = np.array(rows).T
+    constant = constant.astype(bool)
+
+    decay1 = np.exp(-lam0 * (t1 - t))
+    n_surv1 = ndtr(a1)
+    probs = _barrier_probabilities(a1, a2, t1, t2, mode, n_surv1)
+    i21, i23 = _i21_i23(R_u, R_e, mode, probs)
+    coefficients = _i22_i24_coefficients(R_u, R_e, mode)
+    # lam0 is lambda0 for a constant intensity.
+    tails = np.where(constant, np.exp(-lam0 * (t2 - t1)), 0.0) * np.stack(probs)
+    failed = np.zeros(len(keys), dtype=bool)
+    q = np.flatnonzero(~constant & ((coefficients[0] != 0.0)
+                                    | (coefficients[1] != 0.0)))
+    if len(q):
+        # Every non-constant intensity here is log-reciprocal.
+        intensity = keys[q[0]][1].intensity
+        params = np.array([(a2[j], *_tail_params(*keys[j][:2], mode)) for j in q]).T
+
+        def kernels(nodes):
+            return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in params))
+
+        try:
+            tails[:, q] = integrate_left_tail(kernels, a1[q], quad)
+        except QuadratureConvergenceError as err:
+            tails[:, q] = err.estimate
+            failed[q] = err.failed
+    i22, i24 = _i22_i24_terms(coefficients, tails)
+    return _TermSets(
+        i1=R_u * (1.0 - decay1) * n_surv1, i21=i21, i22=i22, i23=i23, i24=i24,
+        leg=_default_leg(R_u, R_e, mode, 1.0, decay1, ndtr(-a1)), decay1=decay1,
+        failed=failed)
+
+
+def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:
+    """Z(r, t) of each valuation: one ``zcb_price`` call per distinct
+    rate model, on arrays when the model has several valuations."""
+    groups: dict[ShortRateModel, list[int]] = {}
+    for j, x in enumerate(points):
+        groups.setdefault(x.rate_model, []).append(j)
+    z = np.empty(len(points))
+    for model, js in groups.items():
+        if len(js) == 1:
+            z[js[0]] = zcb_price(model, points[js[0]].r, points[js[0]].t)
+        else:
+            z[js] = zcb_price(model, np.array([points[j].r for j in js]),
+                              np.array([points[j].t for j in js]))
+    return z
 
 
 def credit_spread(

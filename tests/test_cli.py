@@ -1,11 +1,15 @@
+import csv
+import io
 import math
 import textwrap
 
 import pytest
 
+from dvbond import cli, pricer
 from dvbond.cli import main
 from dvbond.config import ConfigError, load_scenarios, scenario_from_dict, \
     scenario_to_dict
+from dvbond.mathkit import QuadratureSpec
 
 P0_YAML = textwrap.dedent("""\
     scenarios:
@@ -89,6 +93,31 @@ class TestConfig:
         original = load_scenarios(p0_file)["P0"]
         rebuilt = scenario_from_dict("P0", scenario_to_dict(original))
         assert rebuilt == original
+
+    @pytest.mark.parametrize("text, value", [
+        ("K1: 1e7", 1e7), ("K1: 1.0e7", 1e7), ("K1: 1E+7", 1e7),
+        ("r0: -2.5E-3", -2.5e-3), ("r0: 5e-2", 0.05)])
+    def test_exponent_floats(self, tmp_path, text, value):
+        # YAML 1.1 leaves an unsigned exponent or a point-less mantissa
+        # as a string; the loader reads them as YAML 1.2 floats.
+        key = text.split(":")[0]
+        old = {"K1": "K1: 70.0", "r0": "r0: 0.05"}[key]
+        path = tmp_path / "exp.yaml"
+        path.write_text(P0_YAML.replace(old, text))
+        s = load_scenarios(str(path))["P0"]
+        assert (s.spec.K1 if key == "K1" else s.r0) == value
+        assert main(["price", str(path)]) == 0
+
+    def test_quoted_and_non_finite_numbers_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(P0_YAML.replace("K1: 70.0", 'K1: "1e7"'))
+        with pytest.raises(ConfigError) as err:
+            load_scenarios(str(path))
+        assert "scenarios.P0.default.K1" in str(err.value)
+        path.write_text(P0_YAML.replace("V0: 100.0", "V0: .nan"))
+        with pytest.raises(ConfigError) as err:
+            load_scenarios(str(path))
+        assert "V0 must be finite" in str(err.value)
 
     def test_post_announcement_requires_declared_value(self, tmp_path):
         path = tmp_path / "post.yaml"
@@ -251,6 +280,78 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         values = [line.split(",")[3] for line in lines[1:]]
         assert values == ["-0.01", "0.02"]
+
+    # A grid per axis; valuation_time crosses t1 and K1/K2 include zero.
+    AXIS_GRIDS = {
+        "valuation_time": "0.0,0.3,0.6", "r0": "-0.01,0.05", "a1": "0.0,0.02",
+        "a2": "0.1,0.5", "s_r": "0.0,0.02", "V0": "80,120", "mu": "0.0,0.1",
+        "b": "0.0,0.06", "s_V": "0.1,0.4", "V1": "60,120", "t1": "0.25,0.75",
+        "t2": "0.8,2.0", "K1": "0,70", "K2": "0,90", "R_u": "0,1",
+        "R_e": "0.1,1", "lambda0": "0.0,0.1",
+    }
+
+    def test_every_axis_matches_price_bond(self, tmp_path, capsys):
+        assert set(self.AXIS_GRIDS) == set(cli._SWEEP_AXES)
+        yaml = P0_YAML.replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0")
+        files = {"log": tmp_path / "log.yaml", "const": tmp_path / "const.yaml"}
+        files["log"].write_text(yaml)
+        files["const"].write_text(yaml.replace(
+            "family: log-reciprocal", "family: constant\n        lambda0: 0.03"))
+        out_csv = tmp_path / "sweep.csv"
+        for axis, grid in self.AXIS_GRIDS.items():
+            path = files["const" if axis == "lambda0" else "log"]
+            for mode in ("corrected", "paper-literal"):
+                assert main(["sweep", str(path), "--axis", axis, "--grid", grid,
+                             "--mode", mode, "--csv", str(out_csv)]) == 0
+                printed = capsys.readouterr().out
+                assert printed.replace("\r\n", "\n") \
+                    == out_csv.read_text().replace("\r\n", "\n")
+                rows = list(csv.DictReader(io.StringIO(printed)))
+                values = [float(v) for v in grid.split(",")]
+                assert len(rows) == len(values)
+                for row, value in zip(rows, values):
+                    self.check_row(row, path, axis, value, mode)
+
+    @staticmethod
+    def check_row(row, path, axis, value, mode):
+        node = scenario_to_dict(load_scenarios(str(path))["P0"])
+        section, key = cli._SWEEP_AXES[axis]
+        if axis == "lambda0":
+            node["default"]["intensity"][key] = value
+        elif section is None:
+            node[key] = value
+        else:
+            node[section][key] = value
+        scenario = scenario_from_dict("P0", node)
+        inputs = scenario.pricing_inputs()
+        want = pricer.price_bond(inputs, pricer.PricingMode(mode))
+        t = want.terms
+        expected = {
+            "price": want.price, "zcb": want.zcb,
+            "spread": pricer.credit_spread(inputs, pricer.PricingMode(mode)),
+            "I1": t and t.i1, "I21": t and t.i21, "I22": t and t.i22,
+            "I23": t and t.i23, "I24": t and t.i24,
+            "expected_leg": t and t.expected_default,
+        }
+        assert float(row["axis_value"]) == value
+        for column, number in expected.items():
+            if number is None:
+                assert row[column] == "", (axis, column)
+            else:
+                assert abs(float(row[column]) - number) <= 1e-12, (axis, column)
+
+    def test_invalid_grid_value_names_value_and_field(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "s_V", "--grid", "0.2,-0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "grid value -0.1" in err and "s_V must be positive" in err
+
+    def test_quadrature_failure_names_grid_value(self, p0_file, monkeypatch, capsys):
+        starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
+        real = pricer.price_batch
+        monkeypatch.setattr(cli, "price_batch",
+                            lambda inputs, mode: real(inputs, mode, starved))
+        assert main(["sweep", p0_file, "--axis", "K1", "--grid", "1e7,70"]) == 3
+        assert "grid value 70.0: quadrature failure" in capsys.readouterr().err
 
     def test_csv_written(self, p0_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -12,6 +12,7 @@ from dvbond.mathkit import (
     QuadFormMatrix,
     QuadratureConvergenceError,
     QuadratureSpec,
+    TailNodes,
     bivariate_cdf_bruteforce,
     bivariate_cdf_quadform,
     bvn_cdf,
@@ -119,6 +120,20 @@ class TestIntegrateLeftTail:
         assert abs(joint[0] - separate[0]) <= 1e-13
         assert abs(joint[1] - separate[2]) <= 1e-13
 
+    def test_tolerance_follows_panel_count(self):
+        # |sin 3x| has seven kinks below 1.3, so bisection takes the
+        # panel count far past its first pass of 14. Each round compares
+        # the panels with abs_tol / (the count after the last round);
+        # the first-pass count would stop at 3,090 nodes.
+        nodes = []
+
+        def counted(x):
+            nodes.append(x.size)
+            return np.abs(np.sin(3.0 * x))
+
+        integrate_left_tail(counted, 1.3)
+        assert sum(nodes) == 3630
+
     def test_rows_over_empty_range_are_zeros(self):
         got = integrate_left_tail(lambda x: np.array([x, 2.0 * x, x * x]),
                                   -GAUSSIAN_TAIL_CUTOFF - 1.0)
@@ -138,9 +153,125 @@ class TestIntegrateLeftTail:
         assert err.value.error_bound.shape == (2,)
         assert (err.value.error_bound >= 0.0).all()
 
+    # Bounds below the cutoff (no panels), a kink that forces bisection,
+    # finite bounds and +inf; the kernel's slope varies with the bound.
+    MANY_UPPER = (-GAUSSIAN_TAIL_CUTOFF - 1.0, 0.37, 1.3, -2.2, math.inf)
+    SLOPES = (0.5, 1.0, -0.7, 2.0, 0.3)
+
+    @staticmethod
+    def kink_rows(x, slope):
+        return np.array([ndtr(1.0 - slope * x), np.abs(x - 0.37)])
+
+    def test_many_bounds_match_separate_calls(self):
+        # Each bound keeps the panels of its own call; only the order
+        # of summation over ~30 panels differs (30 ulps of the sum).
+        slopes = np.array(self.SLOPES)
+        seen = []
+
+        def kernel(nodes):
+            assert isinstance(nodes, TailNodes) and nodes.x.shape[1] == 15
+            seen.append(nodes.x.size)
+            return self.kink_rows(nodes.x, slopes[nodes.owner])
+
+        joint = integrate_left_tail(kernel, np.array(self.MANY_UPPER))
+        assert joint.shape == (2, len(self.MANY_UPPER))
+        separate_nodes = []
+        for j, (upper, slope) in enumerate(zip(self.MANY_UPPER, self.SLOPES)):
+            def one(x, slope=slope):
+                separate_nodes.append(x.size)
+                return self.kink_rows(x, slope)
+            want = integrate_left_tail(one, upper)
+            assert np.abs(joint[:, j] - want).max() <= 1e-14
+        assert joint[:, 0].tolist() == [0.0, 0.0]
+        assert sum(seen) == sum(separate_nodes)
+
+    def test_many_bounds_of_one_row(self):
+        uppers = np.array([0.0, math.inf, -GAUSSIAN_TAIL_CUTOFF])
+        got = integrate_left_tail(lambda nodes: np.ones_like(nodes.x), uppers)
+        assert got.shape == (3,)
+        assert got == pytest.approx([0.5, 1.0, 0.0], abs=1e-12)
+
+    def test_many_bounds_budget_marks_failed(self):
+        # The kinked row of the second bound needs more than 600 nodes;
+        # the others converge in their first pass, and keep its value.
+        uppers = np.array([-2.0, 1.3, -3.0])
+        spec = QuadratureSpec(max_nodes=600)
+
+        def kernel(nodes):
+            kink = np.where(nodes.owner == 1, np.abs(nodes.x - 0.37), 0.0)
+            return np.array([ndtr(nodes.x), kink])
+
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_left_tail(kernel, uppers, spec)
+        assert err.value.failed.tolist() == [False, True, False]
+        assert err.value.estimate.shape == err.value.error_bound.shape == (2, 3)
+        for j in (0, 2):
+            want = ndtr(uppers[j]) ** 2 / 2.0
+            assert err.value.estimate[0, j] == pytest.approx(want, abs=1e-12)
+        with pytest.raises(QuadratureConvergenceError):
+            integrate_left_tail(lambda x: np.abs(x - 0.37), 1.3, spec)
+
+    def test_many_bounds_budget_spares_converged_bounds(self):
+        # A first pass may already use more than max_nodes; the budget
+        # binds only a bound that needs bisection, as in a call of its
+        # own, so the smooth bound converges while the kinked one fails.
+        spec = QuadratureSpec(max_nodes=32)
+        assert integrate_left_tail(ndtr, 0.0, spec) == pytest.approx(0.125, abs=1e-12)
+
+        def kernel(nodes):
+            return np.where(nodes.owner == 1, np.abs(nodes.x - 0.37), ndtr(nodes.x))
+
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_left_tail(kernel, np.array([0.0, 1.3]), spec)
+        assert err.value.failed.tolist() == [False, True]
+        assert err.value.estimate[0] == pytest.approx(0.125, abs=1e-12)
+
+    def test_many_bounds_refine_past_a_failed_bound(self):
+        # The two-kink bound runs out of nodes in its fourth round; the
+        # cubic one needs seven and must end where its own call does.
+        cubic = lambda x: np.maximum(x - 0.37, 0.0) ** 3
+        two = lambda x: np.abs(x - 0.37) + np.abs(x + 1.1)
+        nodes = []
+
+        def counted(x):
+            nodes.append(x.size)
+            return cubic(x)
+
+        alone = integrate_left_tail(counted, 1.3)
+        spec = QuadratureSpec(max_nodes=sum(nodes))
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_left_tail(
+                lambda n: np.where(n.owner == 0, cubic(n.x), two(n.x)),
+                np.array([1.3, 1.3]), spec)
+        assert err.value.failed.tolist() == [False, True]
+        assert abs(err.value.estimate[0] - alone) <= 1e-14
+
+    def test_many_bounds_budget_is_per_bound(self):
+        # Four bounds that each fit the budget converge together,
+        # although their nodes add up to four times the budget.
+        nodes = []
+
+        def kinked(x):
+            nodes.append(x.size)
+            return np.abs(x - 0.37)
+
+        alone = integrate_left_tail(kinked, 1.3)
+        spec = QuadratureSpec(max_nodes=sum(nodes))
+        got = integrate_left_tail(lambda n: np.abs(n.x - 0.37), np.full(4, 1.3), spec)
+        assert np.abs(got - alone).max() <= 1e-14
+        # One node less, and the last bisection round no longer fits.
+        short = QuadratureSpec(max_nodes=sum(nodes) - 1)
+        with pytest.raises(QuadratureConvergenceError):
+            integrate_left_tail(kinked, 1.3, short)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_left_tail(lambda n: np.abs(n.x - 0.37), np.full(4, 1.3), short)
+        assert err.value.failed.all()
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_left_tail(lambda x: x, math.nan)
+        with pytest.raises(ValueError):
+            integrate_left_tail(lambda nodes: nodes.x, np.array([0.0, math.nan]))
         spec = QuadratureSpec(lower=1.0)
         with pytest.raises(ValueError):
             integrate_left_tail(lambda x: x, 0.0, spec)
@@ -247,6 +378,30 @@ class TestBvnCdf:
                 worst = max(worst, abs(bvn_cdf(h, k, rho)
                                        - bvn_oracle(mpmath, h, k, rho)))
         assert worst <= 1e-14
+
+    def test_array_route_matches_float_route(self):
+        # The grid of the oracle test plus the band edges, |rho| = 1 and
+        # infinite bounds, one elementwise call against the float route.
+        rhos = self.RHOS + (0.0, 0.3, 0.75, 0.925, 1.0)
+        # (0.2, -0.5) and (-0.6, 0.1) put h + k in (-1, 0), where the
+        # asymptotic branch for negative rho switches on the sign of h + k.
+        points = self.POINTS + ((0.2, -0.5), (-0.6, 0.1),
+                                (math.inf, 1.0), (1.0, math.inf), (-math.inf, 2.0),
+                                (2.0, -math.inf), (math.inf, math.inf))
+        h, k, rho = np.array([(h, k, r) for r in rhos + tuple(-r for r in rhos)
+                              for h, k in points]).T
+        got = bvn_cdf(h, k, rho)
+        want = [bvn_cdf(*args) for args in zip(h.tolist(), k.tolist(), rho.tolist())]
+        assert got.shape == h.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_array_route_broadcasts_and_validates(self):
+        got = bvn_cdf(np.array([0.0, 1.0]), 0.5, 0.4)
+        assert got.tolist() == [bvn_cdf(0.0, 0.5, 0.4), bvn_cdf(1.0, 0.5, 0.4)]
+        with pytest.raises(ValueError):
+            bvn_cdf(np.array([0.0, math.nan]), 0.0, 0.5)
+        with pytest.raises(ValueError):
+            bvn_cdf(np.array([0.0]), 0.0, np.array([1.5]))
 
     def test_infinite_bounds(self):
         for rho in (-0.95, -0.5, 0.0, 0.6, 0.97):

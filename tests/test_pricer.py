@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,9 +29,14 @@ from dvbond import (
     term_I22_I24,
     zcb_price,
 )
-from dvbond import mathkit
-from dvbond.mathkit import bivariate_cdf_bruteforce, integrate_left_tail, normal_cdf
-from dvbond.pricer import quadform_pair
+from dvbond import PiecewiseConstant, ShortRateModel, mathkit, pricer
+from dvbond.mathkit import (
+    bivariate_cdf_bruteforce,
+    bivariate_cdf_quadform,
+    integrate_left_tail,
+    normal_cdf,
+)
+from dvbond.pricer import price_batch, quadform_pair
 
 from conftest import make_inputs
 from test_acceptance import random_scenario
@@ -204,6 +210,23 @@ class TestTermI21I23:
             * bivariate_cdf_bruteforce(a.alpha1, -a.alpha2, minus,
                                        abs_tol=1e-11), abs=1e-8)
 
+    def test_direct_mapping_matches_quadform(self):
+        # The bivariate probability is taken as a standard bivariate
+        # normal CDF; the quadratic form of quadform_pair is its reference.
+        rng = np.random.default_rng(7007)
+        worst = 0.0
+        for inputs in (random_scenario(rng) for _ in range(200)):
+            spec = inputs.spec
+            a = compute_alphas(inputs.firm, spec)
+            plus, minus = quadform_pair(spec.t1, spec.t2)
+            for mode, m in ((PricingMode.CORRECTED, minus),
+                            (PricingMode.PAPER_LITERAL, plus)):
+                n_up, _ = pricer._barrier_probabilities(
+                    a.alpha1, a.alpha2, spec.t1, spec.t2, mode, normal_cdf(a.alpha1))
+                want = bivariate_cdf_quadform(a.alpha1, a.alpha2, m)
+                worst = max(worst, abs(n_up - want))
+        assert worst <= 1e-15
+
     def test_modes_differ_for_finite_thresholds(self, p0_firm, p0_spec):
         a = compute_alphas(p0_firm, p0_spec)
         assert term_I21_I23(a, p0_spec, PricingMode.CORRECTED) != \
@@ -300,6 +323,10 @@ class TestTermI22I24:
         for mode in PricingMode:
             res = price_full(inputs, mode)
             assert (res.terms.i22, res.terms.i24) == (0.0, 0.0)
+            # R_e < R_u gives I24 a negative coefficient; its empty tail
+            # still gives +0.0 (printed "0", not "-0"), batched or not.
+            for terms in (res.terms, price_batch([inputs], mode)[0].terms):
+                assert math.copysign(1.0, terms.i24) == 1.0
             assert res.price == pytest.approx(
                 expected_default_leg(inputs, mode), abs=1e-15)
 
@@ -509,3 +536,86 @@ class TestPricingInputsValidation:
         with pytest.raises(ValueError):
             PricingInputs(rate_model=bad, firm=p0_firm, spec=p0_spec,
                           r=0.05, t=0.0)
+
+
+def assert_results_match(got, want, tol=1e-12):
+    assert got.mode is want.mode
+    assert abs(got.price - want.price) <= tol
+    assert abs(got.zcb - want.zcb) <= tol
+    if want.terms is None:
+        assert got.terms is None
+        return
+    for field in dataclasses.fields(want.terms):
+        assert abs(getattr(got.terms, field.name)
+                   - getattr(want.terms, field.name)) <= tol, field.name
+
+
+class TestPriceBatch:
+    @pytest.mark.parametrize("mode", list(PricingMode))
+    def test_matches_price_bond_on_criterion_7(self, mode):
+        rng = np.random.default_rng(7007)
+        batch = [random_scenario(rng) for _ in range(200)]
+        for got, inputs in zip(price_batch(batch, mode), batch):
+            assert_results_match(got, price_bond(inputs, mode))
+
+    def test_mixed_batch_keeps_input_order(self):
+        piecewise = ShortRateModel(a1=PiecewiseConstant((0.3,), (0.01, 0.03)),
+                                   a2=0.2, s_r=0.01, maturity=1.0)
+        p0 = make_inputs()
+        batch = [
+            make_inputs(t=0.6, V1=95.0),
+            make_inputs(intensity=IntensityFunction.custom(
+                lambda v: 0.02 + 0.0 * np.asarray(v))),
+            make_inputs(default=dict(K1=0.0)),
+            make_inputs(r=0.02),
+            make_inputs(default=dict(K2=0.0)),
+            dataclasses.replace(p0, rate_model=piecewise),
+            make_inputs(default=dict(K1=1e7)),
+            make_inputs(default=dict(K1=1e7, R_u=0.0, R_e=0.0)),
+            make_inputs(t=0.7, V1=60.0, r=0.03),
+            make_inputs(intensity=IntensityFunction.constant(0.05)),
+            p0,
+            make_inputs(r=0.02),
+        ]
+        for mode in PricingMode:
+            got = price_batch(batch, mode)
+            assert len(got) == len(batch)
+            for res, inputs in zip(got, batch):
+                assert_results_match(res, price_bond(inputs, mode))
+            assert got[0].terms is None and got[8].terms is None
+            assert got[7].price == 0.0
+
+    def test_empty_batch(self):
+        assert price_batch([]) == []
+
+    def test_shared_term_set(self, monkeypatch):
+        # Points that differ only in r share one term set and one rate
+        # model: one quadrature pass, one bivariate CDF, one Z call.
+        calls = {"quad": 0, "bvn": 0, "zcb": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(pricer, "integrate_left_tail",
+                            counting("quad", pricer.integrate_left_tail))
+        monkeypatch.setattr(mathkit, "bvn_cdf", counting("bvn", mathkit.bvn_cdf))
+        monkeypatch.setattr(pricer, "zcb_price", counting("zcb", pricer.zcb_price))
+        batch = [make_inputs(r=r) for r in np.linspace(-0.01, 0.08, 50)]
+        got = price_batch(batch)
+        assert calls == {"quad": 1, "bvn": 1, "zcb": 1}
+        assert len({res.terms.i22 for res in got}) == 1
+
+    def test_quadrature_failure_is_the_scalar_error(self):
+        starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
+        batch = [make_inputs(intensity=IntensityFunction.constant(0.1)),
+                 make_inputs()]
+        with pytest.raises(QuadratureConvergenceError) as err:
+            price_batch(batch, quad=starved)
+        assert err.value.batch_index == 1
+        assert set(err.value.partial_terms) == {"i1", "expected_default", "zcb"}
+        with pytest.raises(QuadratureConvergenceError) as scalar:
+            price_bond(batch[1], quad=starved)
+        assert err.value.partial_terms == scalar.value.partial_terms
