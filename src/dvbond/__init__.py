@@ -14,15 +14,11 @@ from .defaultmodel import (
     FirmModel,
     IntensityFunction,
     d_minus,
-    firm_value_step,
     survival_prob,
 )
 from .mathkit import (
-    QuadFormMatrix,
     QuadratureConvergenceError,
     QuadratureSpec,
-    bivariate_cdf_bruteforce,
-    bivariate_cdf_quadform,
     integrate_left_tail,
     normal_cdf,
 )
@@ -36,15 +32,10 @@ from .pricer import (
     compute_alphas,
     credit_spread,
     expected_default_leg,
-    f_factor,
-    g_components,
-    interval_factor_u1,
     price_batch,
     price_bond,
     price_full,
     price_last_interval,
-    term_I21_I23,
-    term_I22_I24,
 )
 from .ratecurve import PiecewiseConstant, ShortRateModel, coeff_A, coeff_B, zcb_price
 
@@ -61,24 +52,17 @@ __all__ = [
     "PriceResult",
     "PricingInputs",
     "PricingMode",
-    "QuadFormMatrix",
     "QuadratureConvergenceError",
     "QuadratureSpec",
     "ShortRateModel",
     "TermBreakdown",
-    "bivariate_cdf_bruteforce",
-    "bivariate_cdf_quadform",
     "coeff_A",
     "coeff_B",
     "compute_alphas",
     "credit_spread",
     "d_minus",
     "expected_default_leg",
-    "f_factor",
-    "firm_value_step",
-    "g_components",
     "integrate_left_tail",
-    "interval_factor_u1",
     "normal_cdf",
     "price_batch",
     "price_bond",
@@ -86,7 +70,5 @@ __all__ = [
     "price_last_interval",
     "simulate_price",
     "survival_prob",
-    "term_I21_I23",
-    "term_I22_I24",
     "zcb_price",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "FirmModel",
     "IntensityFunction",
     "DefaultSpec",
-    "firm_value_step",
     "d_minus",
     "survival_prob",
 ]
@@ -164,22 +163,6 @@ class DefaultSpec:
             r = getattr(self, name)
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {r}")
-
-
-def firm_value_step(fm: FirmModel, V_s: float, dt: float, z) -> float:
-    """One exact lognormal transition of the declared firm value.
-
-    V_s * exp[(mu - b - s_V^2/2) dt + s_V sqrt(dt) z] for a standard
-    normal draw z (scalar or array).
-    """
-    if not np.all(np.asarray(V_s) > 0.0):
-        raise ValueError(f"V_s must be positive, got {V_s}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    out = np.asarray(V_s) * np.exp(
-        fm.log_drift * dt + fm.s_V * math.sqrt(dt) * np.asarray(z, dtype=float)
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 def d_minus(x_over_K: float, fm: FirmModel, tau: float):

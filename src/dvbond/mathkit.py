@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import dblquad
 from scipy.special import ndtr
 
 __all__ = [
@@ -125,14 +124,10 @@ class QuadFormMatrix:
 class QuadratureSpec:
     """Controls for the adaptive Gaussian-weighted quadrature.
 
-    ``lower``/``upper`` are the default integration bounds (either may
-    be infinite; the effective range is clipped to +/-12 where the
-    Gaussian weight is negligible). ``abs_tol`` is the target absolute
-    error; ``max_nodes`` caps the number of integrand evaluations.
+    ``abs_tol`` is the target absolute error; ``max_nodes`` caps the
+    number of integrand evaluations.
     """
 
-    lower: float = -math.inf
-    upper: float = math.inf
     abs_tol: float = 1e-12
     max_nodes: int = 32768
 
@@ -276,14 +271,15 @@ def _initial_panels(lo: float, his: np.ndarray):
 
 def integrate_left_tail(
     f: Callable[[np.ndarray], np.ndarray],
-    upper: float | np.ndarray | None = None,
+    upper: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float | np.ndarray:
     """Gaussian-weighted integral of f over the left tail.
 
-    Computes (1/sqrt(2*pi)) * int f(x) exp(-x^2/2) dx from
-    ``spec.lower`` to ``upper`` (``spec.upper`` when not given). The
-    integrand callback receives a 1-D numpy array of n nodes. Values
+    Computes (1/sqrt(2*pi)) * int f(x) exp(-x^2/2) dx from -inf to
+    ``upper``, which may be infinite; the range is clipped to +/-12,
+    where the Gaussian weight is negligible. The integrand callback
+    receives a 1-D numpy array of n nodes. Values
     of shape (n,) (scalars broadcast) give a float; k rows of shape
     (k, n) give a length-k array, all rows sharing one panel set and
     one evaluation of the Gaussian weight per node.
@@ -304,18 +300,14 @@ def integrate_left_tail(
     estimate and bound of each row (and, for several bounds, a mask
     of the failed ones).
     """
-    hi = spec.upper if upper is None else upper
-    lo = spec.lower
-    one = isinstance(hi, (int, float))
-    his = np.atleast_1d(np.asarray(hi, dtype=float))
+    one = isinstance(upper, (int, float))
+    his = np.atleast_1d(np.asarray(upper, dtype=float))
     if one:
         f = _flat(f)
-    if not (his >= lo).all():
-        if math.isnan(lo) or np.isnan(his).any():
-            raise ValueError("integration bounds must not be NaN")
-        raise ValueError(f"upper bound {hi} below lower bound {lo}")
+    if np.isnan(his).any():
+        raise ValueError("integration bounds must not be NaN")
     m = len(his)
-    lows, highs, owner, n_first = _initial_panels(max(lo, -GAUSSIAN_TAIL_CUTOFF), his)
+    lows, highs, owner, n_first = _initial_panels(-GAUSSIAN_TAIL_CUTOFF, his)
     n_panels = n_first.copy()
     nodes_total = 15 * len(owner)
     limit = spec.abs_tol / n_panels
@@ -537,7 +529,6 @@ def bivariate_cdf_quadform(
     a: float,
     b: float,
     m: QuadFormMatrix,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Bivariate normal CDF N2(a, b : M) for an inverse-scale matrix M.
 
@@ -548,8 +539,7 @@ def bivariate_cdf_quadform(
 
     with sigma_x^2 = m22 / det M, sigma_y^2 = m11 / det M and
     rho = -m12 / sqrt(m11 * m22). For the pricer's unit-form matrices
-    (m22 = det M = 1) this is rho = -m12 / sqrt(1 + m12^2). ``spec``
-    is accepted for compatibility and not used.
+    (m22 = det M = 1) this is rho = -m12 / sqrt(1 + m12^2).
     """
     if math.isnan(a) or math.isnan(b):
         raise ValueError("bivariate_cdf_quadform: NaN bound")
@@ -570,7 +560,11 @@ def bivariate_cdf_bruteforce(
     suite. The
     infinite corners are truncated 13 marginal standard deviations out
     (variances of the implied Gaussian are m22/det and m11/det).
+    ``scipy.integrate`` is imported here, its only use, so that
+    importing the package does not load it.
     """
+    from scipy.integrate import dblquad
+
     if math.isnan(a) or math.isnan(b):
         raise ValueError("bivariate_cdf_bruteforce: NaN bound")
     if a == -math.inf or b == -math.inf:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .defaultmodel import DefaultSpec, FirmModel
 from .pricer import PricingInputs
-from .ratecurve import ShortRateModel, coeff_A, coeff_B
+from .ratecurve import ShortRateModel, zcb_price
 
 __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
            "simulate_price"]
@@ -217,12 +217,6 @@ def _rate_transition(plan: _Plan, r: np.ndarray, lo, hi, z: np.ndarray):
     return r, integral
 
 
-def _zcb_at(plan: _Plan, tau: np.ndarray, r_tau: np.ndarray) -> np.ndarray:
-    a = np.atleast_1d(coeff_A(plan.rate_model, tau))
-    b = np.atleast_1d(coeff_B(plan.rate_model, tau))
-    return np.exp(a - b * r_tau)
-
-
 def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dict:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
     spec, firm = plan.spec, plan.firm
@@ -282,7 +276,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     early = ~surv_t2
     if early.any():
         recovery = np.where(jump1[early] | jump2[early], spec.R_u, spec.R_e)
-        pay[early] *= recovery * _zcb_at(plan, s2[early], r2[early])
+        pay[early] *= recovery * zcb_price(plan.rate_model, r2[early], s2[early])
 
     legs = {
         "survive_both": enter2 & ~jump2 & ~barrier2,

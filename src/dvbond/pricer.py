@@ -42,21 +42,28 @@ integrates the I22/I24 tails of all term sets in one quadrature pass.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
-the disagreements are instructive enough to keep evaluable:
+the disagreements are instructive enough to keep evaluable. Both modes
+run the same code; each has one ``_Convention`` record, looked up once
+per price, and the three places map onto its two fields:
 
-* Region orientation. Averaging over the first declared value
-  restricts to {V1 > K1}, i.e. to Brownian displacements ABOVE
+* Region orientation: ``sign``. Averaging over the first declared
+  value restricts to {V1 > K1}, i.e. to Brownian displacements ABOVE
   -alpha1. Rewriting that as a left tail up to +alpha1 requires
-  reflecting the integrand (x -> -x); the printed form flips the
-  region but keeps the unreflected integrand, which couples the two
-  announcement checks with the wrong sign (its survive-both
-  probability can fall below the independence bound N(a1) * N(a2)).
-* Default-branch grouping. The exact value on the maturity-breach
-  branch is R_u + (R_e - R_u) * F; the printed form carries
-  R_e * (R_u + (1 - R_u) * F). They coincide only when
-  R_u (1 - R_e) (1 - F) = 0.
-* First-barrier leg. Same grouping slip at the first announcement:
-  exact Z * [R_u + (R_e - R_u) e^{-lambda(V0)(t1-t)}] * N(-alpha1)
+  reflecting the integrand (x -> -x), orientation s = -1; the printed
+  form flips the region but keeps the unreflected integrand, s = +1,
+  which couples the two announcement checks with the wrong sign (its
+  survive-both probability can fall below the independence bound
+  N(a1) * N(a2)). The bivariate correlation is -s sqrt(t1/t2).
+* Default-branch grouping: ``breach``. A breach branch is valued
+  floor + coefficient * F. At maturity the exact value is
+  R_u + (R_e - R_u) * F; the printed form carries
+  R_e * (R_u + (1 - R_u) * F), i.e. floor R_u R_e and coefficient
+  R_e (1 - R_u). They coincide only when R_u (1 - R_e) (1 - F) = 0.
+  The floor is the I23 coefficient, the jump-survival coefficient the
+  I24 one.
+* First-barrier leg: ``breach`` again. The same grouping at the first
+  announcement gives Z * [floor + coefficient * e^{-lambda(V0)(t1-t)}]
+  * N(-alpha1): exact Z * [R_u + (R_e - R_u) e^{...}] * N(-alpha1)
   versus printed R_e * Z * [R_u + (1 - R_u) e^{...}] * N(-alpha1).
 
 CORRECTED mode prices the model exactly (it is the one the Monte Carlo
@@ -76,7 +83,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -85,7 +92,6 @@ from . import mathkit
 from .defaultmodel import DefaultSpec, FirmModel, survival_prob
 from .mathkit import (
     DEFAULT_QUADRATURE,
-    QuadFormMatrix,
     QuadratureConvergenceError,
     QuadratureSpec,
     integrate_left_tail,
@@ -99,12 +105,8 @@ __all__ = [
     "Alpha",
     "TermBreakdown",
     "PriceResult",
-    "interval_factor_u1",
     "price_last_interval",
-    "f_factor",
-    "g_components",
     "compute_alphas",
-    "quadform_pair",
     "term_I21_I23",
     "term_I22_I24",
     "expected_default_leg",
@@ -120,6 +122,28 @@ class PricingMode(enum.Enum):
 
     CORRECTED = "corrected"
     PAPER_LITERAL = "paper-literal"
+
+
+@dataclass(frozen=True)
+class _Convention:
+    """How a pricing mode evaluates the closed form (module docs).
+
+    ``sign`` is the orientation s: the first-interval kernels are
+    F(s x) N(alpha2 + s c x) and the bivariate correlation is
+    -s sqrt(t1/t2). ``breach`` maps (R_u, R_e), floats or arrays, to
+    the (floor, jump-survival coefficient) of a barrier-breach branch.
+    """
+
+    sign: float
+    breach: Callable
+
+
+_CORRECTED = _Convention(sign=-1.0, breach=lambda R_u, R_e: (R_u, R_e - R_u))
+_CONVENTIONS = {
+    PricingMode.CORRECTED: _CORRECTED,
+    PricingMode.PAPER_LITERAL: _Convention(
+        sign=1.0, breach=lambda R_u, R_e: (R_u * R_e, R_e * (1.0 - R_u))),
+}
 
 
 @dataclass(frozen=True)
@@ -208,26 +232,7 @@ class PriceResult:
     zcb: float
 
 
-def interval_factor_u1(spec: DefaultSpec, lam: float, t: float,
-                       survived_terminal: bool) -> float:
-    """Value factor on the last interval for a known hazard rate.
-
-    Solves the one-factor decay equation backward from the terminal
-    payoff (1 when the maturity barrier is cleared, R_e otherwise):
-
-        R_u + (1 - R_u) e^{-lam (t2 - t)}     cleared
-        R_u + (R_e - R_u) e^{-lam (t2 - t)}   breached
-    """
-    if lam < 0.0:
-        raise ValueError(f"intensity must be nonnegative, got {lam}")
-    if not spec.t1 <= t <= spec.t2:
-        raise ValueError(f"t must lie in [{spec.t1}, {spec.t2}], got {t}")
-    decay = math.exp(-lam * (spec.t2 - t))
-    terminal = 1.0 if survived_terminal else spec.R_e
-    return spec.R_u + (terminal - spec.R_u) * decay
-
-
-def price_last_interval(inputs: PricingInputs, V1: float | None = None) -> float:
+def price_last_interval(inputs: PricingInputs) -> float:
     """Bond price between the announcements, given the declared V1.
 
     The maturity barrier check uses the lognormal transition anchored
@@ -236,73 +241,38 @@ def price_last_interval(inputs: PricingInputs, V1: float | None = None) -> float
     N[d_minus(V1/K2, t2 - t1)] regardless of the valuation time.
     """
     spec = inputs.spec
-    if V1 is None:
-        V1 = inputs.V1
-    if V1 is None or not V1 > 0.0:
-        raise ValueError("price_last_interval requires a positive V1")
     if not spec.t1 <= inputs.t < spec.t2:
         raise ValueError(
             f"valuation time must lie in [{spec.t1}, {spec.t2}), got {inputs.t}"
         )
-    return _last_interval(inputs, V1, zcb_price(inputs.rate_model, inputs.r, inputs.t))
+    return _last_interval(inputs, zcb_price(inputs.rate_model, inputs.r, inputs.t))
 
 
-def _last_interval(inputs: PricingInputs, V1: float, z: float) -> float:
-    """``price_last_interval`` for a validated V1 and the discount bond z."""
-    spec = inputs.spec
-    lam = spec.intensity(V1)
-    surv = survival_prob(inputs.firm, V1, spec.K2, spec.t2 - spec.t1)
-    u_cleared = interval_factor_u1(spec, lam, inputs.t, True)
-    u_breached = interval_factor_u1(spec, lam, inputs.t, False)
-    return z * (u_cleared * surv + u_breached * (1.0 - surv))
+def _last_interval(inputs: PricingInputs, z: float) -> float:
+    """``price_last_interval`` for the discount bond z; t >= t1, so
+    ``PricingInputs`` has checked that V1 > 0."""
+    return z * _interval_factor(_CORRECTED, inputs.firm, inputs.spec, inputs.V1, inputs.t)
 
 
-def f_factor(firm: FirmModel, spec: DefaultSpec, V1):
-    """Announcement-date value factor: price at t1 equals Z(r, t1) * f(V1).
+def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
+                     V1: float, t: float) -> float:
+    """Value factor at t in [t1, t2) given the declared V1: the price is
+    Z(r, t) times it.
 
-    Jump-survival bracket times the barrier-weighted terminal mix; sums
-    exactly to the four components of ``g_components``. Accepts arrays.
+    The maturity branches are valued R_u + (1 - R_u) F cleared and
+    floor + coefficient * F breached, F = e^{-lambda(V1)(t2 - t)}, and
+    weighted by the maturity survival N[d_minus(V1/K2, t2 - t1)]. In
+    the exact grouping each branch solves the one-factor decay equation
+    backward from its terminal payoff (1 cleared, R_e breached). At
+    t = t1 this is the announcement-date factor that I21 + ... + I24
+    average over V1 on {V1 > K1}, exactly for CORRECTED and in the
+    printed grouping for PAPER_LITERAL.
     """
-    V1_arr = np.asarray(V1, dtype=float)
-    if np.any(V1_arr <= 0.0):
-        raise ValueError("f_factor requires V1 > 0")
-    delta = spec.t2 - spec.t1
-    decay = np.exp(-spec.intensity(V1_arr) * delta)
-    surv = survival_prob(firm, V1_arr, spec.K2, delta)
-    out = (spec.R_u + (1.0 - spec.R_u) * decay) * (
-        surv + spec.R_e * (1.0 - surv)
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def g_components(firm: FirmModel, spec: DefaultSpec, w):
-    """The four additive parts of the announcement-date factor.
-
-    ``w`` is the Brownian displacement at t1, so the declared value is
-    V1 = V0 exp[(mu - b - s_V^2/2) t1 + s_V w]. Returns
-    (g21, g22, g23, g24): recovery floor and jump-survival payout on
-    the maturity-survival branch, then the same pair on the
-    maturity-breach branch (both breach parts carry R_e).
-    """
-    w_arr = np.asarray(w, dtype=float)
-    delta = spec.t2 - spec.t1
-    V1 = firm.V0 * np.exp(firm.log_drift * spec.t1 + firm.s_V * w_arr)
-    decay = np.exp(-spec.intensity(V1) * delta)
-    if spec.K2 == 0.0:
-        n_up = np.ones_like(w_arr)
-    else:
-        n_up = ndtr(
-            (np.log(V1 / spec.K2) + firm.log_drift * delta)
-            / (firm.s_V * math.sqrt(delta))
-        )
-    n_dn = 1.0 - n_up
-    g21 = spec.R_u * n_up
-    g22 = (1.0 - spec.R_u) * decay * n_up
-    g23 = spec.R_u * spec.R_e * n_dn
-    g24 = spec.R_e * (1.0 - spec.R_u) * decay * n_dn
-    if np.ndim(w) == 0:
-        return float(g21), float(g22), float(g23), float(g24)
-    return g21, g22, g23, g24
+    decay = math.exp(-spec.intensity(V1) * (spec.t2 - t))
+    surv = survival_prob(firm, V1, spec.K2, spec.t2 - spec.t1)
+    floor, coefficient = conv.breach(spec.R_u, spec.R_e)
+    return ((spec.R_u + (1.0 - spec.R_u) * decay) * surv
+            + (floor + coefficient * decay) * (1.0 - surv))
 
 
 def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
@@ -331,25 +301,32 @@ def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
     return Alpha(alpha1=alpha1, alpha2=alpha2)
 
 
-def quadform_pair(t1: float, t2: float) -> tuple[QuadFormMatrix, QuadFormMatrix]:
-    """Inverse-scale matrices coupling the two announcement checks.
+def _barrier_probabilities(alpha1, alpha2, t1, t2, sign, n_surv1):
+    """The two bivariate probabilities of the decomposition; floats for
+    ``price_full``, arrays with one entry per term set for ``price_batch``.
 
-    Both have unit determinant and m22 = 1; the coupling entry is
-    +sqrt(t1/(t2-t1)) for the both-barriers-cleared probability and its
-    negative for the cleared-then-breached probability.
+    First the one I21 (and, for a constant intensity, I22) weights,
+    then the one of I23 (and I24). In the quadratic-form
+    parameterization they are N2(alpha1, alpha2 : M) and
+    N2(alpha1, -alpha2 : M') for the unit-determinant matrices
+    M+/- = [[t2 / (t2 - t1), +/-c], [+/-c, 1]], c = sqrt(t1 / (t2 - t1)):
+    CORRECTED pairs M- with M+, PAPER_LITERAL M+ with M-. N2(alpha1,
+    alpha2 : M) is the standard bivariate normal CDF at
+    (alpha1, alpha2 sqrt((t2 - t1) / t2)) with correlation
+    -s sqrt(t1/t2) for the orientation sign s. The two matrices differ
+    only in the sign of the coupling, so the pair sums to
+    N(alpha1) = ``n_surv1`` and the second is ``n_surv1`` minus the
+    first.
     """
-    delta = t2 - t1
-    c = math.sqrt(t1 / delta)
-    plus = QuadFormMatrix(m11=t2 / delta, m12=c, m22=1.0)
-    minus = QuadFormMatrix(m11=t2 / delta, m12=-c, m22=1.0)
-    return plus, minus
+    n_up = mathkit.bvn_cdf(alpha1, alpha2 * ((t2 - t1) / t2) ** 0.5,
+                           -sign * (t1 / t2) ** 0.5)
+    return n_up, n_surv1 - n_up
 
 
 def term_I21_I23(
     alphas: Alpha,
     spec: DefaultSpec,
     mode: PricingMode = PricingMode.CORRECTED,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[float, float]:
     """Bivariate-probability terms of the decomposition.
 
@@ -365,52 +342,12 @@ def term_I21_I23(
         I21 = R_u       * N2(alpha1,  alpha2 : M+)
         I23 = R_u * R_e * N2(alpha1, -alpha2 : M-).
 
-    Both probabilities are closed-form; ``quad`` is accepted for
-    compatibility and not used.
+    The I23 coefficient is the breach floor of the mode's convention.
     """
-    if spec.R_u == 0.0:
-        return 0.0, 0.0
+    conv = _CONVENTIONS[mode]
     probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                   mode, normal_cdf(alphas.alpha1))
-    return _i21_i23(spec.R_u, spec.R_e, mode, probs)
-
-
-# The helpers below hold the per-mode formulas of both routes. Their
-# numeric arguments are floats for ``price_full`` and arrays with one
-# entry per term set for ``price_batch``.
-
-
-def _i21_i23(R_u, R_e, mode: PricingMode, probs):
-    """``term_I21_I23`` from the ``_barrier_probabilities`` pair."""
-    coeff23 = R_u if mode is PricingMode.CORRECTED else R_u * R_e
-    return R_u * probs[0], coeff23 * probs[1]
-
-
-def _barrier_probabilities(alpha1, alpha2, t1, t2, mode: PricingMode, n_surv1):
-    """The two bivariate probabilities of the decomposition.
-
-    First the one I21 (and, for a constant intensity, I22) weights,
-    then the one of I23 (and I24); the modes pair them with opposite
-    coupling matrices of ``quadform_pair``. With unit determinant,
-    N2(alpha1, alpha2 : M) is the standard bivariate normal CDF at
-    (alpha1, alpha2 sqrt((t2 - t1) / t2)) with correlation
-    +sqrt(t1/t2) for the CORRECTED pairing and -sqrt(t1/t2) for the
-    PAPER_LITERAL one. The two matrices differ only in the sign of the
-    coupling, so the pair sums to N(alpha1) = ``n_surv1`` in either
-    mode and the second is ``n_surv1`` minus the first.
-    """
-    rho = (t1 / t2) ** 0.5
-    n_up = mathkit.bvn_cdf(alpha1, alpha2 * ((t2 - t1) / t2) ** 0.5,
-                           rho if mode is PricingMode.CORRECTED else -rho)
-    return n_up, n_surv1 - n_up
-
-
-def _i22_i24_coefficients(R_u, R_e, mode: PricingMode):
-    """Coefficients of the I22 and I24 tails."""
-    coeff22 = 1.0 - R_u
-    if mode is PricingMode.CORRECTED:
-        return coeff22, R_e - R_u
-    return coeff22, R_e * coeff22
+                                   conv.sign, normal_cdf(alphas.alpha1))
+    return spec.R_u * probs[0], conv.breach(spec.R_u, spec.R_e)[0] * probs[1]
 
 
 def _i22_i24_terms(coefficients, tails):
@@ -420,20 +357,23 @@ def _i22_i24_terms(coefficients, tails):
     return (coefficients[0] * tails[0] + 0.0, coefficients[1] * tails[1] + 0.0)
 
 
-def _tail_params(firm: FirmModel, spec: DefaultSpec, mode: PricingMode):
+def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
     """The parameters of ``_tail_rows`` after alpha2: delta = t2 - t1,
     the mean of ln V1, s s_V sqrt(t1) and s c."""
     delta = spec.t2 - spec.t1
-    s = -1.0 if mode is PricingMode.CORRECTED else 1.0
     return (delta, math.log(firm.V0) + firm.log_drift * spec.t1,
-            s * firm.s_V * math.sqrt(spec.t1), s * math.sqrt(spec.t1 / delta))
+            sign * firm.s_V * math.sqrt(spec.t1), sign * math.sqrt(spec.t1 / delta))
 
 
 def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
     and F(s x) minus it; parameters are floats, or arrays that broadcast
     against x."""
-    F = np.exp(-delta * intensity(np.exp(log_v1 + scale * x)))
+    # For a huge drift V1 overflows to inf at the far nodes; there the
+    # intensity is 0 and F = 1, which is the exact limit.
+    with np.errstate(over="ignore"):
+        v1 = np.exp(log_v1 + scale * x)
+    F = np.exp(-delta * intensity(v1))
     up = F * ndtr(alpha2 + sc * x)
     return np.array([up, F - up])
 
@@ -459,33 +399,36 @@ def term_I22_I24(
         I22 = (1 - R_u)       * int F(x) N( alpha2 + c x) phi(x) dx
         I24 = (1 - R_u) * R_e * int F(x) N(-alpha2 - c x) phi(x) dx
 
-    The modes differ only in the orientation sign s (-1 CORRECTED, +1
-    PAPER_LITERAL) of F(s x) N(alpha2 + s c x). One quadrature pass
-    evaluates both once per node and both integrals on shared panels,
-    the breach kernel taken as F(s x) - F(s x) N(alpha2 + s c x).
-    With a constant intensity F factors out of either integral, leaving
-    F times the bivariate probabilities of ``term_I21_I23``, which are
-    used with no quadrature. The kernel can have slope kinks for custom
-    intensities, which the adaptive panels absorb.
+    The kernels differ only in the orientation sign s (-1 CORRECTED, +1
+    PAPER_LITERAL) of F(s x) N(alpha2 + s c x), and the I24 coefficient
+    is the breach jump-survival coefficient of the mode's convention.
+    One quadrature pass evaluates both once per node and both integrals
+    on shared panels, the breach kernel taken as
+    F(s x) - F(s x) N(alpha2 + s c x). With a constant intensity F
+    factors out of either integral, leaving F times the bivariate
+    probabilities of ``term_I21_I23``, which are used with no
+    quadrature. The kernel can have slope kinks for custom intensities,
+    which the adaptive panels absorb.
     """
+    conv = _CONVENTIONS[mode]
     probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                   mode, normal_cdf(alphas.alpha1))
-    return _i22_i24(alphas, firm, spec, mode, quad, probs)
+                                   conv.sign, normal_cdf(alphas.alpha1))
+    return _i22_i24(alphas, firm, spec, conv, quad, probs)
 
 
 def _i22_i24(alphas: Alpha, firm: FirmModel, spec: DefaultSpec,
-             mode: PricingMode, quad: QuadratureSpec,
+             conv: _Convention, quad: QuadratureSpec,
              probs: tuple[float, float]) -> tuple[float, float]:
     """``term_I22_I24``; ``probs`` is the ``_barrier_probabilities`` pair,
     read only for a constant intensity."""
-    coefficients = _i22_i24_coefficients(spec.R_u, spec.R_e, mode)
+    coefficients = 1.0 - spec.R_u, conv.breach(spec.R_u, spec.R_e)[1]
     if coefficients == (0.0, 0.0):
         return 0.0, 0.0
     if spec.intensity.family == "constant":
         F = math.exp(-spec.intensity.lambda0 * (spec.t2 - spec.t1))
         tails = F * probs[0], F * probs[1]
     else:
-        params = _tail_params(firm, spec, mode)
+        params = _tail_params(firm, spec, conv.sign)
 
         def rows(x):
             return _tail_rows(x, spec.intensity, alphas.alpha2, *params)
@@ -497,35 +440,10 @@ def _i22_i24(alphas: Alpha, firm: FirmModel, spec: DefaultSpec,
 
 def expected_default_leg(inputs: PricingInputs,
                          mode: PricingMode = PricingMode.CORRECTED) -> float:
-    """First-barrier-breach leg of the pre-announcement price.
-
-    The breach value does not depend on V1, so in CORRECTED mode the
-    leg is that value times the breach probability N(-alpha1):
-
-        Z * [R_u + (R_e - R_u) e^{-lambda(V0)(t1-t)}] * N(-alpha1).
-
-    PAPER_LITERAL instead multiplies the jump-survival bracket by R_e:
-
-        Z * R_e * [R_u + (1 - R_u) e^{-lambda(V0)(t1-t)}] * N(-alpha1).
-    """
-    spec = inputs.spec
-    if not 0.0 <= inputs.t < spec.t1:
-        raise ValueError(
-            f"valuation time must lie in [0, {spec.t1}), got {inputs.t}"
-        )
-    alphas = compute_alphas(inputs.firm, spec)
-    z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    decay1 = math.exp(-spec.intensity(inputs.firm.V0) * (spec.t1 - inputs.t))
-    return _default_leg(spec.R_u, spec.R_e, mode, z, decay1,
-                        normal_cdf(-alphas.alpha1))
-
-
-def _default_leg(R_u, R_e, mode: PricingMode, z, decay1, n_breach):
-    """``expected_default_leg`` from the discount bond, the first-interval
-    jump survival exp(-lambda(V0)(t1 - t)) and N(-alpha1)."""
-    if mode is PricingMode.CORRECTED:
-        return z * (R_u + (R_e - R_u) * decay1) * n_breach
-    return z * R_e * (R_u + (1.0 - R_u) * decay1) * n_breach
+    """First-barrier-breach leg of the pre-announcement price,
+    Z * [floor + coefficient * e^{-lambda(V0)(t1-t)}] * N(-alpha1) with
+    the breach grouping of the mode (module docs)."""
+    return price_full(inputs, mode).terms.expected_default
 
 
 def price_full(
@@ -548,18 +466,20 @@ def price_full(
             f"price_full requires a valuation time in [0, {spec.t1}), "
             f"got {inputs.t}; value later times with price_last_interval"
         )
+    conv = _CONVENTIONS[mode]
+    floor, coefficient = conv.breach(spec.R_u, spec.R_e)
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
     decay1 = math.exp(-spec.intensity(inputs.firm.V0) * (spec.t1 - inputs.t))
     alphas = compute_alphas(inputs.firm, spec)
     n_surv1 = normal_cdf(alphas.alpha1)
 
     i1 = spec.R_u * z * (1.0 - decay1) * n_surv1
-    leg = _default_leg(spec.R_u, spec.R_e, mode, z, decay1, normal_cdf(-alphas.alpha1))
+    leg = z * (floor + coefficient * decay1) * normal_cdf(-alphas.alpha1)
     probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                   mode, n_surv1)
-    i21, i23 = _i21_i23(spec.R_u, spec.R_e, mode, probs)
+                                   conv.sign, n_surv1)
+    i21, i23 = spec.R_u * probs[0], floor * probs[1]
     try:
-        i22, i24 = _i22_i24(alphas, inputs.firm, spec, mode, quad, probs)
+        i22, i24 = _i22_i24(alphas, inputs.firm, spec, conv, quad, probs)
     except QuadratureConvergenceError as err:
         err.partial_terms = {"i1": i1, "expected_default": leg, "zcb": z}
         raise
@@ -583,7 +503,7 @@ def price_bond(
     if inputs.t < inputs.spec.t1:
         return price_full(inputs, mode, quad)
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    return PriceResult(price=_last_interval(inputs, inputs.V1, z), mode=mode,
+    return PriceResult(price=_last_interval(inputs, z), mode=mode,
                        terms=None, zcb=z)
 
 
@@ -622,7 +542,7 @@ def price_batch(
             batched.append(i)
             term_set.append(keys.setdefault((x.firm, x.spec, x.t), len(keys)))
     if batched:
-        terms = _term_sets(list(keys), mode, quad)
+        terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
         g = np.array(term_set)
         z = _discount_bonds([inputs[i] for i in batched])
         i1 = z * terms.i1[g]
@@ -661,7 +581,7 @@ class _TermSets(NamedTuple):
     failed: np.ndarray
 
 
-def _term_sets(keys: list[tuple], mode: PricingMode,
+def _term_sets(keys: list[tuple], conv: _Convention,
                quad: QuadratureSpec) -> _TermSets:
     """The terms of ``price_full`` but Z for each (firm, spec, t) key,
     t < t1, of a built-in intensity.
@@ -681,9 +601,10 @@ def _term_sets(keys: list[tuple], mode: PricingMode,
 
     decay1 = np.exp(-lam0 * (t1 - t))
     n_surv1 = ndtr(a1)
-    probs = _barrier_probabilities(a1, a2, t1, t2, mode, n_surv1)
-    i21, i23 = _i21_i23(R_u, R_e, mode, probs)
-    coefficients = _i22_i24_coefficients(R_u, R_e, mode)
+    floor, coefficient = conv.breach(R_u, R_e)
+    probs = _barrier_probabilities(a1, a2, t1, t2, conv.sign, n_surv1)
+    i21, i23 = R_u * probs[0], floor * probs[1]
+    coefficients = 1.0 - R_u, coefficient
     # lam0 is lambda0 for a constant intensity.
     tails = np.where(constant, np.exp(-lam0 * (t2 - t1)), 0.0) * np.stack(probs)
     failed = np.zeros(len(keys), dtype=bool)
@@ -692,7 +613,8 @@ def _term_sets(keys: list[tuple], mode: PricingMode,
     if len(q):
         # Every non-constant intensity here is log-reciprocal.
         intensity = keys[q[0]][1].intensity
-        params = np.array([(a2[j], *_tail_params(*keys[j][:2], mode)) for j in q]).T
+        params = np.array([(a2[j], *_tail_params(*keys[j][:2], conv.sign))
+                           for j in q]).T
 
         def kernels(nodes):
             return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in params))
@@ -705,7 +627,7 @@ def _term_sets(keys: list[tuple], mode: PricingMode,
     i22, i24 = _i22_i24_terms(coefficients, tails)
     return _TermSets(
         i1=R_u * (1.0 - decay1) * n_surv1, i21=i21, i22=i22, i23=i23, i24=i24,
-        leg=_default_leg(R_u, R_e, mode, 1.0, decay1, ndtr(-a1)), decay1=decay1,
+        leg=(floor + coefficient * decay1) * ndtr(-a1), decay1=decay1,
         failed=failed)
 
 
@@ -743,4 +665,6 @@ def _spread(result: PriceResult, horizon: float) -> float:
     """``credit_spread`` of a priced result over ``horizon`` = t2 - t."""
     if result.price <= 0.0:
         return math.inf
-    return max(-math.log(result.price / result.zcb) / horizon, 0.0)
+    spread = -math.log(result.price / result.zcb) / horizon
+    # Not max(spread, 0.0), which keeps the -0.0 of a par price.
+    return spread if spread > 0.0 else 0.0

@@ -228,15 +228,6 @@ def _time_error(model: ShortRateModel, t) -> ValueError:
     return ValueError(f"time must lie in [0, {model.maturity}], got {t!r}")
 
 
-def _scalar_AB(model: ShortRateModel, t: float) -> tuple[float, float]:
-    if not 0.0 <= t <= model.maturity:
-        raise _time_error(model, t)
-    tab = model._table
-    j = min(bisect.bisect_right(tab.edges, t), len(tab.a2)) - 1
-    return _segment_AB(tab.level[j], tab.a2[j], tab.s_r[j], tab.edges[j + 1] - t,
-                       tab.b_edges[j + 1], tab.a_edges[j + 1])
-
-
 def _ramp(a2, tau):
     """Elementwise ``_ramp1``."""
     x = a2 * tau
@@ -262,15 +253,31 @@ def _A_constant(level, a2, s_r, tau, b):
     return np.where(small, series, exact)
 
 
-def _locate(model: ShortRateModel, t):
-    """Segment table, segment index and distance to its right edge, per time."""
+def _AB(model: ShortRateModel, t):
+    """(A(t), B(t)): floats for a float time, else arrays from one
+    segment lookup."""
+    tab = model._table
+    if _is_scalar(t):
+        if not 0.0 <= t <= model.maturity:
+            raise _time_error(model, t)
+        j = min(bisect.bisect_right(tab.edges, t), len(tab.a2)) - 1
+        return _segment_AB(tab.level[j], tab.a2[j], tab.s_r[j], tab.edges[j + 1] - t,
+                           tab.b_edges[j + 1], tab.a_edges[j + 1])
     t = np.asarray(t, dtype=float)
     if np.any(np.isnan(t)) or np.any(t < 0.0) or np.any(t > model.maturity):
         raise _time_error(model, t)
-    tab = model._table
     edges = np.asarray(tab.edges)
     j = np.minimum(np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
-    return tab, j, edges[j + 1] - t
+    tau = edges[j + 1] - t
+    level = np.asarray(tab.level)[j]
+    a2 = np.asarray(tab.a2)[j]
+    s_r = np.asarray(tab.s_r)[j]
+    beta = np.asarray(tab.b_edges)[j + 1]
+    ramp = _ramp(a2, tau)
+    a = np.asarray(tab.a_edges)[j + 1] + _A_constant(level, a2, s_r, tau, ramp) \
+        - level * beta * ramp \
+        + 0.5 * s_r**2 * (beta * beta * _ramp(2.0 * a2, tau) + beta * ramp * ramp)
+    return a, beta * np.exp(-a2 * tau) + ramp
 
 
 def _out(x):
@@ -283,11 +290,7 @@ def coeff_B(model: ShortRateModel, t):
     Closed form per constant-coefficient segment; B(T) = 0 and B >= 0.
     Scalar in, scalar out; arrays are mapped elementwise.
     """
-    if _is_scalar(t):
-        return _scalar_AB(model, t)[1]
-    tab, j, tau = _locate(model, t)
-    a2 = np.asarray(tab.a2)[j]
-    return _out(np.asarray(tab.b_edges)[j + 1] * np.exp(-a2 * tau) + _ramp(a2, tau))
+    return _out(_AB(model, t)[1])
 
 
 def coeff_A(model: ShortRateModel, t):
@@ -296,25 +299,12 @@ def coeff_A(model: ShortRateModel, t):
     Closed form per constant-coefficient segment (module docs), with A
     at the segment edges cached on the model.
     """
-    if _is_scalar(t):
-        return _scalar_AB(model, t)[0]
-    tab, j, tau = _locate(model, t)
-    level = np.asarray(tab.level)[j]
-    a2 = np.asarray(tab.a2)[j]
-    s_r = np.asarray(tab.s_r)[j]
-    beta = np.asarray(tab.b_edges)[j + 1]
-    ramp = _ramp(a2, tau)
-    out = np.asarray(tab.a_edges)[j + 1] + _A_constant(level, a2, s_r, tau, ramp) \
-        - level * beta * ramp \
-        + 0.5 * s_r**2 * (beta * beta * _ramp(2.0 * a2, tau) + beta * ramp * ramp)
-    return _out(out)
+    return _out(_AB(model, t)[0])
 
 
 def zcb_price(model: ShortRateModel, r, t):
     """Discount bond price Z(r, t) = exp(A(t) - B(t) * r); Z(r, T) = 1."""
+    a, b = _AB(model, t)
     if _is_scalar(t) and _is_scalar(r):
-        a, b = _scalar_AB(model, t)
         return math.exp(a - b * r)
-    out = np.exp(np.asarray(coeff_A(model, t)) - np.asarray(coeff_B(model, t))
-                 * np.asarray(r, dtype=float))
-    return _out(out)
+    return _out(np.exp(a - b * np.asarray(r, dtype=float)))

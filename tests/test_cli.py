@@ -154,6 +154,16 @@ class TestPriceCommand:
         fields = row.split(",")
         assert float(fields[2]) == pytest.approx(float(fields[3]), abs=1e-12)
 
+    def test_par_scenario_spread_prints_zero(self, tmp_path, capsys):
+        # -ln(price / Z) is -0.0 at par, which must not print as "-0".
+        path = tmp_path / "par.yaml"
+        path.write_text(PAR_YAML)
+        out = tmp_path / "row.csv"
+        assert main(["price", str(path), "--csv", str(out)]) == 0
+        assert "  spread  0\n" in capsys.readouterr().out
+        _, row = out.read_text().strip().splitlines()
+        assert row.split(",")[4] == "0"
+
     def test_zero_price_has_infinite_spread(self, tmp_path, capsys):
         # The first barrier is breached for certain and nothing is recovered.
         path = tmp_path / "zero.yaml"
@@ -264,6 +274,15 @@ class TestSweepCommand:
         spread_col = lines[0].split(",").index("spread")
         spreads = [float(line.split(",")[spread_col]) for line in lines[1:]]
         assert math.isfinite(spreads[0]) and spreads[1] == math.inf
+
+    def test_par_scenario_spread_prints_zero(self, tmp_path, capsys):
+        path = tmp_path / "par.yaml"
+        path.write_text(PAR_YAML)
+        assert main(["sweep", str(path), "--axis", "r0",
+                     "--grid", "0.01,0.05"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        spread_col = lines[0].split(",").index("spread")
+        assert [line.split(",")[spread_col] for line in lines[1:]] == ["0", "0"]
 
     def test_empty_grid_exits_2(self, p0_file):
         assert main(["sweep", p0_file, "--axis", "V0", "--grid", ""]) == 2

@@ -10,7 +10,6 @@ from dvbond.defaultmodel import (
     FirmModel,
     IntensityFunction,
     d_minus,
-    firm_value_step,
     survival_prob,
 )
 
@@ -63,44 +62,6 @@ class TestIntensity:
             IntensityFunction.constant(-0.1)
 
 
-class TestFirmValueStep:
-    def test_drift_cancellation(self):
-        assert firm_value_step(BALANCED, 100.0, 0.5, 0.0) == pytest.approx(
-            100.0, rel=1e-15)
-
-    def test_deterministic_growth_limit(self):
-        nearly_flat = FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=1e-12)
-        got = firm_value_step(nearly_flat, 100.0, 0.5, 3.0)
-        assert got == pytest.approx(100.0 * math.exp(0.02 * 0.5), rel=1e-9)
-
-    def test_lognormal_map(self):
-        # exponent (mu - b - s^2/2) dt + s sqrt(dt) z = 0 + 0.2 sqrt(0.5)
-        got = firm_value_step(BALANCED, 100.0, 0.5, 1.0)
-        assert got == pytest.approx(100.0 * math.exp(0.2 * math.sqrt(0.5)),
-                                    rel=1e-14)
-        assert got == pytest.approx(115.191, abs=1e-3)
-
-    def test_substeps_match_single_step_distribution(self):
-        rng = np.random.default_rng(99)
-        n = 1_000_000
-        one = np.log(firm_value_step(FIRM, 100.0, 1.0, rng.standard_normal(n)))
-        v = np.full(n, 100.0)
-        for _ in range(4):
-            v = firm_value_step(FIRM, v, 0.25, rng.standard_normal(n))
-        sub = np.log(v)
-        se_mean = sub.std(ddof=1) / math.sqrt(n)
-        assert one.mean() == pytest.approx(sub.mean(), abs=3 * math.sqrt(2) * se_mean)
-        se_var = sub.var(ddof=1) * math.sqrt(2.0 / n)
-        assert one.var(ddof=1) == pytest.approx(sub.var(ddof=1),
-                                                abs=3 * math.sqrt(2) * se_var)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            firm_value_step(FIRM, -1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            firm_value_step(FIRM, 100.0, 0.0, 0.0)
-
-
 class TestDMinus:
     def test_vanishing_numerator(self):
         assert d_minus(1.0, BALANCED, 0.7) == 0.0
@@ -132,7 +93,8 @@ class TestSurvivalProb:
     def test_frequency_oracle(self):
         rng = np.random.default_rng(123)
         n = 1_000_000
-        endpoints = firm_value_step(FIRM, 100.0, 0.5, rng.standard_normal(n))
+        endpoints = 100.0 * np.exp(FIRM.log_drift * 0.5 + FIRM.s_V * math.sqrt(0.5)
+                                   * rng.standard_normal(n))
         freq = float(np.mean(endpoints > 80.0))
         se = math.sqrt(freq * (1 - freq) / n)
         assert survival_prob(FIRM, 100.0, 80.0, 0.5) == pytest.approx(

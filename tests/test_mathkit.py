@@ -272,9 +272,6 @@ class TestIntegrateLeftTail:
             integrate_left_tail(lambda x: x, math.nan)
         with pytest.raises(ValueError):
             integrate_left_tail(lambda nodes: nodes.x, np.array([0.0, math.nan]))
-        spec = QuadratureSpec(lower=1.0)
-        with pytest.raises(ValueError):
-            integrate_left_tail(lambda x: x, 0.0, spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

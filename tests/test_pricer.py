@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,25 +19,21 @@ from dvbond import (
     compute_alphas,
     credit_spread,
     expected_default_leg,
-    f_factor,
-    g_components,
-    interval_factor_u1,
     price_bond,
     price_full,
     price_last_interval,
     simulate_price,
-    term_I21_I23,
-    term_I22_I24,
     zcb_price,
 )
 from dvbond import PiecewiseConstant, ShortRateModel, mathkit, pricer
 from dvbond.mathkit import (
+    QuadFormMatrix,
     bivariate_cdf_bruteforce,
     bivariate_cdf_quadform,
     integrate_left_tail,
     normal_cdf,
 )
-from dvbond.pricer import price_batch, quadform_pair
+from dvbond.pricer import price_batch, term_I21_I23, term_I22_I24
 
 from conftest import make_inputs
 from test_acceptance import random_scenario
@@ -56,30 +53,57 @@ def last_interval_factor(spec, firm, V1, t):
         + (spec.R_u + (spec.R_e - spec.R_u) * decay) * (1 - surv)
 
 
+def quadform_pair(t1, t2):
+    """Unit-determinant inverse-scale matrices coupling the two
+    announcement checks, coupling +sqrt(t1/(t2-t1)) and its negative."""
+    delta = t2 - t1
+    c = math.sqrt(t1 / delta)
+    return (QuadFormMatrix(m11=t2 / delta, m12=c, m22=1.0),
+            QuadFormMatrix(m11=t2 / delta, m12=-c, m22=1.0))
+
+
+def announcement_factor(mode, firm, spec, V1):
+    """The pricer's value factor at t1 given V1, in the grouping of ``mode``."""
+    return pricer._interval_factor(pricer._CONVENTIONS[mode], firm, spec, V1, spec.t1)
+
+
 class TestIntervalFactor:
+    # The last-interval value factor of the exact (corrected) grouping.
+    # K2 = 0 clears the maturity barrier for certain, K2 = 1e9 breaches it.
+
+    @staticmethod
+    def factor(spec, t, lam):
+        spec = dataclasses.replace(spec, intensity=IntensityFunction.constant(lam))
+        firm = FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=0.2)
+        return pricer._interval_factor(pricer._CORRECTED, firm, spec, 100.0, t)
+
     def test_no_intensity_survived(self, p0_spec):
-        assert interval_factor_u1(p0_spec, 0.0, 0.7, True) == 1.0
+        cleared = dataclasses.replace(p0_spec, K2=0.0)
+        assert self.factor(cleared, 0.7, 0.0) == 1.0
 
     def test_against_backward_ode(self):
         # du/dt = lam*u - lam*R_u backward from u(t2) = 1.
         from scipy.integrate import solve_ivp
-        spec = DefaultSpec(t1=0.0001, t2=1.0001, K1=1.0, K2=1.0,
+        spec = DefaultSpec(t1=0.0001, t2=1.0001, K1=1.0, K2=0.0,
                            R_u=0.4, R_e=0.3)
         sol = solve_ivp(lambda t, u: 0.1 * u - 0.1 * 0.4, (1.0001, 0.0001),
                         [1.0], rtol=1e-12, atol=1e-14)
-        got = interval_factor_u1(spec, 0.1, 0.0001, True)
+        got = self.factor(spec, 0.0001, 0.1)
         assert got == pytest.approx(float(sol.y[0, -1]), abs=1e-10)
         assert got == pytest.approx(0.4 + 0.6 * math.exp(-0.1), abs=1e-14)
 
     def test_terminal_values(self, p0_spec):
-        assert interval_factor_u1(p0_spec, 0.3, p0_spec.t2, True) == 1.0
-        assert interval_factor_u1(p0_spec, 0.3, p0_spec.t2, False) == p0_spec.R_e
+        cleared = dataclasses.replace(p0_spec, K2=0.0)
+        breached = dataclasses.replace(p0_spec, K2=1e9)
+        assert self.factor(cleared, p0_spec.t2, 0.3) == 1.0
+        assert self.factor(breached, p0_spec.t2, 0.3) == p0_spec.R_e
 
-    def test_domain(self, p0_spec):
+    def test_domain(self, p0_rate, p0_firm, p0_spec):
+        # The last-interval price exists only from t1 on.
+        early = PricingInputs(rate_model=p0_rate, firm=p0_firm, spec=p0_spec,
+                              r=0.05, t=0.2, V1=100.0)
         with pytest.raises(ValueError):
-            interval_factor_u1(p0_spec, -0.1, 0.7, True)
-        with pytest.raises(ValueError):
-            interval_factor_u1(p0_spec, 0.1, 0.2, True)
+            price_last_interval(early)
 
 
 class TestPriceLastInterval:
@@ -110,41 +134,33 @@ class TestPriceLastInterval:
 class TestFFactor:
     def test_full_recovery(self, p0_firm):
         spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=1.0, R_e=1.0)
-        assert f_factor(p0_firm, spec, 123.0) == pytest.approx(1.0, abs=1e-15)
+        for mode in PricingMode:
+            assert announcement_factor(mode, p0_firm, spec, 123.0) == \
+                pytest.approx(1.0, abs=1e-15)
 
     def test_no_barrier_constant_intensity(self, p0_firm):
         spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=0.0, R_u=0.4, R_e=0.3,
                            intensity=IntensityFunction.constant(0.2))
         want = 0.4 + 0.6 * math.exp(-0.2 * 0.5)
-        assert f_factor(p0_firm, spec, 50.0) == pytest.approx(want, rel=1e-14)
+        for mode in PricingMode:
+            assert announcement_factor(mode, p0_firm, spec, 50.0) == \
+                pytest.approx(want, rel=1e-14)
 
     def test_equals_component_sum(self, p0_firm, p0_spec):
+        # The printed factor is the sum of its four displayed parts:
+        # floor and jump-survival payout on the maturity-survival branch,
+        # then the same pair, both carrying R_e, on the breach branch.
+        R_u, R_e = p0_spec.R_u, p0_spec.R_e
+        delta = p0_spec.t2 - p0_spec.t1
         for w in (-2.0, -0.5, 0.0, 0.3, 1.7):
             V1 = p0_firm.V0 * math.exp(p0_firm.log_drift * 0.5 + 0.2 * w)
-            assert f_factor(p0_firm, p0_spec, V1) == pytest.approx(
-                sum(g_components(p0_firm, p0_spec, w)), abs=1e-14)
-
-
-class TestGComponents:
-    def test_full_unexpected_recovery_kills_jump_terms(self, p0_firm):
-        spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=1.0, R_e=0.3)
-        _, g22, _, g24 = g_components(p0_firm, spec, 0.4)
-        assert g22 == 0.0 and g24 == 0.0
-
-    def test_zero_expected_recovery_kills_breach_terms(self, p0_firm):
-        spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=0.4, R_e=0.0)
-        _, _, g23, g24 = g_components(p0_firm, spec, 0.4)
-        assert g23 == 0.0 and g24 == 0.0
-
-    def test_floor_identity(self, p0_firm, p0_spec):
-        delta = p0_spec.t2 - p0_spec.t1
-        a2 = compute_alphas(p0_firm, p0_spec).alpha2
-        for w in (-1.5, 0.0, 0.8):
-            g21, _, g23, _ = g_components(p0_firm, p0_spec, w)
-            arg = a2 + w / math.sqrt(delta)
-            want = p0_spec.R_u * (normal_cdf(arg)
-                                  + p0_spec.R_e * normal_cdf(-arg))
-            assert g21 + g23 == pytest.approx(want, abs=1e-14)
+            decay = math.exp(-p0_spec.intensity(V1) * delta)
+            n_up = normal_cdf((math.log(V1 / p0_spec.K2) + p0_firm.log_drift * delta)
+                              / (p0_firm.s_V * math.sqrt(delta)))
+            parts = (R_u * n_up, (1 - R_u) * decay * n_up,
+                     R_u * R_e * (1 - n_up), R_e * (1 - R_u) * decay * (1 - n_up))
+            got = announcement_factor(PricingMode.PAPER_LITERAL, p0_firm, p0_spec, V1)
+            assert got == pytest.approx(sum(parts), abs=1e-14)
 
 
 class TestComputeAlphas:
@@ -222,7 +238,8 @@ class TestTermI21I23:
             for mode, m in ((PricingMode.CORRECTED, minus),
                             (PricingMode.PAPER_LITERAL, plus)):
                 n_up, _ = pricer._barrier_probabilities(
-                    a.alpha1, a.alpha2, spec.t1, spec.t2, mode, normal_cdf(a.alpha1))
+                    a.alpha1, a.alpha2, spec.t1, spec.t2, pricer._CONVENTIONS[mode].sign,
+                    normal_cdf(a.alpha1))
                 want = bivariate_cdf_quadform(a.alpha1, a.alpha2, m)
                 worst = max(worst, abs(n_up - want))
         assert worst <= 1e-15
@@ -407,7 +424,7 @@ class TestPriceFull:
         def factor_at(x, mode):
             v = firm.V0 * np.exp(firm.log_drift * spec.t1 + scale * x)
             if mode is PricingMode.PAPER_LITERAL:
-                return f_factor(firm, spec, v)
+                return np.array([announcement_factor(mode, firm, spec, vi) for vi in v])
             return last_interval_factor(spec, firm, v, spec.t1)
 
         for mode in PricingMode:
@@ -476,10 +493,27 @@ class TestPriceBondRouting:
         assert price_bond(p0_inputs).price == price_full(p0_inputs).price
 
 
+class TestHugeDrift:
+    def test_overflow_is_silent_and_exact(self):
+        # With mu = 1e6 the declared value overflows to inf at the far
+        # quadrature nodes, where lambda = 0 and F = 1 are the exact limit.
+        inputs = make_inputs(firm=dict(mu=1e6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in PricingMode:
+                got = price_full(inputs, mode).price
+                assert price_batch([inputs], mode)[0].price == \
+                    pytest.approx(got, abs=1e-15)
+            assert price_full(inputs).price == pytest.approx(0.948410604176158,
+                                                             abs=1e-15)
+
+
 class TestCreditSpread:
     def test_zero_for_par(self):
         inputs = make_inputs(default=dict(R_u=1.0, R_e=1.0))
         assert credit_spread(inputs) == 0.0
+        # -ln(price / Z) is -0.0 at par; the floor returns +0.0.
+        assert math.copysign(1.0, credit_spread(inputs)) == 1.0
 
     def test_pure_hazard_rate(self):
         inputs = make_inputs(default=dict(K1=0.0, K2=0.0, R_u=0.0, R_e=0.3),
