@@ -103,10 +103,13 @@ def _price_row(scenario: Scenario, result: PriceResult) -> list[str]:
 
 
 def _write_csv(path: str, header: tuple, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as err:
+        raise SystemExit(_fail(2, f"--csv {path}: {err.strerror or err}"))
 
 
 def _priced_scenario(scenario: Scenario, mode: PricingMode,

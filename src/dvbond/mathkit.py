@@ -21,9 +21,8 @@ Provides three building blocks:
    rho, by the Drezner-Wesolowsky/Genz method (Genz 2004, Statistics
    and Computing 14:251-260): a 6-, 12- or 20-point Gauss-Legendre
    rule by |rho|, and an asymptotic expansion for |rho| >= 0.925;
-   absolute error ~1e-15. Floats take a scalar path in ``math``;
-   arrays are evaluated elementwise with numpy, the split
-   ``ratecurve.zcb_price`` makes. ``bivariate_cdf_quadform`` evaluates
+   absolute error ~1e-15. It takes floats and computes in ``math``,
+   one call per price. ``bivariate_cdf_quadform`` evaluates
    it in the quadratic-form parameterization of the pricer, by a
    symmetric positive-definite inverse-scale matrix M:
 
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "GAUSSIAN_TAIL_CUTOFF",
@@ -74,8 +72,8 @@ class QuadratureConvergenceError(ArithmeticError):
     Carries the best available estimate and the error bound at the
     point of failure: floats for a 1-D integrand, length-k arrays for
     a k-row one. With an array of m upper bounds both gain a trailing
-    axis of length m, and ``failed`` marks the bounds that ran out;
-    the estimates of the others are converged.
+    axis of length m. ``failed`` marks the bounds that ran out (one
+    entry for a float bound); the estimates of the others are converged.
     """
 
     def __init__(self, message: str, estimate: float | np.ndarray,
@@ -297,8 +295,7 @@ def integrate_left_tail(
     bound), so every row meets the tolerance. A bound whose bisection
     would exceed ``max_nodes`` stops there; once the others have
     converged, QuadratureConvergenceError is raised with the best
-    estimate and bound of each row (and, for several bounds, a mask
-    of the failed ones).
+    estimate and bound of each row and a mask of the failed bounds.
     """
     one = isinstance(upper, (int, float))
     his = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -359,8 +356,7 @@ def integrate_left_tail(
             f"{failed.sum()} of {m} bounds (error bound "
             f"{np.max(bound[..., failed]):.3e}, target {spec.abs_tol:.3e})")
         if one:
-            raise QuadratureConvergenceError(
-                message, _per_row(estimate[..., 0]), _per_row(bound[..., 0]))
+            estimate, bound = _per_row(estimate[..., 0]), _per_row(bound[..., 0])
         raise QuadratureConvergenceError(message, estimate, bound, failed)
     return _per_row(estimate[..., 0]) if one else estimate
 
@@ -372,7 +368,7 @@ _BVN_RULES = {
 }
 
 
-def bvn_cdf(h, k, rho):
+def bvn_cdf(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard normals with correlation rho.
 
     Genz's algorithm on the upper orthant at (-h, -k). For |rho| <
@@ -381,13 +377,8 @@ def bvn_cdf(h, k, rho):
     0.925 on it integrates the Drezner-Wesolowsky asymptotic series
     in sqrt(1 - rho^2). Either bound may be +/-inf; |rho| <= 1.
 
-    Three numbers take a scalar path in ``math`` and return a float;
-    arrays broadcast against each other and are evaluated elementwise
-    with numpy, by the same rules and in the same order of operations.
+    Floats only, evaluated in ``math``.
     """
-    if not (isinstance(h, (int, float)) and isinstance(k, (int, float))
-            and isinstance(rho, (int, float))):
-        return _bvn_cdf_array(h, k, rho)
     if math.isnan(h) or math.isnan(k) or math.isnan(rho):
         raise ValueError("bvn_cdf: NaN argument")
     if not -1.0 <= rho <= 1.0:
@@ -448,81 +439,6 @@ def bvn_cdf(h, k, rho):
             else normal_cdf(-h) - normal_cdf(-k)
         p = between - p
     return min(max(p, 0.0), 1.0)
-
-
-def _bvn_cdf_array(h, k, rho) -> np.ndarray:
-    """Elementwise ``bvn_cdf``."""
-    h, k, rho = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (h, k, rho)))
-    if np.isnan(h).any() or np.isnan(k).any() or np.isnan(rho).any():
-        raise ValueError("bvn_cdf: NaN argument")
-    if (np.abs(rho) > 1.0).any():
-        raise ValueError("bvn_cdf: correlation must lie in [-1, 1]")
-    p = np.zeros(h.shape)
-    empty = (h == -np.inf) | (k == -np.inf)
-    h_inf = (h == np.inf) & ~empty
-    k_inf = (k == np.inf) & ~empty & ~h_inf
-    p[h_inf] = ndtr(k[h_inf])
-    p[k_inf] = ndtr(h[k_inf])
-    finite = ~(empty | h_inf | k_inf)
-    h, k, rho = -h[finite], -k[finite], rho[finite]
-    r = np.abs(rho)
-    out = np.empty(h.shape)
-    for n, r_lo, r_hi in ((6, 0.0, 0.3), (12, 0.3, 0.75), (20, 0.75, 0.925)):
-        sel = (r >= r_lo) & (r < r_hi)
-        if sel.any():
-            out[sel] = _bvn_plackett(h[sel], k[sel], rho[sel], _BVN_RULES[n])
-    sel = r >= 0.925
-    if sel.any():
-        out[sel] = _bvn_asymptotic(h[sel], k[sel], rho[sel], _BVN_RULES[20])
-    p[finite] = np.clip(out, 0.0, 1.0)
-    return p
-
-
-def _bvn_plackett(h, k, rho, rule):
-    """Upper-orthant probability at (h, k) for |rho| < 0.925, elementwise."""
-    hk = h * k
-    hs = 0.5 * (h * h + k * k)
-    asr = np.arcsin(rho)
-    total = 0.0
-    for x, w in rule:
-        sn = np.sin(0.5 * asr * (1.0 + x))
-        total = total + w * np.exp((sn * hk - hs) / (1.0 - sn * sn))
-    return total * asr / (4.0 * math.pi) + ndtr(-h) * ndtr(-k)
-
-
-def _bvn_asymptotic(h, k, rho, rule):
-    """Upper-orthant probability at (h, k) for |rho| >= 0.925, elementwise.
-
-    The branches of the scalar path become masks; entries with
-    |rho| = 1 keep only the closing normal-CDF terms, as there.
-    """
-    k = np.where(rho < 0.0, -k, k)
-    hk = h * k
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        as_ = (1.0 - rho) * (1.0 + rho)
-        a = np.sqrt(as_)
-        bs = (h - k) ** 2
-        c = (4.0 - hk) / 8.0
-        d = (12.0 - hk) / 16.0
-        expo = -0.5 * (bs / as_ + hk)
-        p = np.where(expo > -100.0, a * np.exp(expo) * (
-            1.0 - c * (bs - as_) * (1.0 - d * bs / 5.0) / 3.0
-            + c * d * as_ * as_ / 5.0), 0.0)
-        b = np.sqrt(bs)
-        p = p - np.where(hk > -100.0, np.exp(-0.5 * hk) * _SQRT_2PI * ndtr(-b / a) * b
-                         * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0)
-        a = a * 0.5
-        for x, w in rule:
-            xs = (a * (1.0 + x)) ** 2
-            rs = np.sqrt(1.0 - xs)
-            expo = -0.5 * (bs / xs + hk)
-            sp = 1.0 + c * xs * (1.0 + d * xs)
-            ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-            p = p + np.where(expo > -100.0, a * w * np.exp(expo) * (ep - sp), 0.0)
-        p = np.where(np.abs(rho) < 1.0, -p / (2.0 * math.pi), 0.0)
-        between = np.where(h < 0.0, ndtr(k) - ndtr(h), ndtr(-h) - ndtr(-k))
-    return np.where(rho > 0.0, p + ndtr(-np.maximum(h, k)),
-                    np.where(h >= k, -p, between - p))
 
 
 def bivariate_cdf_quadform(

@@ -34,11 +34,12 @@ With a constant intensity F is the constant exp(-lambda0 (t2 - t1)),
 and they are F times the same two probabilities as I21 and I23;
 ``price_full`` computes those once.
 
-``price_bond`` prices one valuation; ``price_batch`` prices many with
-the same formulas evaluated on arrays. Every term but Z depends only
-on (firm, spec, t) and the price is linear in Z, so it computes each
-distinct term set once, evaluates the bivariate CDFs elementwise and
-integrates the I22/I24 tails of all term sets in one quadrature pass.
+``price_bond`` prices one valuation; ``price_batch`` prices many. Every
+term but Z depends only on (firm, spec, t) and the price is linear in
+Z, so one function, ``_term_sets``, computes the terms per unit Z of
+each distinct (firm, spec, t): scalar ``math`` per term set, except
+for one quadrature pass over the I22/I24 tails of all of them.
+``price_full`` is that function on one term set times Z.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -130,8 +131,8 @@ class _Convention:
 
     ``sign`` is the orientation s: the first-interval kernels are
     F(s x) N(alpha2 + s c x) and the bivariate correlation is
-    -s sqrt(t1/t2). ``breach`` maps (R_u, R_e), floats or arrays, to
-    the (floor, jump-survival coefficient) of a barrier-breach branch.
+    -s sqrt(t1/t2). ``breach`` maps (R_u, R_e) to the (floor,
+    jump-survival coefficient) of a barrier-breach branch.
     """
 
     sign: float
@@ -301,9 +302,9 @@ def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
     return Alpha(alpha1=alpha1, alpha2=alpha2)
 
 
-def _barrier_probabilities(alpha1, alpha2, t1, t2, sign, n_surv1):
-    """The two bivariate probabilities of the decomposition; floats for
-    ``price_full``, arrays with one entry per term set for ``price_batch``.
+def _barrier_probabilities(alpha1: float, alpha2: float, t1: float, t2: float,
+                           sign: float, n_surv1: float) -> tuple[float, float]:
+    """The two bivariate probabilities of the decomposition.
 
     First the one I21 (and, for a constant intensity, I22) weights,
     then the one of I23 (and I24). In the quadratic-form
@@ -324,7 +325,7 @@ def _barrier_probabilities(alpha1, alpha2, t1, t2, sign, n_surv1):
 
 
 def term_I21_I23(
-    alphas: Alpha,
+    firm: FirmModel,
     spec: DefaultSpec,
     mode: PricingMode = PricingMode.CORRECTED,
 ) -> tuple[float, float]:
@@ -344,17 +345,8 @@ def term_I21_I23(
 
     The I23 coefficient is the breach floor of the mode's convention.
     """
-    conv = _CONVENTIONS[mode]
-    probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                   conv.sign, normal_cdf(alphas.alpha1))
-    return spec.R_u * probs[0], conv.breach(spec.R_u, spec.R_e)[0] * probs[1]
-
-
-def _i22_i24_terms(coefficients, tails):
-    """I22 and I24 from their coefficients and tails. Adding 0.0 turns
-    the -0.0 of a negative coefficient times an empty tail (alpha1 below
-    the cutoff, or no maturity barrier for I24) into 0.0."""
-    return (coefficients[0] * tails[0] + 0.0, coefficients[1] * tails[1] + 0.0)
+    terms = _term_sets([(firm, spec, 0.0)], _CONVENTIONS[mode], DEFAULT_QUADRATURE)[0]
+    return terms.i21, terms.i23
 
 
 def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
@@ -369,17 +361,22 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
     and F(s x) minus it; parameters are floats, or arrays that broadcast
     against x."""
-    # For a huge drift V1 overflows to inf at the far nodes; there the
-    # intensity is 0 and F = 1, which is the exact limit.
-    with np.errstate(over="ignore"):
+    # For a huge drift V1 overflows to inf at the far nodes, where the
+    # intensity is 0 and F = 1, the exact limit. For a huge negative one
+    # V1 underflows to 0 and the log-reciprocal ln(1 + 1/V1) to inf, so
+    # F = 0; there ln V1 < -709 and the exact F is below e^{-709 delta}.
+    # The log-reciprocal is evaluated here, as IntensityFunction rejects
+    # V1 = 0.
+    with np.errstate(over="ignore", divide="ignore"):
         v1 = np.exp(log_v1 + scale * x)
-    F = np.exp(-delta * intensity(v1))
+        lam = np.log1p(1.0 / v1) if intensity.family == "log_reciprocal" \
+            else intensity(v1)
+    F = np.exp(-delta * lam)
     up = F * ndtr(alpha2 + sc * x)
     return np.array([up, F - up])
 
 
 def term_I22_I24(
-    alphas: Alpha,
     firm: FirmModel,
     spec: DefaultSpec,
     mode: PricingMode = PricingMode.CORRECTED,
@@ -410,32 +407,98 @@ def term_I22_I24(
     quadrature. The kernel can have slope kinks for custom intensities,
     which the adaptive panels absorb.
     """
-    conv = _CONVENTIONS[mode]
-    probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                   conv.sign, normal_cdf(alphas.alpha1))
-    return _i22_i24(alphas, firm, spec, conv, quad, probs)
+    terms = _term_sets([(firm, spec, 0.0)], _CONVENTIONS[mode], quad)[0]
+    if terms.error is not None:
+        raise terms.error
+    return terms.i22, terms.i24
 
 
-def _i22_i24(alphas: Alpha, firm: FirmModel, spec: DefaultSpec,
-             conv: _Convention, quad: QuadratureSpec,
-             probs: tuple[float, float]) -> tuple[float, float]:
-    """``term_I22_I24``; ``probs`` is the ``_barrier_probabilities`` pair,
-    read only for a constant intensity."""
-    coefficients = 1.0 - spec.R_u, conv.breach(spec.R_u, spec.R_e)[1]
-    if coefficients == (0.0, 0.0):
-        return 0.0, 0.0
-    if spec.intensity.family == "constant":
-        F = math.exp(-spec.intensity.lambda0 * (spec.t2 - spec.t1))
-        tails = F * probs[0], F * probs[1]
-    else:
-        params = _tail_params(firm, spec, conv.sign)
+class _Terms(NamedTuple):
+    """The terms of one (firm, spec, t): ``TermBreakdown`` with ``i1``
+    and ``leg`` per unit Z, the first-interval jump survival
+    e^{-lambda(V0)(t1 - t)}, and the QuadratureConvergenceError of a
+    term set whose I22/I24 tails ran out of their node budget."""
 
-        def rows(x):
-            return _tail_rows(x, spec.intensity, alphas.alpha2, *params)
+    i1: float
+    i21: float
+    i22: float
+    i23: float
+    i24: float
+    leg: float
+    decay1: float
+    error: QuadratureConvergenceError | None = None
 
-        tails = integrate_left_tail(rows, alphas.alpha1, quad)
-    i22, i24 = _i22_i24_terms(coefficients, tails)
-    return float(i22), float(i24)
+
+def _term_sets(keys: list[tuple], conv: _Convention,
+               quad: QuadratureSpec) -> list[_Terms]:
+    """The terms of ``price_full`` per unit Z of each (firm, spec, t)
+    key, t < t1.
+
+    Each term set is scalar ``math`` but for the I22/I24 tails of a
+    non-constant intensity with a nonzero coefficient. The tails of all
+    keys take one ``integrate_left_tail`` call: over a float bound when
+    one key needs them (the cheaper loop, that of a single price), else
+    over the array of bounds, whose keys then share one intensity
+    (``price_batch`` prices custom intensities one by one). Each bound
+    keeps the panels of a call of its own, so the two differ only in
+    summation order. Adding 0.0 to I22 and I24 turns the -0.0 of a
+    negative coefficient times an empty tail (alpha1 below the cutoff,
+    or no maturity barrier for I24) into 0.0.
+    """
+    rows, tails = [], []
+    for firm, spec, t in keys:
+        alphas = compute_alphas(firm, spec)
+        decay1 = math.exp(-spec.intensity(firm.V0) * (spec.t1 - t))
+        n_surv1 = normal_cdf(alphas.alpha1)
+        floor, coefficient = conv.breach(spec.R_u, spec.R_e)
+        probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
+                                       conv.sign, n_surv1)
+        coefficients = 1.0 - spec.R_u, coefficient
+        i22 = i24 = 0.0
+        if spec.intensity.family == "constant":
+            F = math.exp(-spec.intensity.lambda0 * (spec.t2 - spec.t1))
+            i22 = coefficients[0] * F * probs[0] + 0.0
+            i24 = coefficients[1] * F * probs[1] + 0.0
+        elif coefficients != (0.0, 0.0):
+            tails.append((len(rows), coefficients, alphas.alpha1,
+                          (alphas.alpha2, *_tail_params(firm, spec, conv.sign))))
+        rows.append(_Terms(
+            i1=spec.R_u * (1.0 - decay1) * n_surv1, i21=spec.R_u * probs[0], i22=i22,
+            i23=floor * probs[1], i24=i24,
+            leg=(floor + coefficient * decay1) * normal_cdf(-alphas.alpha1),
+            decay1=decay1))
+    if tails:
+        index, pairs, bounds, params = zip(*tails)
+        intensity = keys[index[0]][1].intensity
+        if len(tails) == 1:
+            bound = bounds[0]
+
+            def kernel(x):
+                return _tail_rows(x, intensity, *params[0])
+        else:
+            bound = np.array(bounds)
+            columns = np.array(params).T
+
+            def kernel(nodes):
+                return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in columns))
+        errors = [None] * len(tails)
+        try:
+            estimate = integrate_left_tail(kernel, bound, quad)
+        except QuadratureConvergenceError as err:
+            estimate, errors = err.estimate, [err if bad else None for bad in err.failed]
+        for k, (c22, c24), (tail22, tail24), error in zip(
+                index, pairs, estimate.reshape(2, -1).T.tolist(), errors):
+            rows[k] = rows[k]._replace(i22=c22 * tail22 + 0.0, i24=c24 * tail24 + 0.0,
+                                       error=error)
+    return rows
+
+
+def _priced(terms: _Terms, z: float, mode: PricingMode) -> PriceResult:
+    """The ``PriceResult`` of a term set at the discount bond z."""
+    breakdown = TermBreakdown(z * terms.i1, terms.i21, terms.i22, terms.i23,
+                              terms.i24, z * terms.leg)
+    price = breakdown.i1 + z * terms.decay1 * breakdown.i2_total + breakdown.expected_default
+    return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z)
 
 
 def expected_default_leg(inputs: PricingInputs,
@@ -466,27 +529,13 @@ def price_full(
             f"price_full requires a valuation time in [0, {spec.t1}), "
             f"got {inputs.t}; value later times with price_last_interval"
         )
-    conv = _CONVENTIONS[mode]
-    floor, coefficient = conv.breach(spec.R_u, spec.R_e)
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    decay1 = math.exp(-spec.intensity(inputs.firm.V0) * (spec.t1 - inputs.t))
-    alphas = compute_alphas(inputs.firm, spec)
-    n_surv1 = normal_cdf(alphas.alpha1)
-
-    i1 = spec.R_u * z * (1.0 - decay1) * n_surv1
-    leg = z * (floor + coefficient * decay1) * normal_cdf(-alphas.alpha1)
-    probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                   conv.sign, n_surv1)
-    i21, i23 = spec.R_u * probs[0], floor * probs[1]
-    try:
-        i22, i24 = _i22_i24(alphas, inputs.firm, spec, conv, quad, probs)
-    except QuadratureConvergenceError as err:
-        err.partial_terms = {"i1": i1, "expected_default": leg, "zcb": z}
-        raise
-    terms = TermBreakdown(i1=i1, i21=i21, i22=i22, i23=i23, i24=i24,
-                          expected_default=leg)
-    price = i1 + z * decay1 * terms.i2_total + leg
-    return PriceResult(price=price, mode=mode, terms=terms, zcb=z)
+    terms = _term_sets([(inputs.firm, spec, inputs.t)], _CONVENTIONS[mode], quad)[0]
+    if terms.error is not None:
+        terms.error.partial_terms = {"i1": z * terms.i1,
+                                     "expected_default": z * terms.leg, "zcb": z}
+        raise terms.error
+    return _priced(terms, z, mode)
 
 
 def price_bond(
@@ -516,16 +565,13 @@ def price_batch(
 
     Equals ``[price_bond(x, mode, quad) for x in inputs]`` up to
     roundoff. Valuations at or after t1 and custom intensities are
-    priced by ``price_bond``. The others are priced together:
-
-    * every term but Z depends only on (firm, spec, t) and the price
-      is linear in Z, so the terms are computed once per distinct
-      (firm, spec, t) (a sweep over r0 or a rate coefficient shares one
-      set) and Z once per valuation, one ``zcb_price`` call per
-      distinct rate model;
-    * the term sets are computed as arrays: the bivariate CDF
-      elementwise and the I22/I24 tails in one quadrature pass over
-      the panels of all of them.
+    priced by ``price_bond``. Every term of the others but Z depends
+    only on (firm, spec, t) and the price is linear in Z, so
+    ``_term_sets`` computes the terms once per distinct (firm, spec, t)
+    (a sweep over r0 or a rate coefficient shares one set), with the
+    I22/I24 tails of all of them in one quadrature pass, and Z is
+    computed once per valuation, one ``zcb_price`` call per distinct
+    rate model.
 
     A term set whose quadrature runs out of its node budget is priced
     by ``price_bond``, which raises QuadratureConvergenceError with
@@ -543,21 +589,12 @@ def price_batch(
             term_set.append(keys.setdefault((x.firm, x.spec, x.t), len(keys)))
     if batched:
         terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
-        g = np.array(term_set)
         z = _discount_bonds([inputs[i] for i in batched])
-        i1 = z * terms.i1[g]
-        leg = z * terms.leg[g]
-        price = i1 + z * (terms.decay1 * (terms.i21 + terms.i22 + terms.i23
-                                          + terms.i24))[g] + leg
-        i2x = np.stack([terms.i21, terms.i22, terms.i23, terms.i24]).T.tolist()
-        failed = terms.failed.tolist()
-        for i, k, p, zk, i1k, legk in zip(batched, term_set, price.tolist(),
-                                          z.tolist(), i1.tolist(), leg.tolist()):
-            if failed[k]:
+        for i, k, zk in zip(batched, term_set, z.tolist()):
+            if terms[k].error is None:
+                results[i] = _priced(terms[k], zk, mode)
+            else:
                 scalar.append(i)
-                continue
-            breakdown = TermBreakdown(i1k, *i2x[k], expected_default=legk)
-            results[i] = PriceResult(price=p, mode=mode, terms=breakdown, zcb=zk)
     for i in sorted(scalar):
         try:
             results[i] = price_bond(inputs[i], mode, quad)
@@ -565,70 +602,6 @@ def price_batch(
             err.batch_index = i
             raise
     return results
-
-
-class _TermSets(NamedTuple):
-    """Per term set: ``TermBreakdown`` with ``i1`` and ``leg`` per unit
-    Z, the first-interval jump survival, and the quadrature failures."""
-
-    i1: np.ndarray
-    i21: np.ndarray
-    i22: np.ndarray
-    i23: np.ndarray
-    i24: np.ndarray
-    leg: np.ndarray
-    decay1: np.ndarray
-    failed: np.ndarray
-
-
-def _term_sets(keys: list[tuple], conv: _Convention,
-               quad: QuadratureSpec) -> _TermSets:
-    """The terms of ``price_full`` but Z for each (firm, spec, t) key,
-    t < t1, of a built-in intensity.
-
-    The alphas and the kernel parameters come from the scalar
-    ``compute_alphas`` and ``_tail_params``, so each quadrature keeps
-    the upper bound, and thus the panels, of the scalar route.
-    """
-    rows = []
-    for firm, spec, t in keys:
-        alphas = compute_alphas(firm, spec)
-        rows.append((t, spec.t1, spec.t2, spec.R_u, spec.R_e,
-                     spec.intensity(firm.V0), alphas.alpha1, alphas.alpha2,
-                     spec.intensity.family == "constant"))
-    t, t1, t2, R_u, R_e, lam0, a1, a2, constant = np.array(rows).T
-    constant = constant.astype(bool)
-
-    decay1 = np.exp(-lam0 * (t1 - t))
-    n_surv1 = ndtr(a1)
-    floor, coefficient = conv.breach(R_u, R_e)
-    probs = _barrier_probabilities(a1, a2, t1, t2, conv.sign, n_surv1)
-    i21, i23 = R_u * probs[0], floor * probs[1]
-    coefficients = 1.0 - R_u, coefficient
-    # lam0 is lambda0 for a constant intensity.
-    tails = np.where(constant, np.exp(-lam0 * (t2 - t1)), 0.0) * np.stack(probs)
-    failed = np.zeros(len(keys), dtype=bool)
-    q = np.flatnonzero(~constant & ((coefficients[0] != 0.0)
-                                    | (coefficients[1] != 0.0)))
-    if len(q):
-        # Every non-constant intensity here is log-reciprocal.
-        intensity = keys[q[0]][1].intensity
-        params = np.array([(a2[j], *_tail_params(*keys[j][:2], conv.sign))
-                           for j in q]).T
-
-        def kernels(nodes):
-            return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in params))
-
-        try:
-            tails[:, q] = integrate_left_tail(kernels, a1[q], quad)
-        except QuadratureConvergenceError as err:
-            tails[:, q] = err.estimate
-            failed[q] = err.failed
-    i22, i24 = _i22_i24_terms(coefficients, tails)
-    return _TermSets(
-        i1=R_u * (1.0 - decay1) * n_surv1, i21=i21, i22=i22, i23=i23, i24=i24,
-        leg=(floor + coefficient * decay1) * ndtr(-a1), decay1=decay1,
-        failed=failed)
 
 
 def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:

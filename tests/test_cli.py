@@ -210,6 +210,19 @@ class TestPriceCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["price", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_unwritable_csv_exits_2(self, p0_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "row.csv"
+        assert main(["price", p0_file, "--csv", str(out)]) == 2
+        assert f"error: --csv {out}: No such file or directory" in \
+            capsys.readouterr().err
+
+    def test_huge_negative_drift_prices(self, tmp_path, capsys):
+        path = tmp_path / "drift.yaml"
+        path.write_text(P0_YAML.replace("mu: 0.07", "mu: -1000000.0")
+                        .replace("K1: 70.0", "K1: 0.0"))
+        assert main(["price", str(path)]) == 0
+        assert "price" in capsys.readouterr().out
+
     def test_numerical_failure_exits_3(self, p0_file, monkeypatch, capsys):
         from dvbond.mathkit import QuadratureConvergenceError
 
@@ -286,6 +299,13 @@ class TestSweepCommand:
 
     def test_empty_grid_exits_2(self, p0_file):
         assert main(["sweep", p0_file, "--axis", "V0", "--grid", ""]) == 2
+
+    def test_unwritable_csv_exits_2(self, p0_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(["sweep", p0_file, "--axis", "r0", "--grid", "0.01,0.05",
+                     "--csv", str(out)]) == 2
+        assert f"error: --csv {out}: No such file or directory" in \
+            capsys.readouterr().err
 
     def test_unknown_axis_exits_2(self, p0_file):
         assert main(["sweep", p0_file, "--axis", "nope", "--grid", "1,2"]) == 2

@@ -93,6 +93,7 @@ class TestIntegrateLeftTail:
             integrate_left_tail(lambda x: np.ones_like(x), 0.0, spec)
         assert err.value.estimate == pytest.approx(0.5, abs=1e-6)
         assert err.value.error_bound >= 0.0
+        assert err.value.failed.tolist() == [True]
 
     def test_rows_match_separate_calls(self):
         # Only the kinked row needs bisection; the shared panels must
@@ -375,30 +376,6 @@ class TestBvnCdf:
                 worst = max(worst, abs(bvn_cdf(h, k, rho)
                                        - bvn_oracle(mpmath, h, k, rho)))
         assert worst <= 1e-14
-
-    def test_array_route_matches_float_route(self):
-        # The grid of the oracle test plus the band edges, |rho| = 1 and
-        # infinite bounds, one elementwise call against the float route.
-        rhos = self.RHOS + (0.0, 0.3, 0.75, 0.925, 1.0)
-        # (0.2, -0.5) and (-0.6, 0.1) put h + k in (-1, 0), where the
-        # asymptotic branch for negative rho switches on the sign of h + k.
-        points = self.POINTS + ((0.2, -0.5), (-0.6, 0.1),
-                                (math.inf, 1.0), (1.0, math.inf), (-math.inf, 2.0),
-                                (2.0, -math.inf), (math.inf, math.inf))
-        h, k, rho = np.array([(h, k, r) for r in rhos + tuple(-r for r in rhos)
-                              for h, k in points]).T
-        got = bvn_cdf(h, k, rho)
-        want = [bvn_cdf(*args) for args in zip(h.tolist(), k.tolist(), rho.tolist())]
-        assert got.shape == h.shape
-        assert np.abs(got - want).max() <= 1e-15
-
-    def test_array_route_broadcasts_and_validates(self):
-        got = bvn_cdf(np.array([0.0, 1.0]), 0.5, 0.4)
-        assert got.tolist() == [bvn_cdf(0.0, 0.5, 0.4), bvn_cdf(1.0, 0.5, 0.4)]
-        with pytest.raises(ValueError):
-            bvn_cdf(np.array([0.0, math.nan]), 0.0, 0.5)
-        with pytest.raises(ValueError):
-            bvn_cdf(np.array([0.0]), 0.0, np.array([1.5]))
 
     def test_infinite_bounds(self):
         for rho in (-0.95, -0.5, 0.0, 0.6, 0.97):

@@ -30,6 +30,9 @@ def test_all_is_pinned_and_resolves():
 def test_deleted_names_are_gone():
     for module, name in ((pricer, "f_factor"), (pricer, "g_components"),
                          (pricer, "quadform_pair"), (pricer, "interval_factor_u1"),
+                         (pricer, "_TermSets"), (pricer, "_i22_i24"),
+                         (mathkit, "_bvn_cdf_array"), (mathkit, "_bvn_plackett"),
+                         (mathkit, "_bvn_asymptotic"),
                          (defaultmodel, "firm_value_step")):
         assert not hasattr(module, name)
         assert not hasattr(dvbond, name)

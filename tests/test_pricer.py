@@ -194,30 +194,28 @@ class TestComputeAlphas:
 
 
 class TestTermI21I23:
-    def test_no_floor_recovery(self, p0_spec):
-        a = compute_alphas(FirmModel(V0=100, mu=0.07, b=0.05, s_V=0.2),
-                           p0_spec)
+    def test_no_floor_recovery(self):
+        firm = FirmModel(V0=100, mu=0.07, b=0.05, s_V=0.2)
         spec0 = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=0.0, R_e=0.3)
-        assert term_I21_I23(a, spec0) == (0.0, 0.0)
+        assert term_I21_I23(firm, spec0) == (0.0, 0.0)
 
     def test_no_barriers_limit(self, p0_firm):
         spec = DefaultSpec(t1=0.5, t2=1.0, K1=0.0, K2=0.0, R_u=0.4, R_e=0.3)
-        a = compute_alphas(p0_firm, spec)
         for mode in PricingMode:
-            i21, i23 = term_I21_I23(a, spec, mode)
+            i21, i23 = term_I21_I23(p0_firm, spec, mode)
             assert i21 == pytest.approx(spec.R_u, abs=1e-12)
             assert i23 == 0.0
 
     def test_corrected_floor_splits_survival_mass(self, p0_firm, p0_spec):
         a = compute_alphas(p0_firm, p0_spec)
-        i21, i23 = term_I21_I23(a, p0_spec, PricingMode.CORRECTED)
+        i21, i23 = term_I21_I23(p0_firm, p0_spec, PricingMode.CORRECTED)
         assert i21 + i23 == pytest.approx(p0_spec.R_u * normal_cdf(a.alpha1),
                                           abs=1e-11)
 
     def test_literal_matches_bruteforce_quadrature(self, p0_firm, p0_spec):
         a = compute_alphas(p0_firm, p0_spec)
         plus, minus = quadform_pair(p0_spec.t1, p0_spec.t2)
-        i21, i23 = term_I21_I23(a, p0_spec, PricingMode.PAPER_LITERAL)
+        i21, i23 = term_I21_I23(p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
         assert i21 == pytest.approx(
             p0_spec.R_u * bivariate_cdf_bruteforce(a.alpha1, a.alpha2, plus,
                                                    abs_tol=1e-11), abs=1e-8)
@@ -245,25 +243,22 @@ class TestTermI21I23:
         assert worst <= 1e-15
 
     def test_modes_differ_for_finite_thresholds(self, p0_firm, p0_spec):
-        a = compute_alphas(p0_firm, p0_spec)
-        assert term_I21_I23(a, p0_spec, PricingMode.CORRECTED) != \
-            term_I21_I23(a, p0_spec, PricingMode.PAPER_LITERAL)
+        assert term_I21_I23(p0_firm, p0_spec, PricingMode.CORRECTED) != \
+            term_I21_I23(p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
 
 
 class TestTermI22I24:
     def test_literal_full_floor_kills_both(self, p0_firm):
         spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=1.0, R_e=0.3)
-        a = compute_alphas(p0_firm, spec)
-        assert term_I22_I24(a, p0_firm, spec, PricingMode.PAPER_LITERAL) == (0.0, 0.0)
+        assert term_I22_I24(p0_firm, spec, PricingMode.PAPER_LITERAL) == (0.0, 0.0)
 
     def test_constant_intensity_factorization(self, p0_firm):
         spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=0.4, R_e=0.3,
                            intensity=IntensityFunction.constant(0.1))
-        a = compute_alphas(p0_firm, spec)
         decay = math.exp(-0.1 * 0.5)
         for mode in PricingMode:
-            i21, i23 = term_I21_I23(a, spec, mode)
-            i22, i24 = term_I22_I24(a, p0_firm, spec, mode)
+            i21, i23 = term_I21_I23(p0_firm, spec, mode)
+            i22, i24 = term_I22_I24(p0_firm, spec, mode)
             assert i22 == pytest.approx(
                 (1 - spec.R_u) * decay * i21 / spec.R_u, abs=1e-11)
             if mode is PricingMode.PAPER_LITERAL:
@@ -293,7 +288,7 @@ class TestTermI22I24:
                     lambda x: ndtr(a.alpha2 + s * c * x), a.alpha1)
                 want24 = coeff24[mode] * F * integrate_left_tail(
                     lambda x: ndtr(-a.alpha2 - s * c * x), a.alpha1)
-                i22, i24 = term_I22_I24(a, p0_firm, spec, mode)
+                i22, i24 = term_I22_I24(p0_firm, spec, mode)
                 assert i22 == pytest.approx(want22, abs=1e-12)
                 assert i24 == pytest.approx(want24, abs=1e-12)
 
@@ -327,7 +322,7 @@ class TestTermI22I24:
                     lambda x: F(x) * ndtr(-a2 - c * x)),
             }
             for mode, (coeff24, up, dn) in kernels.items():
-                i22, i24 = term_I22_I24(a, firm, spec, mode)
+                i22, i24 = term_I22_I24(firm, spec, mode)
                 assert abs(i22 - (1 - spec.R_u) * integrate_left_tail(up, a1)) <= 1e-12
                 assert abs(i24 - coeff24 * integrate_left_tail(dn, a1)) <= 1e-12
             checked += 1
@@ -366,10 +361,9 @@ class TestTermI22I24:
 
     def test_corrected_term_sign(self, p0_firm, p0_spec):
         # R_e < R_u makes the corrected breach adjustment negative.
-        a = compute_alphas(p0_firm, p0_spec)
-        _, i24 = term_I22_I24(a, p0_firm, p0_spec, PricingMode.CORRECTED)
+        _, i24 = term_I22_I24(p0_firm, p0_spec, PricingMode.CORRECTED)
         assert i24 < 0.0
-        _, i24_lit = term_I22_I24(a, p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
+        _, i24_lit = term_I22_I24(p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
         assert i24_lit > 0.0
 
 
@@ -507,6 +501,19 @@ class TestHugeDrift:
             assert price_full(inputs).price == pytest.approx(0.948410604176158,
                                                              abs=1e-15)
 
+    def test_underflow_is_the_zero_survival_limit(self):
+        # With mu = -1e6 and no first barrier the declared value
+        # underflows to 0 at every quadrature node, where lambda = inf
+        # and F = 0; the corrected price keeps only the recovery R_u Z.
+        inputs = make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in PricingMode:
+                got = price_bond(inputs, mode)
+                assert_results_match(price_batch([inputs], mode)[0], got)
+        got = price_bond(inputs)
+        assert got.price == pytest.approx(inputs.spec.R_u * got.zcb, abs=1e-12)
+
 
 class TestCreditSpread:
     def test_zero_for_par(self):
@@ -641,6 +648,27 @@ class TestPriceBatch:
         got = price_batch(batch)
         assert calls == {"quad": 1, "bvn": 1, "zcb": 1}
         assert len({res.terms.i22 for res in got}) == 1
+
+    def test_distinct_term_sets(self, monkeypatch):
+        # Points along V0 have a term set each: scalar terms per set,
+        # one bivariate CDF each, and one quadrature pass for all tails.
+        calls = {"quad": 0, "bvn": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        batch = [make_inputs(firm=dict(V0=v)) for v in np.linspace(60.0, 200.0, 40)]
+        want = [price_full(inputs) for inputs in batch]
+        monkeypatch.setattr(pricer, "integrate_left_tail",
+                            counting("quad", pricer.integrate_left_tail))
+        monkeypatch.setattr(mathkit, "bvn_cdf", counting("bvn", mathkit.bvn_cdf))
+        got = price_batch(batch)
+        assert calls == {"quad": 1, "bvn": len(batch)}
+        for res, expected in zip(got, want):
+            assert_results_match(res, expected)
 
     def test_quadrature_failure_is_the_scalar_error(self):
         starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
