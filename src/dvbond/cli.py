@@ -15,36 +15,23 @@ import math
 import re
 import sys
 
-from .config import ConfigError, Scenario, load_scenarios, scenario_from_dict, \
-    scenario_to_dict
+from .config import ConfigError, Scenario, load_scenarios
+from .defaultmodel import IntensityFunction
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
 from .pricer import PriceResult, PricingMode, _spread, price_batch, price_bond
-from .ratecurve import PiecewiseConstant
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
                  "I1", "I21", "I22", "I23", "I24", "expected_leg")
 SWEEP_COLUMNS = ("scenario", "mode", "axis", "axis_value") + PRICE_COLUMNS[2:]
 
-# axis name -> path inside the scenario dict (None = top level)
+# axis name -> the Scenario attribute that holds the field (None = the
+# Scenario itself); lambda0 replaces the spec's constant intensity.
 _SWEEP_AXES = {
-    "valuation_time": (None, "valuation_time"),
-    "r0": ("rate", "r0"),
-    "a1": ("rate", "a1"),
-    "a2": ("rate", "a2"),
-    "s_r": ("rate", "s_r"),
-    "V0": ("firm", "V0"),
-    "mu": ("firm", "mu"),
-    "b": ("firm", "b"),
-    "s_V": ("firm", "s_V"),
-    "V1": ("firm", "V1"),
-    "t1": ("default", "t1"),
-    "t2": ("default", "t2"),
-    "K1": ("default", "K1"),
-    "K2": ("default", "K2"),
-    "R_u": ("default", "R_u"),
-    "R_e": ("default", "R_e"),
-    "lambda0": ("default", "lambda0"),
+    **dict.fromkeys(("valuation_time", "r0", "V1"), None),
+    **dict.fromkeys(("a1", "a2", "s_r"), "rate_model"),
+    **dict.fromkeys(("V0", "mu", "b", "s_V"), "firm"),
+    **dict.fromkeys(("t1", "t2", "K1", "K2", "R_u", "R_e", "lambda0"), "spec"),
 }
 
 
@@ -152,12 +139,34 @@ def cmd_price(args) -> int:
     return 0
 
 
+def _sweep_point(scenario: Scenario, axis: str, value: float) -> Scenario:
+    """The scenario with the swept field set to ``value``.
+
+    Only the object that holds the field is rebuilt, so its constructor
+    checks the new value; a t2 point also moves the discount-bond
+    maturity.
+    """
+    holder = _SWEEP_AXES[axis]
+    if holder is None:
+        return dataclasses.replace(scenario, **{axis: value})
+    change = ({"intensity": IntensityFunction.constant(value)}
+              if axis == "lambda0" else {axis: value})
+    parts = {holder: dataclasses.replace(getattr(scenario, holder), **change)}
+    if axis == "t2":
+        parts["rate_model"] = dataclasses.replace(scenario.rate_model,
+                                                  maturity=value)
+    return dataclasses.replace(scenario, **parts)
+
+
 def cmd_sweep(args) -> int:
     """Price the scenario at each grid value of one field.
 
-    Every grid value is validated before any is priced, so an invalid
-    value exits 2 even when another value would fail to converge. The
-    points are then priced together by ``price_batch``.
+    Each point replaces the swept field of the loaded scenario; the
+    replaced model and ``pricing_inputs`` check the value again. Every
+    grid value is validated before any is priced, so an invalid value
+    exits 2 even when another value would fail to converge. Errors name
+    the axis and the grid value. The points are then priced together by
+    ``price_batch``.
     """
     scenario = _select(_load(args.file), args.scenario)
     mode = _mode(scenario, args.mode)
@@ -171,32 +180,25 @@ def cmd_sweep(args) -> int:
     if not grid:
         return _fail(2, "empty grid")
 
-    section, key = _SWEEP_AXES[args.axis]
-    node = scenario_to_dict(scenario)
-    if args.axis == "lambda0" and node["default"]["intensity"]["family"] != "constant":
+    if args.axis == "lambda0" and scenario.spec.intensity.family != "constant":
         return _fail(2, "axis lambda0 requires a constant intensity family")
-    if args.axis in ("a1", "a2", "s_r") and not isinstance(
-        node["rate"][key], (int, float)
-    ):
+    if args.axis in ("a1", "a2", "s_r") and not getattr(
+        scenario.rate_model, args.axis
+    ).is_constant:
         return _fail(2, f"axis {args.axis} requires a constant coefficient")
 
-    # scenario_from_dict copies every value it reads, so one node can be
-    # edited in place from point to point.
-    if args.axis == "lambda0":
-        target = node["default"]["intensity"]
-    else:
-        target = node if section is None else node[section]
-    points = []
+    points, inputs = [], []
     for value in grid:
-        target[key] = value
         try:
-            points.append(scenario_from_dict(scenario.name, node))
-        except ConfigError as err:
-            return _fail(2, f"grid value {value!r}: {err}")
+            point = _sweep_point(scenario, args.axis, value)
+            inputs.append(point.pricing_inputs())
+        except ValueError as err:
+            return _fail(2, f"{args.axis} grid value {value!r}: {err}")
+        points.append(point)
     try:
-        results = price_batch([p.pricing_inputs() for p in points], mode)
+        results = price_batch(inputs, mode)
     except QuadratureConvergenceError as err:
-        return _fail(3, f"grid value {grid[err.batch_index]!r}: "
+        return _fail(3, f"{args.axis} grid value {grid[err.batch_index]!r}: "
                         f"quadrature failure: {err}")
     rows = [[scenario.name, mode.value, args.axis, _fmt(value)]
             + _price_row(point, result)[2:]

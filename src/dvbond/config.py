@@ -44,11 +44,9 @@ from .defaultmodel import DefaultSpec, FirmModel, IntensityFunction
 from .pricer import PricingInputs, PricingMode
 from .ratecurve import PiecewiseConstant, ShortRateModel
 
-__all__ = ["ConfigError", "Scenario", "load_scenarios", "scenario_from_dict",
-           "scenario_to_dict"]
+__all__ = ["ConfigError", "Scenario", "load_scenarios"]
 
-_INTENSITY_NAMES = {"log-reciprocal": "log_reciprocal", "constant": "constant"}
-_FAMILY_TO_NAME = {v: k for k, v in _INTENSITY_NAMES.items()}
+_INTENSITY_FAMILIES = ("constant", "log-reciprocal")
 
 
 class _Loader(yaml.SafeLoader):
@@ -140,10 +138,10 @@ def _coefficient(node: dict, path: str, key: str):
 def _intensity(node: dict, path: str) -> IntensityFunction:
     _check_keys(node, path, ("family",), ("lambda0",))
     family = node["family"]
-    if family not in _INTENSITY_NAMES:
+    if family not in _INTENSITY_FAMILIES:
         raise ConfigError(
             f"{path}.family",
-            f"unknown family {family!r}; choose one of {sorted(_INTENSITY_NAMES)}",
+            f"unknown family {family!r}; choose one of {list(_INTENSITY_FAMILIES)}",
         )
     if family == "constant":
         if "lambda0" not in node:
@@ -256,48 +254,3 @@ def load_scenarios(path: str) -> dict[str, Scenario]:
         for name, node in table.items()
     }
 
-
-def scenario_from_dict(name: str, node: dict) -> Scenario:
-    """Validate a plain-dict scenario (the ``scenario_to_dict`` shape)."""
-    return _parse_scenario(name, node, f"scenarios.{name}")
-
-
-def _coefficient_to_node(f: PiecewiseConstant):
-    if f.is_constant:
-        return f.values[0]
-    return {"breakpoints": list(f.breakpoints), "values": list(f.values)}
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Plain-dict form of a scenario, loadable back unchanged."""
-    if s.spec.intensity.family not in _FAMILY_TO_NAME:
-        raise ValueError(
-            f"{s.spec.intensity.family} intensities cannot be written to "
-            "scenario files"
-        )
-    firm_node = {"V0": s.firm.V0, "mu": s.firm.mu, "b": s.firm.b, "s_V": s.firm.s_V}
-    if s.V1 is not None:
-        firm_node["V1"] = s.V1
-    intensity = {"family": _FAMILY_TO_NAME[s.spec.intensity.family]}
-    if s.spec.intensity.family == "constant":
-        intensity["lambda0"] = s.spec.intensity.lambda0
-    return {
-        "mode": s.mode.value,
-        "valuation_time": s.valuation_time,
-        "rate": {
-            "a1": _coefficient_to_node(s.rate_model.a1),
-            "a2": _coefficient_to_node(s.rate_model.a2),
-            "s_r": _coefficient_to_node(s.rate_model.s_r),
-            "r0": s.r0,
-        },
-        "firm": firm_node,
-        "default": {
-            "t1": s.spec.t1,
-            "t2": s.spec.t2,
-            "K1": s.spec.K1,
-            "K2": s.spec.K2,
-            "R_u": s.spec.R_u,
-            "R_e": s.spec.R_e,
-            "intensity": intensity,
-        },
-    }

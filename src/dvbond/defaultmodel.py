@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .mathkit import normal_cdf
 
@@ -165,19 +164,16 @@ class DefaultSpec:
                 raise ValueError(f"{name} must lie in [0, 1], got {r}")
 
 
-def d_minus(x_over_K: float, fm: FirmModel, tau: float):
+def d_minus(x_over_K: float, fm: FirmModel, tau: float) -> float:
     """Standardized log-distance to a barrier over a horizon tau.
 
     [ln(x/K) + (mu - b - s_V^2/2) tau] / (s_V sqrt(tau)).
     """
-    if not np.all(np.asarray(x_over_K) > 0.0):
+    if not x_over_K > 0.0:
         raise ValueError(f"x/K must be positive, got {x_over_K}")
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    out = (np.log(np.asarray(x_over_K, dtype=float)) + fm.log_drift * tau) / (
-        fm.s_V * math.sqrt(tau)
-    )
-    return float(out) if np.ndim(out) == 0 else out
+    return (math.log(x_over_K) + fm.log_drift * tau) / (fm.s_V * math.sqrt(tau))
 
 
 def survival_prob(fm: FirmModel, V_now: float, K: float, tau: float) -> float:
@@ -190,7 +186,4 @@ def survival_prob(fm: FirmModel, V_now: float, K: float, tau: float) -> float:
         raise ValueError(f"barrier must be >= 0, got {K}")
     if K == 0.0:
         return 1.0
-    d = d_minus(V_now / K, fm, tau)
-    if np.ndim(d) == 0:
-        return normal_cdf(d)
-    return ndtr(d)
+    return normal_cdf(d_minus(V_now / K, fm, tau))

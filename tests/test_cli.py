@@ -1,14 +1,14 @@
 import csv
 import io
 import math
+import re
 import textwrap
 
 import pytest
 
 from dvbond import cli, pricer
 from dvbond.cli import main
-from dvbond.config import ConfigError, load_scenarios, scenario_from_dict, \
-    scenario_to_dict
+from dvbond.config import ConfigError, load_scenarios
 from dvbond.mathkit import QuadratureSpec
 
 P0_YAML = textwrap.dedent("""\
@@ -89,10 +89,12 @@ class TestConfig:
         assert s.rate_model.a1(0.25) == 0.01
         assert s.rate_model.a1(0.75) == 0.02
 
-    def test_round_trip_semantically_identical(self, p0_file):
-        original = load_scenarios(p0_file)["P0"]
-        rebuilt = scenario_from_dict("P0", scenario_to_dict(original))
-        assert rebuilt == original
+    def test_non_scalar_family_names_it(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(P0_YAML.replace("family: log-reciprocal", "family: [a, b]"))
+        with pytest.raises(ConfigError) as err:
+            load_scenarios(str(path))
+        assert "scenarios.P0.default.intensity.family: unknown family" in str(err.value)
 
     @pytest.mark.parametrize("text, value", [
         ("K1: 1e7", 1e7), ("K1: 1.0e7", 1e7), ("K1: 1E+7", 1e7),
@@ -353,15 +355,13 @@ class TestSweepCommand:
 
     @staticmethod
     def check_row(row, path, axis, value, mode):
-        node = scenario_to_dict(load_scenarios(str(path))["P0"])
-        section, key = cli._SWEEP_AXES[axis]
-        if axis == "lambda0":
-            node["default"]["intensity"][key] = value
-        elif section is None:
-            node[key] = value
-        else:
-            node[section][key] = value
-        scenario = scenario_from_dict("P0", node)
+        # The expected point is the file with the swept key rewritten.
+        text, n = re.subn(rf"^(\s*){axis}: .*$", rf"\g<1>{axis}: {value!r}",
+                          path.read_text(), flags=re.MULTILINE)
+        assert n == 1, axis
+        point = path.with_name("point.yaml")
+        point.write_text(text)
+        scenario = load_scenarios(str(point))["P0"]
         inputs = scenario.pricing_inputs()
         want = pricer.price_bond(inputs, pricer.PricingMode(mode))
         t = want.terms
@@ -382,7 +382,52 @@ class TestSweepCommand:
     def test_invalid_grid_value_names_value_and_field(self, p0_file, capsys):
         assert main(["sweep", p0_file, "--axis", "s_V", "--grid", "0.2,-0.1"]) == 2
         err = capsys.readouterr().err
-        assert "grid value -0.1" in err and "s_V must be positive" in err
+        assert "s_V grid value -0.1" in err and "s_V must be positive" in err
+
+    def test_nan_on_every_axis_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "log.yaml"
+        log.write_text(P0_YAML)
+        const = tmp_path / "const.yaml"
+        const.write_text(P0_YAML.replace(
+            "family: log-reciprocal", "family: constant\n        lambda0: 0.03"))
+        for axis in cli._SWEEP_AXES:
+            path = const if axis == "lambda0" else log
+            assert main(["sweep", str(path), "--axis", axis,
+                         "--grid", "nan"]) == 2, axis
+            out, err = capsys.readouterr()
+            assert out == "", axis
+            assert err.startswith(f"error: {axis} grid value nan: "), err
+            if axis == "r0":  # the axis, not the PricingInputs field r
+                assert err == "error: r0 grid value nan: r must be finite, got nan\n"
+
+    def test_axis_guards(self, p0_file, tmp_path, capsys):
+        assert main(["sweep", p0_file, "--axis", "lambda0", "--grid", "0.1"]) == 2
+        assert "requires a constant intensity family" in capsys.readouterr().err
+        path = tmp_path / "pw.yaml"
+        path.write_text(P0_YAML.replace(
+            "a2: 0.2", "a2:\n            breakpoints: [0.5]\n            values: [0.2, 0.3]"))
+        assert main(["sweep", str(path), "--axis", "a2", "--grid", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "axis a2 requires a constant coefficient" in err
+        assert main(["sweep", str(path), "--axis", "a1", "--grid", "0.1"]) == 0
+
+    def test_t2_point_checks_rate_breakpoints(self, tmp_path, capsys):
+        path = tmp_path / "pw.yaml"
+        path.write_text(P0_YAML.replace(
+            "a1: 0.01",
+            "a1:\n            breakpoints: [0.8]\n            values: [0.01, 0.02]",
+        ))
+        assert main(["sweep", str(path), "--axis", "t2", "--grid", "1.0,0.7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "t2 grid value 0.7" in err and "a1 breakpoints" in err
+        for mode in ("corrected", "paper-literal"):
+            assert main(["sweep", str(path), "--axis", "t2", "--grid", "1.0,2.0",
+                         "--mode", mode]) == 0
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert len(rows) == 2
+            for row, value in zip(rows, (1.0, 2.0)):
+                self.check_row(row, path, "t2", value, mode)
 
     def test_quadrature_failure_names_grid_value(self, p0_file, monkeypatch, capsys):
         starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
@@ -390,7 +435,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "price_batch",
                             lambda inputs, mode: real(inputs, mode, starved))
         assert main(["sweep", p0_file, "--axis", "K1", "--grid", "1e7,70"]) == 3
-        assert "grid value 70.0: quadrature failure" in capsys.readouterr().err
+        assert "K1 grid value 70.0: quadrature failure" in capsys.readouterr().err
 
     def test_csv_written(self, p0_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import dvbond
-from dvbond import defaultmodel, mathkit, pricer
+from dvbond import config, defaultmodel, mathkit, pricer
 
 EXPORTED = {
     "Alpha", "DefaultSpec", "FirmModel", "IntensityFunction", "McConfig",
@@ -33,7 +33,9 @@ def test_deleted_names_are_gone():
                          (pricer, "_TermSets"), (pricer, "_i22_i24"),
                          (mathkit, "_bvn_cdf_array"), (mathkit, "_bvn_plackett"),
                          (mathkit, "_bvn_asymptotic"),
-                         (defaultmodel, "firm_value_step")):
+                         (defaultmodel, "firm_value_step"),
+                         (config, "scenario_to_dict"), (config, "scenario_from_dict"),
+                         (config, "_coefficient_to_node"), (config, "_FAMILY_TO_NAME")):
         assert not hasattr(module, name)
         assert not hasattr(dvbond, name)
 
