@@ -33,6 +33,16 @@ Design:
 * Antithetic variates mirror every draw (normals, rate normals
   included, negated; uniforms reflected); the standard error then
   comes from the pair means.
+* Per-path arithmetic goes only to paths with an event. A nominal path
+  (no jump, no barrier breach) takes the same two transitions as every
+  other nominal path, t -> t1 -> t2 (t -> t -> t2 after t1), so
+  ``_rate_transition`` runs with scalar times: each segment's moments
+  are computed once and broadcast over the paths' normals. Paths that
+  jump or breach K1 are recomputed per path on their subset. When they
+  are the majority of a chunk (a guard on the event share the chunk
+  sees in its own draws, not a setting), the per-path form runs on
+  every path instead. Both routes give bit-identical payoffs, and the
+  payoff and rate integrals are updated in place.
 
 Leg bookkeeping groups each path by its barrier outcome: the
 ``expected_t1`` leg collects every path whose first declared value
@@ -40,7 +50,10 @@ breaches K1 (including those killed earlier by a jump), which makes it
 the exact simulation counterpart of the closed form's
 first-barrier-breach term, and likewise for ``expected_t2`` among
 paths reaching the second interval. ``unexpected_leg1``/``2`` hold the
-remaining jump defaults and ``survive_both`` the par payoffs.
+remaining jump defaults and ``survive_both`` the par payoffs. Each
+path carries one leg label, its index into ``LEG_NAMES``; the per-leg
+means and second moments come from ``bincount`` over the labels, and
+an antithetic pair adds half of each payoff to its own path's leg.
 """
 
 from __future__ import annotations
@@ -62,6 +75,8 @@ CHUNK_PATHS = 1 << 16
 
 LEG_NAMES = ("survive_both", "unexpected_leg1", "unexpected_leg2",
              "expected_t1", "expected_t2")
+# Each path's leg label is its index into LEG_NAMES.
+_SURVIVE, _UNEXPECTED_1, _UNEXPECTED_2, _EXPECTED_T1, _EXPECTED_T2 = range(5)
 
 # Largest double below 1; keeps mirrored uniforms inside [0, 1).
 _U_CAP = math.nextafter(1.0, 0.0)
@@ -160,33 +175,44 @@ def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
     )
 
 
-def _truncated_exp_clock(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Waiting time of the jump clock; +inf where the intensity is zero."""
-    lam = np.asarray(lam, dtype=float)
-    safe = np.where(lam > 0.0, lam, 1.0)
-    return np.where(lam > 0.0, -np.log1p(-u) / safe, np.inf)
+def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
+    """Waiting time of the jump clock, written over the uniforms ``u``.
+
+    ``lam`` is one intensity or one per path; the time is +inf where it
+    is zero.
+    """
+    xi = np.negative(u, out=u)
+    np.log1p(xi, out=xi)
+    np.negative(xi, out=xi)
+    live = np.asarray(lam) > 0.0
+    np.divide(xi, lam, out=xi, where=live)
+    np.copyto(xi, np.inf, where=~live)
+    return xi
 
 
 def _segment_moments(a1: float, a2: float, s_r: float, h):
-    """Moments of constant-coefficient steps with lengths h >= 0 (an array).
+    """Moments of constant-coefficient steps with lengths h >= 0.
 
-    Given r at the start, r' = decay*r + a1*ramp + noise and
-    int r = ramp*r + a1*lag + noise, with ramp = (1 - e^{-a2 h})/a2 and
-    lag = (h - ramp)/a2. Returns (decay, ramp, lag, var_r, cov, var_int):
-    the noise variances Var r' = s^2 (1 - e^{-2 a2 h})/(2 a2),
+    ``h`` is one length or one per path; the moments come back as
+    arrays of at least one element. Given r at the start,
+    r' = decay*r + a1*ramp + noise and int r = ramp*r + a1*lag + noise,
+    with ramp = (1 - e^{-a2 h})/a2 and lag = (h - ramp)/a2. Returns
+    (decay, ramp, lag, var_r, cov, var_int): the noise variances
+    Var r' = s^2 (1 - e^{-2 a2 h})/(2 a2),
     Var int r = s^2/a2^2 [h - 2 ramp + (1 - e^{-2 a2 h})/(2 a2)] and
     their covariance s^2 ramp^2 / 2. ``lag`` and ``var_int`` lose
     ~eps/x^2 to cancellation at x = a2*h, and ``var_int`` turns
     negative near x ~ 1e-8, so both use Taylor series below _SMALL_X.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.atleast_1d(np.asarray(h, dtype=float))
     x = a2 * h
     decay = np.exp(-x)
     ramp = -np.expm1(-x) / a2
     half_ramp2 = 0.5 * ramp * (1.0 + decay)  # (1 - e^{-2x}) / (2 a2)
     lag = (h - ramp) / a2
     var_int = (h - 2.0 * ramp + half_ramp2) * (s_r / a2) ** 2
-    small = np.flatnonzero(x < _SMALL_X)
+    # A zero length is exact in closed form (every moment but decay is 0).
+    small = np.flatnonzero((x < _SMALL_X) & (x > 0.0))
     if small.size:
         hs, xs = h.flat[small], x.flat[small]
         lag.flat[small] = hs * hs * (
@@ -196,25 +222,65 @@ def _segment_moments(a1: float, a2: float, s_r: float, h):
     return decay, ramp, lag, s_r * s_r * half_ramp2, 0.5 * (s_r * ramp) ** 2, var_int
 
 
-def _rate_transition(plan: _Plan, r: np.ndarray, lo, hi, z: np.ndarray):
+def _rate_transition(plan: _Plan, r, lo, hi, z: np.ndarray):
     """Exact joint draw of (r_hi, int_lo^hi r) given r at lo, per path.
 
-    ``hi`` holds per-path times, ``lo`` per-path or shared ones, with
-    lo <= hi; ``z`` holds standard normals of shape
+    ``r``, ``lo`` and ``hi`` are each shared (a scalar) or per path,
+    with lo <= hi; ``z`` holds standard normals of shape
     (len(plan.segments), 2, paths). The step is chained over the
     coefficient segments; a segment it does not overlap has length zero
-    and is an exact identity.
+    and is an exact identity, so a segment no path overlaps is skipped.
+    With scalar ``lo`` and ``hi`` the moments are computed once and
+    broadcast. Returns per-path arrays.
     """
-    integral = np.zeros_like(r)
+    n = z.shape[-1]
+    integral = np.zeros(n)
+    step, noise, r_out = np.empty(n), np.empty(n), np.empty(n)
     for (left, right, a1, a2, s_r), (z_r, z_i) in zip(plan.segments, z):
         h = np.maximum(np.minimum(hi, right) - np.maximum(lo, left), 0.0)
+        if not np.any(h):
+            continue
         decay, ramp, lag, var_r, cov, var_int = _segment_moments(a1, a2, s_r, h)
-        sd_r = np.sqrt(var_r)
+        sd_r = np.sqrt(var_r, out=var_r)
         load = np.divide(cov, sd_r, out=np.zeros_like(cov), where=sd_r > 0.0)
-        sd_int = np.sqrt(np.maximum(var_int - load * load, 0.0))
-        integral += ramp * r + a1 * lag + load * z_r + sd_int * z_i
-        r = decay * r + a1 * ramp + sd_r * z_r
-    return r, integral
+        var_int -= np.square(load, out=cov)
+        sd_int = np.sqrt(np.maximum(var_int, 0.0, out=var_int), out=var_int)
+        # integral += ramp*r + a1*lag + load*z_r + sd_int*z_i, left to right
+        np.multiply(ramp, r, out=step)
+        step += np.multiply(lag, a1, out=lag)
+        step += np.multiply(load, z_r, out=noise)
+        step += np.multiply(sd_int, z_i, out=noise)
+        integral += step
+        # r = decay*r + a1*ramp + sd_r*z_r
+        np.multiply(decay, r, out=r_out)
+        r_out += np.multiply(ramp, a1, out=ramp)
+        r_out += np.multiply(sd_r, z_r, out=noise)
+        r = r_out
+    return (r if np.ndim(r) else np.full(n, r)), integral
+
+
+def _leg_moments(label: np.ndarray, values: np.ndarray, n: int,
+                 total: float) -> list[tuple[float, float]]:
+    """Per-leg (mean, centered M2) over n units, in LEG_NAMES order.
+
+    Entry k adds ``values[k]`` to leg ``label[k]`` of its unit; a unit
+    has at most one entry per leg and is zero in every leg it has none.
+    ``total`` is the pairwise sum of all entries. ``bincount`` sums in
+    sequence (relative error ~eps*sqrt(entries)), so the leg with the
+    most entries takes ``total`` minus the other legs instead.
+    """
+    legs = len(LEG_NAMES)
+    count = np.bincount(label, minlength=legs)
+    sums = np.bincount(label, weights=values, minlength=legs)
+    largest = count.argmax()
+    sums[largest] = 0.0
+    sums[largest] = total - sums.sum()
+    mean = sums / n
+    dev = mean[label]
+    np.subtract(values, dev, out=dev)
+    dev *= dev
+    m2 = np.bincount(label, weights=dev, minlength=legs) + (n - count) * mean * mean
+    return [(float(a), float(b)) for a, b in zip(mean, m2)]
 
 
 def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dict:
@@ -236,66 +302,97 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
         zr = np.concatenate([zr, -zr], axis=-1)
     m = len(z1)
 
+    # The declared values, V = V_prev * exp(log_drift dt + s_V sqrt(dt) z),
+    # are built in place of their normals.
     delta = spec.t2 - spec.t1
     pre_announcement = plan.t < spec.t1
     if pre_announcement:
-        V1 = firm.V0 * np.exp(
-            firm.log_drift * spec.t1 + firm.s_V * math.sqrt(spec.t1) * z1
-        )
-        lam0 = spec.intensity(firm.V0)
-        xi1 = _truncated_exp_clock(np.full(m, lam0), u1)
+        V1 = np.multiply(z1, firm.s_V * math.sqrt(spec.t1), out=z1)
+        V1 += firm.log_drift * spec.t1
+        np.exp(V1, out=V1)
+        V1 *= firm.V0
+        xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u1)
         jump1 = xi1 < spec.t1 - plan.t
         barrier1 = V1 <= spec.K1
-        seg2_start = spec.t1
-        s1 = np.where(jump1, plan.t + xi1, spec.t1)
+        t_mid = spec.t1
     else:
-        V1 = np.full(m, plan.V1_known)
-        jump1 = np.zeros(m, dtype=bool)
-        barrier1 = np.zeros(m, dtype=bool)
-        seg2_start = plan.t
-        s1 = np.full(m, plan.t)
-    enter2 = ~jump1 & ~barrier1
+        V1 = plan.V1_known
+        jump1 = barrier1 = np.zeros(m, dtype=bool)
+        t_mid = plan.t
+    stop1 = jump1 | barrier1
 
-    V2 = V1 * np.exp(firm.log_drift * delta + firm.s_V * math.sqrt(delta) * z2)
+    V2 = np.multiply(z2, firm.s_V * math.sqrt(delta), out=z2)
+    V2 += firm.log_drift * delta
+    np.exp(V2, out=V2)
+    V2 *= V1
     barrier2 = V2 <= spec.K2
     xi2 = _truncated_exp_clock(spec.intensity(V1), u2)
-    jump2 = enter2 & (xi2 < spec.t2 - seg2_start)
+    jump2 = xi2 < spec.t2 - t_mid
+    jump2 &= ~stop1
 
     # Every path ends at its payment time s2: the jump time, the first
-    # announcement date for a barrier-1 breach, or maturity. Paths that
-    # stop in the first interval take a zero-length second transition.
-    s2 = np.where(jump2, seg2_start + xi2, np.where(enter2, spec.t2, s1))
-    r1, int1 = _rate_transition(plan, np.full(m, plan.r0), plan.t, s1, zr[0])
-    r2, int2 = _rate_transition(plan, r1, s1, s2, zr[1])
+    # announcement date for a barrier-1 breach, or maturity. A nominal
+    # path (no jump, no breach) runs t -> t_mid -> t2, the same times on
+    # every path, so its moments are computed once per segment. The
+    # per-path form runs on the event paths only; when they are the
+    # majority it runs on every path, and the nominal pass is skipped.
+    ev = np.flatnonzero(stop1 | jump2)
+    per_path_all = 2 * ev.size > m
+    sel = slice(None) if per_path_all else ev
+    s1 = (np.where(jump1[sel], plan.t + xi1[sel], t_mid) if pre_announcement
+          else t_mid)
+    s2 = np.where(jump2[sel], t_mid + xi2[sel], np.where(stop1[sel], s1, spec.t2))
+    z_sel = zr[..., sel]
+    r2, total_sel = _rate_transition(plan, plan.r0, plan.t, s1, z_sel[0])
+    # r2 holds r at s1 so far. A path that stops in the first interval
+    # pays at s2 = s1; the others go on from t_mid.
+    go = np.flatnonzero(~stop1[sel])
+    r_go, int_go = _rate_transition(plan, r2[go], t_mid, s2[go], z_sel[1][..., go])
+    r2[go] = r_go
+    total_sel[go] += int_go
+    if per_path_all:
+        total, total_ev, r2, s2 = total_sel, total_sel[ev], r2[ev], s2[ev]
+    else:
+        r_mid, total = _rate_transition(plan, plan.r0, plan.t, t_mid, zr[0])
+        total += _rate_transition(plan, r_mid, t_mid, spec.t2, zr[1])[1]
+        total_ev = total_sel
 
     # Discount each payoff along its own path from tau, then value the
     # recovery claim on the default-free bond at (r_tau, tau).
-    pay = np.exp(-(int1 + int2))
-    surv_t2 = enter2 & ~jump2
-    pay[surv_t2 & barrier2] *= spec.R_e
-    early = ~surv_t2
-    if early.any():
-        recovery = np.where(jump1[early] | jump2[early], spec.R_u, spec.R_e)
-        pay[early] *= recovery * zcb_price(plan.rate_model, r2[early], s2[early])
+    pay = np.exp(np.negative(total, out=total), out=total)
+    np.multiply(pay, spec.R_e, out=pay, where=barrier2)
+    # Leg labels index LEG_NAMES: a nominal path survives or breaches K2.
+    label = np.where(barrier2, _EXPECTED_T2, _SURVIVE)
+    if ev.size:
+        recovery = np.where(jump1[ev] | jump2[ev], spec.R_u, spec.R_e)
+        pay[ev] = np.exp(-total_ev) * (
+            recovery * zcb_price(plan.rate_model, r2, s2))
+        label[ev] = np.select(
+            [barrier1[ev], jump1[ev], barrier2[ev]],
+            [_EXPECTED_T1, _UNEXPECTED_1, _EXPECTED_T2], _UNEXPECTED_2)
 
-    legs = {
-        "survive_both": enter2 & ~jump2 & ~barrier2,
-        "unexpected_leg1": jump1 & ~barrier1,
-        "unexpected_leg2": jump2 & ~barrier2,
-        "expected_t1": barrier1,
-        "expected_t2": enter2 & barrier2,
-    }
-
-    def pair_stats(values: np.ndarray) -> tuple[float, float]:
-        """Sample mean and centered second moment (stable for SE)."""
-        if plan.antithetic:
-            values = 0.5 * (values[:n_units] + values[n_units:])
-        mean = float(values.mean())
-        return mean, float(np.square(values - mean).sum())
-
-    stats = {"price": pair_stats(pay)}
-    for name, mask in legs.items():
-        stats[f"leg_{name}"] = pair_stats(pay * mask)
+    if plan.antithetic:
+        # A pair adds half of each payoff to that path's leg.
+        n = n_units
+        pay_a, pay_b, label_a, label_b = pay[:n], pay[n:], label[:n], label[n:]
+        same = label_a == label_b
+        pair_a = np.where(same, pay_b, 0.0)
+        pair_a += pay_a
+        pair_a *= 0.5
+        split = np.flatnonzero(~same)
+        price = pay_a + pay_b
+        price *= 0.5
+        leg_label = np.concatenate([label_a, label_b[split]])
+        leg_value = np.concatenate([pair_a, 0.5 * pay_b[split]])
+    else:
+        price, leg_label, leg_value = pay, label, pay
+    price_sum = float(price.sum())
+    legs = _leg_moments(leg_label, leg_value, n_units, price_sum)
+    mean = price_sum / n_units
+    price -= mean
+    np.square(price, out=price)
+    stats = {"price": (mean, float(price.sum()))}
+    stats.update(zip((f"leg_{name}" for name in LEG_NAMES), legs))
     return {"n": n_units, "stats": stats}
 
 

@@ -61,6 +61,9 @@ __all__ = [
 _SMALL_B = 1e-6
 _SMALL_A = 1e-4
 
+# Largest x with a finite exp(x).
+_MAX_EXP = math.log(np.finfo(float).max)
+
 
 def _require_finite(name: str, values) -> None:
     for v in values:
@@ -229,28 +232,34 @@ def _time_error(model: ShortRateModel, t) -> ValueError:
 
 
 def _ramp(a2, tau):
-    """Elementwise ``_ramp1``."""
+    """Elementwise ``_ramp1`` of 1-d arrays; the series only where needed."""
     x = a2 * tau
-    small = x < _SMALL_B
-    safe_a2 = np.where(small, 1.0, a2)
-    exact = -np.expm1(-x) / safe_a2
-    series = tau * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
-    return np.where(small, series, exact)
+    out = -np.expm1(-x) / a2  # finite for any a2 > 0: 0 <= out <= tau
+    small = np.flatnonzero(x < _SMALL_B)
+    if small.size:
+        xs, ts = x[small], tau[small]
+        out[small] = ts * (1.0 - xs / 2.0 + xs * xs / 6.0 - xs * xs * xs / 24.0)
+    return out
 
 
 def _A_constant(level, a2, s_r, tau, b):
-    """Elementwise ``_A_constant1``."""
+    """Elementwise ``_A_constant1`` of 1-d arrays; the series only where
+    needed."""
     x = a2 * tau
-    small = x < _SMALL_A
-    safe_a2 = np.where(small, 1.0, a2)
-    exact = (b - tau) * (level / safe_a2 - s_r**2 / (2.0 * safe_a2**2)) \
-        - s_r**2 * b * b / (4.0 * safe_a2)
-    tau2 = tau * tau
-    series = (
-        -level * tau2 * (0.5 - x / 6.0 + x * x / 24.0)
-        + 0.5 * s_r**2 * tau2 * tau * (1.0 / 3.0 - x / 4.0 + 7.0 * x * x / 60.0)
-    )
-    return np.where(small, series, exact)
+    small = np.flatnonzero(x < _SMALL_A)
+    if small.size:
+        a2 = a2.copy()
+        a2[small] = 1.0  # the closed form is discarded there; keep it finite
+    out = (b - tau) * (level / a2 - s_r**2 / (2.0 * a2**2)) \
+        - s_r**2 * b * b / (4.0 * a2)
+    if small.size:
+        lv, sr, ts, xs = level[small], s_r[small], tau[small], x[small]
+        tau2 = ts * ts
+        out[small] = (
+            -lv * tau2 * (0.5 - xs / 6.0 + xs * xs / 24.0)
+            + 0.5 * sr**2 * tau2 * ts * (1.0 / 3.0 - xs / 4.0 + 7.0 * xs * xs / 60.0)
+        )
+    return out
 
 
 def _AB(model: ShortRateModel, t):
@@ -266,6 +275,7 @@ def _AB(model: ShortRateModel, t):
     t = np.asarray(t, dtype=float)
     if np.any(np.isnan(t)) or np.any(t < 0.0) or np.any(t > model.maturity):
         raise _time_error(model, t)
+    shape, t = t.shape, t.reshape(-1)
     edges = np.asarray(tab.edges)
     j = np.minimum(np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
     tau = edges[j + 1] - t
@@ -277,7 +287,7 @@ def _AB(model: ShortRateModel, t):
     a = np.asarray(tab.a_edges)[j + 1] + _A_constant(level, a2, s_r, tau, ramp) \
         - level * beta * ramp \
         + 0.5 * s_r**2 * (beta * beta * _ramp(2.0 * a2, tau) + beta * ramp * ramp)
-    return a, beta * np.exp(-a2 * tau) + ramp
+    return a.reshape(shape), (beta * np.exp(-a2 * tau) + ramp).reshape(shape)
 
 
 def _out(x):
@@ -302,9 +312,31 @@ def coeff_A(model: ShortRateModel, t):
     return _out(_AB(model, t)[0])
 
 
+def _exponent_error(model: ShortRateModel, x: float, r: float) -> ValueError:
+    return ValueError(
+        f"discount bond exponent A - B*r = {x:.6g} at r = {r:.6g} is NaN or "
+        f"above {_MAX_EXP:.6g}, where exp overflows: the rate volatility s_r "
+        f"(up to {max(model.s_r.values):g}) or the rate is too large")
+
+
 def zcb_price(model: ShortRateModel, r, t):
-    """Discount bond price Z(r, t) = exp(A(t) - B(t) * r); Z(r, T) = 1."""
+    """Discount bond price Z(r, t) = exp(A(t) - B(t) * r); Z(r, T) = 1.
+
+    Raises ``ValueError`` naming ``s_r`` and the exponent when exp would
+    overflow or the exponent is NaN: a large rate volatility makes A
+    huge, and a price of inf would otherwise pass on silently.
+    """
     a, b = _AB(model, t)
     if _is_scalar(t) and _is_scalar(r):
-        return math.exp(a - b * r)
-    return _out(np.exp(a - b * np.asarray(r, dtype=float)))
+        x = a - b * r
+        if not x <= _MAX_EXP:
+            raise _exponent_error(model, x, r)
+        return math.exp(x)
+    r = np.asarray(r, dtype=float)
+    x = a - b * r
+    fits = x <= _MAX_EXP
+    if not fits.all():
+        i = int(np.argmin(fits))  # the first exponent that does not fit
+        raise _exponent_error(model, float(x.flat[i]),
+                              float(np.broadcast_to(r, x.shape).flat[i]))
+    return _out(np.exp(x))

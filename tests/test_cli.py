@@ -225,6 +225,16 @@ class TestPriceCommand:
         assert main(["price", str(path)]) == 0
         assert "price" in capsys.readouterr().out
 
+    def test_overflowing_discount_bond_exits_2(self, tmp_path, capsys):
+        # s_r = 100 overflows exp(A - B r); the error names s_r and the
+        # exponent instead of a traceback, and no inf is printed.
+        path = tmp_path / "wild.yaml"
+        path.write_text(P0_YAML.replace("s_r: 0.01", "s_r: 100.0"))
+        assert main(["price", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "exponent A - B*r = 1438" in captured.err and "s_r" in captured.err
+        assert captured.out == ""
+
     def test_numerical_failure_exits_3(self, p0_file, monkeypatch, capsys):
         from dvbond.mathkit import QuadratureConvergenceError
 
@@ -437,6 +447,12 @@ class TestSweepCommand:
         assert main(["sweep", p0_file, "--axis", "K1", "--grid", "1e7,70"]) == 3
         assert "K1 grid value 70.0: quadrature failure" in capsys.readouterr().err
 
+    def test_overflowing_s_r_point_exits_2(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "s_r", "--grid", "0.0,1e9"]) == 2
+        captured = capsys.readouterr()
+        assert "exponent A - B*r" in captured.err and "s_r (up to 1e+09)" in captured.err
+        assert captured.out == ""
+
     def test_csv_written(self, p0_file, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", p0_file, "--axis", "K2", "--grid", "60,80",
@@ -487,6 +503,15 @@ class TestValidateCommand:
         z = {line.split()[1]: float(line.split()[2])
              for line in out.splitlines() if line.startswith("  z ")}
         assert abs(z["corrected"]) <= 3.0 and abs(z["paper-literal"]) <= 3.0
+
+    def test_overflowing_discount_bond_exits_2(self, tmp_path, capsys):
+        # An input error (exit 2), not a validation mismatch (exit 1).
+        path = tmp_path / "wild.yaml"
+        path.write_text(P0_YAML.replace("s_r: 0.01", "s_r: 100.0"))
+        assert main(["validate", str(path), "--paths", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert "exponent A - B*r = 1438" in captured.err and "s_r" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
 
     def test_antithetic_flag(self, p0_file, capsys):
         code = main(["validate", p0_file, "--paths", "40000", "--seed", "21",

@@ -21,10 +21,12 @@ from dvbond import (
     zcb_price,
 )
 from dvbond.mcoracle import (
+    CHUNK_PATHS,
     LEG_NAMES,
     _build_plan,
     _rate_transition,
     _segment_moments,
+    _simulate_chunk,
 )
 
 from conftest import make_inputs
@@ -332,3 +334,194 @@ class TestRateTransition:
                                         np.full(1, hi[k]), z_k)
             np.testing.assert_allclose([r_z[0], i_z[0]], [r[k], integral[k]],
                                        rtol=1e-14)
+
+
+def _reference_clock(lam, u):
+    lam = np.asarray(lam, dtype=float)
+    safe = np.where(lam > 0.0, lam, 1.0)
+    return np.where(lam > 0.0, -np.log1p(-u) / safe, np.inf)
+
+
+def _reference_transition(plan, r, lo, hi, z):
+    """Per-path rate transition on every path and every segment."""
+    integral = np.zeros_like(r)
+    for (left, right, a1, a2, s_r), (z_r, z_i) in zip(plan.segments, z):
+        h = np.maximum(np.minimum(hi, right) - np.maximum(lo, left), 0.0)
+        decay, ramp, lag, var_r, cov, var_int = _segment_moments(a1, a2, s_r, h)
+        sd_r = np.sqrt(var_r)
+        load = np.divide(cov, sd_r, out=np.zeros_like(cov), where=sd_r > 0.0)
+        sd_int = np.sqrt(np.maximum(var_int - load * load, 0.0))
+        integral += ramp * r + a1 * lag + load * z_r + sd_int * z_i
+        r = decay * r + a1 * ramp + sd_r * z_r
+    return r, integral
+
+
+def _reference_chunk(plan, seed, chunk_idx, n_units):
+    """One chunk with per-path work on every path, five leg masks and
+    per-leg pair statistics: the arithmetic that ``_simulate_chunk``
+    must reproduce from the same Philox draws."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
+    spec, firm = plan.spec, plan.firm
+    z1 = rng.standard_normal(n_units)
+    z2 = rng.standard_normal(n_units)
+    u1 = rng.random(n_units)
+    u2 = rng.random(n_units)
+    zr = rng.standard_normal((2, len(plan.segments), 2, n_units))
+    if plan.antithetic:
+        cap = math.nextafter(1.0, 0.0)
+        z1 = np.concatenate([z1, -z1])
+        z2 = np.concatenate([z2, -z2])
+        u1 = np.concatenate([u1, np.minimum(1.0 - u1, cap)])
+        u2 = np.concatenate([u2, np.minimum(1.0 - u2, cap)])
+        zr = np.concatenate([zr, -zr], axis=-1)
+    m = len(z1)
+
+    delta = spec.t2 - spec.t1
+    if plan.t < spec.t1:
+        V1 = firm.V0 * np.exp(
+            firm.log_drift * spec.t1 + firm.s_V * math.sqrt(spec.t1) * z1)
+        xi1 = _reference_clock(np.full(m, spec.intensity(firm.V0)), u1)
+        jump1 = xi1 < spec.t1 - plan.t
+        barrier1 = V1 <= spec.K1
+        seg2_start = spec.t1
+        s1 = np.where(jump1, plan.t + xi1, spec.t1)
+    else:
+        V1 = np.full(m, plan.V1_known)
+        jump1 = np.zeros(m, dtype=bool)
+        barrier1 = np.zeros(m, dtype=bool)
+        seg2_start = plan.t
+        s1 = np.full(m, plan.t)
+    enter2 = ~jump1 & ~barrier1
+    V2 = V1 * np.exp(firm.log_drift * delta + firm.s_V * math.sqrt(delta) * z2)
+    barrier2 = V2 <= spec.K2
+    xi2 = _reference_clock(spec.intensity(V1), u2)
+    jump2 = enter2 & (xi2 < spec.t2 - seg2_start)
+    s2 = np.where(jump2, seg2_start + xi2, np.where(enter2, spec.t2, s1))
+    r1, int1 = _reference_transition(plan, np.full(m, plan.r0), plan.t, s1, zr[0])
+    r2, int2 = _reference_transition(plan, r1, s1, s2, zr[1])
+
+    pay = np.exp(-(int1 + int2))
+    surv_t2 = enter2 & ~jump2
+    pay[surv_t2 & barrier2] *= spec.R_e
+    early = ~surv_t2
+    if early.any():
+        recovery = np.where(jump1[early] | jump2[early], spec.R_u, spec.R_e)
+        pay[early] *= recovery * zcb_price(plan.rate_model, r2[early], s2[early])
+    legs = {
+        "survive_both": enter2 & ~jump2 & ~barrier2,
+        "unexpected_leg1": jump1 & ~barrier1,
+        "unexpected_leg2": jump2 & ~barrier2,
+        "expected_t1": barrier1,
+        "expected_t2": enter2 & barrier2,
+    }
+
+    def pair_stats(values):
+        if plan.antithetic:
+            values = 0.5 * (values[:n_units] + values[n_units:])
+        mean = float(values.mean())
+        return mean, float(np.square(values - mean).sum())
+
+    stats = {"price": pair_stats(pay)}
+    for name, mask in legs.items():
+        stats[f"leg_{name}"] = pair_stats(pay * mask)
+    return {"n": n_units, "stats": stats}
+
+
+def _chunk_cases():
+    kinked = IntensityFunction.custom(
+        lambda v: 0.02 + 0.3 * np.maximum(0.0, 1.0 - v / 90.0))
+    piecewise = dict(a1=PiecewiseConstant((0.4,), (0.01, 0.03)),
+                     a2=PiecewiseConstant((0.7,), (0.2, 0.35)),
+                     s_r=PiecewiseConstant((0.5,), (0.01, 0.02)))
+    return {
+        "P0": dict(),
+        "mid_first_interval": dict(r=0.04, t=0.25),
+        "post_t1": dict(t=0.7, V1=90.0),
+        "piecewise": dict(rate=piecewise),
+        "piecewise_mid": dict(rate=piecewise, t=0.3),
+        "kinked_intensity": dict(intensity=kinked),
+        "no_intensity": dict(intensity=IntensityFunction.constant(0.0)),
+        # Guard extremes: no path with an event, every path with one.
+        "all_nominal": dict(default=dict(K1=0.0, K2=0.0),
+                            intensity=IntensityFunction.constant(0.0)),
+        "all_barrier1": dict(default=dict(K1=1e4)),
+        "lambda_20": dict(intensity=IntensityFunction.constant(20.0)),
+        "post_t1_lambda_20": dict(t=0.7, V1=90.0,
+                                  intensity=IntensityFunction.constant(20.0)),
+    }
+
+
+class TestChunkAgainstReference:
+    """Per-key (mean, M2) of one chunk against the per-path reference.
+
+    Tolerances: 1e-14 absolute on means (the leg sums run in another
+    order) and 1e-12 relative on M2; a zero reference M2 must be 0.
+    """
+
+    @staticmethod
+    def check(inputs, *, antithetic=False, n_units=CHUNK_PATHS, chunk_idx=0,
+              seed=2024):
+        plan = _build_plan(inputs, McConfig(n_paths=2, antithetic=antithetic))
+        got = _simulate_chunk(plan, seed, chunk_idx, n_units)
+        want = _reference_chunk(plan, seed, chunk_idx, n_units)
+        assert got["n"] == want["n"] == n_units
+        assert got["stats"].keys() == want["stats"].keys()
+        for key, (mean, m2) in want["stats"].items():
+            got_mean, got_m2 = got["stats"][key]
+            assert abs(got_mean - mean) <= 1e-14, key
+            assert abs(got_m2 - m2) <= 1e-12 * abs(m2), key
+        return got
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("case", sorted(_chunk_cases()))
+    def test_full_chunk(self, case, antithetic):
+        inputs = make_inputs(**_chunk_cases()[case])
+        if case.startswith("piecewise"):
+            assert len(_build_plan(inputs, McConfig(n_paths=2)).segments) == 4
+        n_units = CHUNK_PATHS // 2 if antithetic else CHUNK_PATHS
+        self.check(inputs, antithetic=antithetic, n_units=n_units)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_uneven_final_chunk(self, antithetic):
+        self.check(make_inputs(), antithetic=antithetic, n_units=1234,
+                   chunk_idx=3)
+
+    @pytest.mark.parametrize("case, nominal_pass, per_path_paths", [
+        ("all_nominal", True, 0),
+        ("P0", True, None),  # a few events, well under half
+        ("all_barrier1", False, CHUNK_PATHS),
+        ("lambda_20", False, CHUNK_PATHS),
+    ])
+    def test_guard_picks_route(self, monkeypatch, case, nominal_pass,
+                               per_path_paths):
+        # Scalar-time transitions are the nominal pass; the first
+        # per-path transition covers the event subset or every path.
+        calls = []
+
+        def spy(plan, r, lo, hi, z):
+            calls.append((np.ndim(hi), z.shape[-1]))
+            return _rate_transition(plan, r, lo, hi, z)
+
+        monkeypatch.setattr("dvbond.mcoracle._rate_transition", spy)
+        self.check(make_inputs(**_chunk_cases()[case]))
+        shared = [n for ndim, n in calls if ndim == 0]
+        per_path = [n for ndim, n in calls if ndim == 1]
+        assert shared == ([CHUNK_PATHS] * 2 if nominal_pass else [])
+        if per_path_paths is None:
+            assert 0 < per_path[0] < CHUNK_PATHS // 2
+        else:
+            assert per_path[0] == per_path_paths
+
+    def test_guard_extremes(self):
+        # No event at all: every leg but the par leg is exactly empty.
+        got = self.check(make_inputs(**_chunk_cases()["all_nominal"]))
+        for name in LEG_NAMES[1:]:
+            assert got["stats"][f"leg_{name}"] == (0.0, 0.0)
+        # Every path breaches K1: everything sits in the expected_t1 leg.
+        got = self.check(make_inputs(**_chunk_cases()["all_barrier1"]))
+        for name in LEG_NAMES:
+            if name != "expected_t1":
+                assert got["stats"][f"leg_{name}"] == (0.0, 0.0)
+        # A single path: the event subset is empty or everything.
+        for case in ("all_nominal", "all_barrier1", "P0"):
+            self.check(make_inputs(**_chunk_cases()[case]), n_units=1)

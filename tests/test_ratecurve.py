@@ -236,3 +236,20 @@ class TestZcbPrice:
                 z_arr = zcb_price(model, np.full_like(ts, r), ts)
                 z_one = np.array([zcb_price(model, r, float(t)) for t in ts])
                 np.testing.assert_allclose(z_one, z_arr, rtol=1e-15, atol=0)
+
+    def test_overflowing_exponent_names_s_r(self):
+        # s_r = 100 makes A(0) ~ 1438: exp would overflow to inf.
+        wild = ShortRateModel(a1=0.01, a2=0.2, s_r=100.0, maturity=1.0)
+        for r, t in ((0.05, 0.0), (np.array([0.05, 0.05]), np.array([1.0, 0.0]))):
+            with pytest.raises(ValueError, match=r"exponent A - B\*r = 1438.*s_r"):
+                zcb_price(wild, r, t)
+        # Still finite one step below the limit; par at maturity.
+        assert zcb_price(wild, 0.05, 1.0) == 1.0
+        assert np.all(np.isfinite(zcb_price(wild, np.array([0.05]), 0.9)))
+
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponent A - B\\*r = nan"):
+            zcb_price(VASICEK, np.array([0.05, math.nan]), 0.5)
+        with pytest.raises(ValueError, match="exponent A - B\\*r = nan"):
+            zcb_price(VASICEK, math.nan, 0.5)
+
