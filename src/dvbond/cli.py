@@ -165,8 +165,8 @@ def cmd_sweep(args) -> int:
     replaced model and ``pricing_inputs`` check the value again. Every
     grid value is validated before any is priced, so an invalid value
     exits 2 even when another value would fail to converge. Errors name
-    the axis and the grid value. The points are then priced together by
-    ``price_batch``.
+    the axis and the grid value, also those raised while the points are
+    priced together by ``price_batch``.
     """
     scenario = _select(_load(args.file), args.scenario)
     mode = _mode(scenario, args.mode)
@@ -200,6 +200,10 @@ def cmd_sweep(args) -> int:
     except QuadratureConvergenceError as err:
         return _fail(3, f"{args.axis} grid value {grid[err.batch_index]!r}: "
                         f"quadrature failure: {err}")
+    except ValueError as err:
+        if not hasattr(err, "batch_index"):
+            raise  # not tied to one point; main reports it
+        return _fail(2, f"{args.axis} grid value {grid[err.batch_index]!r}: {err}")
     rows = [[scenario.name, mode.value, args.axis, _fmt(value)]
             + _price_row(point, result)[2:]
             for value, point, result in zip(grid, points, results)]

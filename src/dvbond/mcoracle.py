@@ -12,8 +12,10 @@ Design:
   transitions.
 * The short rate and its time integral are drawn jointly and exactly:
   with piecewise-constant coefficients, (r_{s+h}, int_s^{s+h} r) given
-  r_s is bivariate Gaussian with closed-form moments (Glasserman 2003,
-  *Monte Carlo Methods in Financial Engineering*, sec. 3.3). Each path
+  r_s is bivariate Gaussian (Glasserman 2003, *Monte Carlo Methods in
+  Financial Engineering*, sec. 3.3). Its moments are
+  ``ratecurve._segment_moments``, the same that build the discount
+  bond's A and B, so one module owns the segment integrals. Each path
   takes two transitions, t -> s1 and s1 -> s2, to the payment time,
   each chained over the coefficient segments it overlaps. The discount
   factor therefore carries no discretisation error, and memory is
@@ -66,7 +68,7 @@ import numpy as np
 
 from .defaultmodel import DefaultSpec, FirmModel
 from .pricer import PricingInputs
-from .ratecurve import ShortRateModel, zcb_price
+from .ratecurve import ShortRateModel, _segment_moments, zcb_price
 
 __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
            "simulate_price"]
@@ -80,10 +82,6 @@ _SURVIVE, _UNEXPECTED_1, _UNEXPECTED_2, _EXPECTED_T1, _EXPECTED_T2 = range(5)
 
 # Largest double below 1; keeps mirrored uniforms inside [0, 1).
 _U_CAP = math.nextafter(1.0, 0.0)
-
-# Below this a2*h the rate-integral moments switch to Taylor series
-# (truncation and cancellation error both ~1e-12 relative here).
-_SMALL_X = 1e-2
 
 
 @dataclass(frozen=True)
@@ -188,38 +186,6 @@ def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
     np.divide(xi, lam, out=xi, where=live)
     np.copyto(xi, np.inf, where=~live)
     return xi
-
-
-def _segment_moments(a1: float, a2: float, s_r: float, h):
-    """Moments of constant-coefficient steps with lengths h >= 0.
-
-    ``h`` is one length or one per path; the moments come back as
-    arrays of at least one element. Given r at the start,
-    r' = decay*r + a1*ramp + noise and int r = ramp*r + a1*lag + noise,
-    with ramp = (1 - e^{-a2 h})/a2 and lag = (h - ramp)/a2. Returns
-    (decay, ramp, lag, var_r, cov, var_int): the noise variances
-    Var r' = s^2 (1 - e^{-2 a2 h})/(2 a2),
-    Var int r = s^2/a2^2 [h - 2 ramp + (1 - e^{-2 a2 h})/(2 a2)] and
-    their covariance s^2 ramp^2 / 2. ``lag`` and ``var_int`` lose
-    ~eps/x^2 to cancellation at x = a2*h, and ``var_int`` turns
-    negative near x ~ 1e-8, so both use Taylor series below _SMALL_X.
-    """
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    x = a2 * h
-    decay = np.exp(-x)
-    ramp = -np.expm1(-x) / a2
-    half_ramp2 = 0.5 * ramp * (1.0 + decay)  # (1 - e^{-2x}) / (2 a2)
-    lag = (h - ramp) / a2
-    var_int = (h - 2.0 * ramp + half_ramp2) * (s_r / a2) ** 2
-    # A zero length is exact in closed form (every moment but decay is 0).
-    small = np.flatnonzero((x < _SMALL_X) & (x > 0.0))
-    if small.size:
-        hs, xs = h.flat[small], x.flat[small]
-        lag.flat[small] = hs * hs * (
-            1 / 2 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs / 720))))
-        var_int.flat[small] = s_r * s_r * hs ** 3 * (
-            1 / 3 - xs * (1 / 4 - xs * (7 / 60 - xs * (1 / 24 - xs * 31 / 2520))))
-    return decay, ramp, lag, s_r * s_r * half_ramp2, 0.5 * (s_r * ramp) ** 2, var_int
 
 
 def _rate_transition(plan: _Plan, r, lo, hi, z: np.ndarray):

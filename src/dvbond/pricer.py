@@ -575,8 +575,9 @@ def price_batch(
 
     A term set whose quadrature runs out of its node budget is priced
     by ``price_bond``, which raises QuadratureConvergenceError with
-    ``partial_terms``. An error raised here also carries
-    ``batch_index``, the position in ``inputs`` of the valuation.
+    ``partial_terms``. That error, and the ``ValueError`` of a discount
+    bond whose exponent overflows, also carry ``batch_index``, the
+    position in ``inputs`` of the valuation.
     """
     results: list[PriceResult | None] = [None] * len(inputs)
     scalar, batched, term_set = [], [], []
@@ -589,7 +590,11 @@ def price_batch(
             term_set.append(keys.setdefault((x.firm, x.spec, x.t), len(keys)))
     if batched:
         terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
-        z = _discount_bonds([inputs[i] for i in batched])
+        try:
+            z = _discount_bonds([inputs[i] for i in batched])
+        except ValueError as err:
+            err.batch_index = batched[err.batch_index]
+            raise
         for i, k, zk in zip(batched, term_set, z.tolist()):
             if terms[k].error is None:
                 results[i] = _priced(terms[k], zk, mode)
@@ -598,7 +603,7 @@ def price_batch(
     for i in sorted(scalar):
         try:
             results[i] = price_bond(inputs[i], mode, quad)
-        except QuadratureConvergenceError as err:
+        except (QuadratureConvergenceError, ValueError) as err:
             err.batch_index = i
             raise
     return results
@@ -606,17 +611,30 @@ def price_batch(
 
 def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:
     """Z(r, t) of each valuation: one ``zcb_price`` call per distinct
-    rate model, on arrays when the model has several valuations."""
+    rate model, on arrays when the model has several valuations.
+
+    A ``ValueError`` carries ``batch_index``, the position in ``points``
+    of the valuation whose Z fails: a group that fails on arrays is
+    priced again one valuation at a time.
+    """
     groups: dict[ShortRateModel, list[int]] = {}
     for j, x in enumerate(points):
         groups.setdefault(x.rate_model, []).append(j)
     z = np.empty(len(points))
     for model, js in groups.items():
-        if len(js) == 1:
-            z[js[0]] = zcb_price(model, points[js[0]].r, points[js[0]].t)
-        else:
-            z[js] = zcb_price(model, np.array([points[j].r for j in js]),
-                              np.array([points[j].t for j in js]))
+        if len(js) > 1:
+            try:
+                z[js] = zcb_price(model, np.array([points[j].r for j in js]),
+                                  np.array([points[j].t for j in js]))
+                continue
+            except ValueError:
+                pass
+        for j in js:
+            try:
+                z[j] = zcb_price(model, points[j].r, points[j].t)
+            except ValueError as err:
+                err.batch_index = j
+                raise
     return z
 
 

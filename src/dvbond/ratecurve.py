@@ -8,24 +8,27 @@ with a2(t) > 0 and s_r(t) >= 0, all three coefficients piecewise
 constant in time (constants being the classic Vasicek case). The
 discount bond maturing at T is affine,
 
-    Z(r, t) = exp(A(t) - B(t) * r),
+    Z(r, t) = exp(A(t) - B(t) * r),    A(T) = B(T) = 0.
 
-where B solves B' = a2(t) * B - 1 backward from B(T) = 0 and
+Both coefficients come from the exact transition of the rate over a
+constant-coefficient segment. With level l, reversion a and volatility
+s, a step of length h from r gives
 
-    A(t) = -int_t^T [ a1(u) * B(u) - s_r(u)^2 * B(u)^2 / 2 ] du.
+    r_h = decay r + l ramp + noise_r,
+    int_0^h r = ramp r + l lag + noise_int,
 
-Both coefficients are in closed form segment by segment. On a
-constant-coefficient segment with level l, reversion a and volatility
-s whose right edge e carries B(e) = beta and A(e), a time t = e - tau
-inside it has
+with decay = exp(-a h), ramp = (1 - decay) / a, lag = (h - ramp) / a
+and Gaussian noises of variances var_r, var_int and covariance cov
+(``_segment_moments``; the simulation draws the same transition).
+Z(r, t) = E[exp(-int_t^e r) Z(r_e, e)] over a segment whose right edge
+e carries B(e) = beta and A(e) then gives, at t = e - h,
 
-    B(t) = beta * exp(-a tau) + R(a)
-    A(t) = A(e) + A0(l, a, s, tau) - l beta R(a)
-           + s^2 / 2 * (beta^2 R(2a) + beta R(a)^2)
+    B(t) = ramp + beta decay,
+    A(t) = A(e) - l (lag + beta ramp)
+           + var_int / 2 + beta cov + beta^2 var_r / 2.
 
-with R(x) = (1 - exp(-x tau)) / x and A0 the constant-coefficient A
-over tau (the beta = 0 case). The values at the segment edges are
-swept backward from maturity once per model and cached.
+The values at the segment edges are swept backward from maturity once
+per model and cached.
 
 ``paper_literal_a`` is a diagnostic switch that builds A from the
 mean-reversion coefficient a2 instead of the drift level a1. That
@@ -56,10 +59,11 @@ __all__ = [
     "zcb_price",
 ]
 
-# Below this value of a2*(T-t) the closed forms switch to Taylor series
-# to dodge catastrophic cancellation.
-_SMALL_B = 1e-6
-_SMALL_A = 1e-4
+# Below this x = a2*h the moments lag and var_int switch to Taylor
+# series: their closed forms lose ~eps/x and ~eps/x^2 to cancellation
+# (var_int turns negative near x ~ 1e-8), while the series truncation
+# error at the switch is ~4e-14 and ~1e-12 relative.
+_SMALL_X = 1e-2
 
 # Largest x with a finite exp(x).
 _MAX_EXP = math.log(np.finfo(float).max)
@@ -197,69 +201,72 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (int, float))
 
 
-def _ramp1(a2: float, tau: float) -> float:
-    """(1 - exp(-a2*tau)) / a2 with a Taylor branch for tiny a2*tau."""
-    x = a2 * tau
-    if x < _SMALL_B:
-        return tau * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
-    return -math.expm1(-x) / a2
+def _series(s_r, h, x):
+    """(lag, var_int) from their Taylor series in x = a2*h; floats or
+    arrays."""
+    lag = h * h * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720))))
+    var_int = s_r * s_r * h * h * h * (
+        1 / 3 - x * (1 / 4 - x * (7 / 60 - x * (1 / 24 - x * 31 / 2520))))
+    return lag, var_int
 
 
-def _A_constant1(level: float, a2: float, s_r: float, tau: float, b: float) -> float:
-    """Closed-form A over tau with constant coefficients; b = _ramp1(a2, tau)."""
-    x = a2 * tau
-    if x < _SMALL_A:
-        tau2 = tau * tau
-        return (-level * tau2 * (0.5 - x / 6.0 + x * x / 24.0)
-                + 0.5 * s_r**2 * tau2 * tau * (1.0 / 3.0 - x / 4.0 + 7.0 * x * x / 60.0))
-    return (b - tau) * (level / a2 - s_r**2 / (2.0 * a2**2)) - s_r**2 * b * b / (4.0 * a2)
+def _segment_moments(a1, a2, s_r, h):
+    """Transition moments of constant-coefficient steps of lengths h >= 0.
+
+    ``h`` and the coefficients are each one value or one per element;
+    the moments come back as arrays of at least one element. Returns
+    (decay, ramp, lag, var_r, cov, var_int) of the module docs:
+    var_r = s^2 (1 - e^{-2 a2 h}) / (2 a2),
+    var_int = s^2 / a2^2 [h - 2 ramp + (1 - e^{-2 a2 h}) / (2 a2)] and
+    cov = s^2 ramp^2 / 2. The drift level ``a1`` only scales ramp and
+    lag in the means and does not enter. Squares are products, which
+    give inf rather than an error for huge coefficients.
+    """
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    x = a2 * h
+    decay = np.exp(-x)
+    ramp = -np.expm1(-x) / a2
+    half_ramp2 = 0.5 * ramp * (1.0 + decay)  # (1 - e^{-2x}) / (2 a2)
+    lag = (h - ramp) / a2
+    s_a = s_r / a2
+    var_int = (h - 2.0 * ramp + half_ramp2) * s_a * s_a
+    # A zero length is exact in closed form (every moment but decay is 0).
+    small = np.flatnonzero((x < _SMALL_X) & (x > 0.0))
+    if small.size:
+        lag.flat[small], var_int.flat[small] = _series(
+            np.broadcast_to(s_r, x.shape).flat[small], h.flat[small], x.flat[small])
+    s_ramp = s_r * ramp
+    return decay, ramp, lag, s_r * s_r * half_ramp2, 0.5 * s_ramp * s_ramp, var_int
 
 
-def _segment_AB(level: float, a2: float, s_r: float, tau: float,
-                beta: float, a_end: float) -> tuple[float, float]:
-    """(A, B) at tau before a segment's right edge, where B = beta, A = a_end."""
-    ramp = _ramp1(a2, tau)
-    b = beta * math.exp(-a2 * tau) + ramp
-    a = a_end + _A_constant1(level, a2, s_r, tau, ramp)
-    if beta != 0.0:
-        a += -level * beta * ramp + 0.5 * s_r**2 * (
-            beta * beta * _ramp1(2.0 * a2, tau) + beta * ramp * ramp)
-    return a, b
+def _segment_moments1(a1: float, a2: float, s_r: float, h: float):
+    """``_segment_moments`` of one step, as floats from ``math``."""
+    x = a2 * h
+    decay = math.exp(-x)
+    ramp = -math.expm1(-x) / a2
+    half_ramp2 = 0.5 * ramp * (1.0 + decay)
+    if x < _SMALL_X:
+        lag, var_int = _series(s_r, h, x)
+    else:
+        s_a = s_r / a2
+        lag = (h - ramp) / a2
+        var_int = (h - 2.0 * ramp + half_ramp2) * s_a * s_a
+    s_ramp = s_r * ramp
+    return decay, ramp, lag, s_r * s_r * half_ramp2, 0.5 * s_ramp * s_ramp, var_int
+
+
+def _segment_AB(level, a2, s_r, tau, beta, a_end):
+    """(A, B) at tau before a segment's right edge, where B = beta and
+    A = a_end (module docs); floats or arrays, elementwise."""
+    moments = _segment_moments1 if _is_scalar(tau) else _segment_moments
+    decay, ramp, lag, var_r, cov, var_int = moments(level, a2, s_r, tau)
+    a = (a_end - level * (lag + beta * ramp)
+         + 0.5 * var_int + beta * cov + 0.5 * beta * beta * var_r)
+    return a, ramp + beta * decay
 
 
 def _time_error(model: ShortRateModel, t) -> ValueError:
     return ValueError(f"time must lie in [0, {model.maturity}], got {t!r}")
-
-
-def _ramp(a2, tau):
-    """Elementwise ``_ramp1`` of 1-d arrays; the series only where needed."""
-    x = a2 * tau
-    out = -np.expm1(-x) / a2  # finite for any a2 > 0: 0 <= out <= tau
-    small = np.flatnonzero(x < _SMALL_B)
-    if small.size:
-        xs, ts = x[small], tau[small]
-        out[small] = ts * (1.0 - xs / 2.0 + xs * xs / 6.0 - xs * xs * xs / 24.0)
-    return out
-
-
-def _A_constant(level, a2, s_r, tau, b):
-    """Elementwise ``_A_constant1`` of 1-d arrays; the series only where
-    needed."""
-    x = a2 * tau
-    small = np.flatnonzero(x < _SMALL_A)
-    if small.size:
-        a2 = a2.copy()
-        a2[small] = 1.0  # the closed form is discarded there; keep it finite
-    out = (b - tau) * (level / a2 - s_r**2 / (2.0 * a2**2)) \
-        - s_r**2 * b * b / (4.0 * a2)
-    if small.size:
-        lv, sr, ts, xs = level[small], s_r[small], tau[small], x[small]
-        tau2 = ts * ts
-        out[small] = (
-            -lv * tau2 * (0.5 - xs / 6.0 + xs * xs / 24.0)
-            + 0.5 * sr**2 * tau2 * ts * (1.0 / 3.0 - xs / 4.0 + 7.0 * xs * xs / 60.0)
-        )
-    return out
 
 
 def _AB(model: ShortRateModel, t):
@@ -278,16 +285,10 @@ def _AB(model: ShortRateModel, t):
     shape, t = t.shape, t.reshape(-1)
     edges = np.asarray(tab.edges)
     j = np.minimum(np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
-    tau = edges[j + 1] - t
-    level = np.asarray(tab.level)[j]
-    a2 = np.asarray(tab.a2)[j]
-    s_r = np.asarray(tab.s_r)[j]
-    beta = np.asarray(tab.b_edges)[j + 1]
-    ramp = _ramp(a2, tau)
-    a = np.asarray(tab.a_edges)[j + 1] + _A_constant(level, a2, s_r, tau, ramp) \
-        - level * beta * ramp \
-        + 0.5 * s_r**2 * (beta * beta * _ramp(2.0 * a2, tau) + beta * ramp * ramp)
-    return a.reshape(shape), (beta * np.exp(-a2 * tau) + ramp).reshape(shape)
+    a, b = _segment_AB(np.asarray(tab.level)[j], np.asarray(tab.a2)[j],
+                       np.asarray(tab.s_r)[j], edges[j + 1] - t,
+                       np.asarray(tab.b_edges)[j + 1], np.asarray(tab.a_edges)[j + 1])
+    return a.reshape(shape), b.reshape(shape)
 
 
 def _out(x):

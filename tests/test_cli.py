@@ -235,6 +235,29 @@ class TestPriceCommand:
         assert "exponent A - B*r = 1438" in captured.err and "s_r" in captured.err
         assert captured.out == ""
 
+    def test_huge_s_r_exits_2(self, tmp_path, capsys):
+        # s_r * s_r overflows to inf and the exponent is NaN: exit 2 with
+        # the discount-bond message, not an OverflowError traceback.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace("s_r: 0.01", "s_r: 1e160"))
+        assert main(["price", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: discount bond exponent A - B*r = nan")
+        assert "s_r (up to 1e+160)" in captured.err
+        assert captured.out == ""
+
+    def test_huge_a2_prices(self, tmp_path, capsys):
+        # a2 only divides in the segment moments, so a2 = 1e200 (whose
+        # square overflows) prices: the rate reverts to ~0 at once.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace("a2: 0.2", "a2: 1e200"))
+        assert main(["price", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got = dict(re.findall(r"^  (price|zcb) +(\S+)$", captured.out, re.M))
+        price, zcb = float(got["price"]), float(got["zcb"])
+        assert 0.3 * zcb <= price <= zcb  # min(R_u, R_e) Z <= price <= Z
+
     def test_numerical_failure_exits_3(self, p0_file, monkeypatch, capsys):
         from dvbond.mathkit import QuadratureConvergenceError
 
@@ -452,6 +475,28 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "exponent A - B*r" in captured.err and "s_r (up to 1e+09)" in captured.err
         assert captured.out == ""
+
+    def test_overflowing_point_names_grid_value(self, p0_file, capsys):
+        # s_r points are priced one at a time, r0 points on arrays.
+        assert main(["sweep", p0_file, "--axis", "s_r", "--grid", "0.0,1e9"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: s_r grid value 1000000000.0: discount bond exponent")
+        assert main(["sweep", p0_file, "--axis", "r0",
+                     "--grid", "0.05,-1e5,-2e5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: r0 grid value -100000.0: discount bond exponent")
+        assert captured.out == ""
+
+    def test_huge_a2_point_prices(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "a2", "--grid", "0.2,1e200"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["axis_value"] for row in rows] == ["0.2", "1e+200"]
+        for row in rows:
+            price, zcb = float(row["price"]), float(row["zcb"])
+            assert 0.3 * zcb <= price <= zcb
 
     def test_csv_written(self, p0_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -25,9 +25,9 @@ from dvbond.mcoracle import (
     LEG_NAMES,
     _build_plan,
     _rate_transition,
-    _segment_moments,
     _simulate_chunk,
 )
+from dvbond.ratecurve import _segment_moments
 
 from conftest import make_inputs
 

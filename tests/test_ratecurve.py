@@ -224,18 +224,56 @@ class TestZcbPrice:
             float(disc.mean()), abs=3 * se)
 
     def test_scalar_path_matches_array_path(self):
-        # a2 = 1e-9 keeps a2*tau below both series switches, a2 = 2e-4
-        # crosses both, and the piecewise models cross their breaks.
+        # a2 = 1e-9 and 2e-4 keep a2*tau below the series switch (1e-2),
+        # a2 = 0.02 runs a2*tau through it, and the piecewise models
+        # cross their breaks.
         series = ShortRateModel(a1=0.02, a2=1e-9, s_r=0.01, maturity=1.0)
         switch = ShortRateModel(a1=0.02, a2=2e-4, s_r=0.01, maturity=1.0)
+        crossing = ShortRateModel(a1=0.02, a2=0.02, s_r=0.01, maturity=1.0)
         edges = np.array([0.3, 0.5, 0.6, 0.7])
         ts = np.concatenate([np.linspace(0.0, 1.0, 101), edges,
                              edges - 1e-12, edges + 1e-12, [1.0 - 1e-9]])
-        for model in (series, switch, PIECEWISE, LITERAL_PIECEWISE):
+        for model in (series, switch, crossing, PIECEWISE, LITERAL_PIECEWISE):
             for r in (-0.02, 0.05):
                 z_arr = zcb_price(model, np.full_like(ts, r), ts)
                 z_one = np.array([zcb_price(model, r, float(t)) for t in ts])
                 np.testing.assert_allclose(z_one, z_arr, rtol=1e-15, atol=0)
+
+    @staticmethod
+    def mp_zcb(mpmath, segments, r):
+        """Z at the left end of ``segments``, (length, a1, a2, s_r) from
+        the left, by the A and B recursion of the backward ODE at 40
+        digits."""
+        with mpmath.workdps(40):
+            a_end = b_end = mpmath.mpf(0)
+            for segment in reversed(segments):
+                tau, level, a2, s_r = (mpmath.mpf(v) for v in segment)
+
+                def ramp(k):
+                    return -mpmath.expm1(-k * a2 * tau) / (k * a2)
+                r1, s2 = ramp(1), s_r * s_r
+                a_const = ((r1 - tau) * (level / a2 - s2 / (2 * a2 * a2))
+                           - s2 * r1 * r1 / (4 * a2))
+                a_end, b_end = (
+                    a_end + a_const - level * b_end * r1
+                    + s2 / 2 * (b_end * b_end * ramp(2) + b_end * r1 * r1),
+                    b_end * mpmath.exp(-a2 * tau) + r1)
+            return float(mpmath.exp(a_end - b_end * mpmath.mpf(r)))
+
+    def test_small_reversion_matches_mpmath(self):
+        # a2*tau ~ 1e-4 over long maturities: a Taylor switch near there
+        # can cost ~2e-8 relative in Z.
+        mpmath = pytest.importorskip("mpmath")
+        one = ShortRateModel(a1=0.001, a2=5e-6, s_r=0.02, maturity=25.0)
+        two = ShortRateModel(a1=0.001, a2=PiecewiseConstant((15.0,), (3e-6, 5e-6)),
+                             s_r=0.02, maturity=30.0)
+        for model, segments in (
+                (one, [(25.0, 0.001, 5e-6, 0.02)]),
+                (two, [(15.0, 0.001, 3e-6, 0.02), (15.0, 0.001, 5e-6, 0.02)])):
+            exact = self.mp_zcb(mpmath, segments, 0.03)
+            assert zcb_price(model, 0.03, 0.0) == pytest.approx(exact, rel=1e-13, abs=0)
+            z_arr = zcb_price(model, np.array([0.03]), np.array([0.0]))
+            assert z_arr[0] == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_overflowing_exponent_names_s_r(self):
         # s_r = 100 makes A(0) ~ 1438: exp would overflow to inf.
