@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import io
 import math
+import os
 import re
 import sys
 
@@ -89,12 +92,18 @@ def _price_row(scenario: Scenario, result: PriceResult) -> list[str]:
     ]
 
 
-def _write_csv(path: str, header: tuple, rows: list[list[str]]) -> None:
+def _csv_text(header: tuple, rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _write_csv(path: str, text: str) -> None:
+    # Rewritten in place and cut to the written length, which is cheaper
+    # than emptying the file first; a symlink or the file's mode is kept.
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.truncate(fh.write(text.encode("utf-8")))
     except OSError as err:
         raise SystemExit(_fail(2, f"--csv {path}: {err.strerror or err}"))
 
@@ -135,7 +144,7 @@ def cmd_price(args) -> int:
     else:
         print("  (post-announcement valuation: no term decomposition)")
     if args.csv:
-        _write_csv(args.csv, PRICE_COLUMNS, [_price_row(scenario, result)])
+        _write_csv(args.csv, _csv_text(PRICE_COLUMNS, [_price_row(scenario, result)]))
     return 0
 
 
@@ -208,11 +217,10 @@ def cmd_sweep(args) -> int:
             + _price_row(point, result)[2:]
             for value, point, result in zip(grid, points, results)]
 
-    writer = csv.writer(sys.stdout)
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows(rows)
+    text = _csv_text(SWEEP_COLUMNS, rows)
+    sys.stdout.write(text)
     if args.csv:
-        _write_csv(args.csv, SWEEP_COLUMNS, rows)
+        _write_csv(args.csv, text)
     return 0
 
 
@@ -315,45 +323,44 @@ def _attach_grid(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="dvbond",
         description="Defaultable-bond pricing from discretely declared firm value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {}
+    for name, fn, text in (
+        ("price", cmd_price, "price one scenario"),
+        ("sweep", cmd_sweep, "price along a parameter grid"),
+        ("validate", cmd_validate, "compare both closed-form modes to Monte Carlo"),
+    ):
+        p[name] = sub.add_parser(name, help=text)
+        p[name].set_defaults(fn=fn)
+        p[name].add_argument("file", help="scenario YAML file")
+        p[name].add_argument("--scenario", help="scenario name (if several)")
+        if name != "validate":
+            p[name].add_argument("--mode", choices=[m.value for m in PricingMode],
+                                 help="override the scenario's pricing mode")
+    p["price"].add_argument("--csv", help="also write the result as a CSV row")
+    p["price"].add_argument("--paper-literal-A", dest="paper_literal_a",
+                            action="store_true",
+                            help="diagnostic: build the discount curve's log-level "
+                                 "coefficient from the mean-reversion coefficient")
+    p["sweep"].add_argument("--axis", required=True, help="scenario field to vary")
+    p["sweep"].add_argument("--grid", required=True, help="comma-separated values")
+    p["sweep"].add_argument("--csv", help="also write the table to a file")
+    p["validate"].add_argument("--paths", type=int, default=200_000)
+    p["validate"].add_argument("--seed", type=int, default=42)
+    p["validate"].add_argument("--threads", type=int, default=1)
+    p["validate"].add_argument("--antithetic", action="store_true")
+    return parser
 
-    p_price = sub.add_parser("price", help="price one scenario")
-    p_price.add_argument("file", help="scenario YAML file")
-    p_price.add_argument("--scenario", help="scenario name (if several)")
-    p_price.add_argument("--mode", choices=[m.value for m in PricingMode],
-                         help="override the scenario's pricing mode")
-    p_price.add_argument("--csv", help="also write the result as a CSV row")
-    p_price.add_argument("--paper-literal-A", dest="paper_literal_a",
-                         action="store_true",
-                         help="diagnostic: build the discount curve's log-level "
-                              "coefficient from the mean-reversion coefficient")
-    p_price.set_defaults(fn=cmd_price)
 
-    p_sweep = sub.add_parser("sweep", help="price along a parameter grid")
-    p_sweep.add_argument("file")
-    p_sweep.add_argument("--scenario")
-    p_sweep.add_argument("--mode", choices=[m.value for m in PricingMode])
-    p_sweep.add_argument("--axis", required=True, help="scenario field to vary")
-    p_sweep.add_argument("--grid", required=True, help="comma-separated values")
-    p_sweep.add_argument("--csv", help="also write the table to a file")
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_val = sub.add_parser("validate",
-                           help="compare both closed-form modes to Monte Carlo")
-    p_val.add_argument("file")
-    p_val.add_argument("--scenario")
-    p_val.add_argument("--paths", type=int, default=200_000)
-    p_val.add_argument("--seed", type=int, default=42)
-    p_val.add_argument("--threads", type=int, default=1)
-    p_val.add_argument("--antithetic", action="store_true")
-    p_val.set_defaults(fn=cmd_validate)
-
-    args = parser.parse_args(
+def main(argv=None) -> int:
+    args = _parser().parse_args(
         _attach_grid(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)

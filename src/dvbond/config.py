@@ -49,10 +49,10 @@ __all__ = ["ConfigError", "Scenario", "load_scenarios"]
 _INTENSITY_FAMILIES = ("constant", "log-reciprocal")
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads the YAML 1.2 floats YAML 1.1 leaves as
-    strings: an exponent without a sign or a mantissa without a point
-    (1e7, 1.0e7, 2E-3). Quoted scalars stay strings."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml if built in; it calls this Python resolver) that
+    also reads the YAML 1.2 floats YAML 1.1 leaves as strings: 1e7, 1.0e7,
+    2E-3 (no exponent sign, or no point). Quoted scalars stay strings."""
 
 
 _Loader.add_implicit_resolver(

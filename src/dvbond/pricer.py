@@ -366,9 +366,12 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     # V1 underflows to 0 and the log-reciprocal ln(1 + 1/V1) to inf, so
     # F = 0; there ln V1 < -709 and the exact F is below e^{-709 delta}.
     # The log-reciprocal is evaluated here, as IntensityFunction rejects
-    # V1 = 0.
+    # V1 = 0; the limit of a custom intensity there is unknown.
     with np.errstate(over="ignore", divide="ignore"):
         v1 = np.exp(log_v1 + scale * x)
+        if intensity.family == "custom" and not np.all(v1 > 0.0):
+            raise ValueError("custom intensity: V1 underflows to 0 on the quadrature "
+                             "nodes (firm drift mu too negative)")
         lam = np.log1p(1.0 / v1) if intensity.family == "log_reciprocal" \
             else intensity(v1)
     F = np.exp(-delta * lam)

@@ -1,14 +1,17 @@
 import csv
 import io
 import math
+import os
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
 
 from dvbond import cli, pricer
 from dvbond.cli import main
-from dvbond.config import ConfigError, load_scenarios
+from dvbond.config import ConfigError, _Loader, load_scenarios
 from dvbond.mathkit import QuadratureSpec
 
 P0_YAML = textwrap.dedent("""\
@@ -40,6 +43,37 @@ P0_YAML = textwrap.dedent("""\
 PAR_YAML = P0_YAML.replace("R_u: 0.4", "R_u: 1.0").replace("R_e: 0.3", "R_e: 1.0")
 ZERO_YAML = P0_YAML.replace("K1: 70.0", "K1: 10000000.0") \
     .replace("R_u: 0.4", "R_u: 0.0").replace("R_e: 0.3", "R_e: 0.0")
+
+
+# Every scenario document the tests write, and the README's P0.
+YAML_DOCS = [P0_YAML, PAR_YAML, ZERO_YAML] + [
+    P0_YAML.replace(old, new) for old, new in (
+        ("      s_V: 0.2\n", ""), ("s_V: 0.2", "s_V: 0.2\n      sV: 1"),
+        ("R_u: 0.4", "R_u: 1.4"), ("family: log-reciprocal", "family: [a, b]"),
+        ("a1: 0.01", "a1:\n            breakpoints: [0.5]\n"
+                     "            values: [0.01, 0.02]"),
+        ("K1: 70.0", "K1: 1e7"), ("K1: 70.0", "K1: 1.0e7"), ("K1: 70.0", "K1: 1E+7"),
+        ("r0: 0.05", "r0: -2.5E-3"), ("r0: 0.05", "r0: 5e-2"),
+        ("K1: 70.0", 'K1: "1e7"'), ("V0: 100.0", "V0: .nan"),
+        ("s_r: 0.01", "s_r: .inf"), ("s_r: 0.01", "s_r: 1e160"),
+        ("a2: 0.2", "a2: 1e200"), ("mu: 0.07", "mu: -1000000.0"),
+        ("valuation_time: 0.0", "valuation_time: 0.6"),
+        ("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"),
+        ("family: log-reciprocal", "family: constant\n        lambda0: 0.03"),
+        ("scenarios:\n", "scenarios:\n  HIGHVOL: {}\n"),
+    )
+] + re.findall(r"```yaml\n(.*?)```",
+               (Path(__file__).parents[1] / "README.md").read_text(), re.S)
+
+
+class _PureLoader(yaml.SafeLoader):
+    """The pure-Python safe loader with ``_Loader``'s resolver."""
+
+
+_PureLoader.yaml_implicit_resolvers = {
+    first: list(resolvers)
+    for first, resolvers in _Loader.yaml_implicit_resolvers.items()
+}
 
 
 @pytest.fixture
@@ -120,6 +154,24 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_scenarios(str(path))
         assert "V0 must be finite" in str(err.value)
+
+    @pytest.mark.parametrize("doc", YAML_DOCS,
+                             ids=[f"doc{i}" for i in range(len(YAML_DOCS))])
+    def test_loader_matches_pure_python(self, doc):
+        # repr: a NaN is not equal to itself, and 1 == 1.0 == True.
+        assert repr(yaml.load(doc, Loader=_Loader)) \
+            == repr(yaml.load(doc, Loader=_PureLoader))
+
+    def test_loader_is_libyaml_backed(self):
+        assert issubclass(_Loader, getattr(yaml, "CSafeLoader", ())) \
+            == yaml.__with_libyaml__
+
+    def test_syntax_error_names_file(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("scenarios: [P0\n")
+        with pytest.raises(ConfigError, match="not valid YAML") as err:
+            load_scenarios(str(path))
+        assert err.value.path == str(path)
 
     def test_post_announcement_requires_declared_value(self, tmp_path):
         path = tmp_path / "post.yaml"
@@ -378,8 +430,7 @@ class TestSweepCommand:
                 assert main(["sweep", str(path), "--axis", axis, "--grid", grid,
                              "--mode", mode, "--csv", str(out_csv)]) == 0
                 printed = capsys.readouterr().out
-                assert printed.replace("\r\n", "\n") \
-                    == out_csv.read_text().replace("\r\n", "\n")
+                assert printed.encode() == out_csv.read_bytes()
                 rows = list(csv.DictReader(io.StringIO(printed)))
                 values = [float(v) for v in grid.split(",")]
                 assert len(rows) == len(values)
@@ -505,6 +556,26 @@ class TestSweepCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("scenario,mode,axis,axis_value,price")
         assert len(lines) == 3
+
+    def test_shorter_rewrite_leaves_only_its_bytes(self, p0_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        for grid in ("60,70,80,90", "60,80"):
+            assert main(["sweep", p0_file, "--axis", "K2", "--grid", grid,
+                         "--csv", str(out)]) == 0
+            assert out.read_bytes() == capsys.readouterr().out.encode()
+        assert main(["price", p0_file, "--csv", str(out)]) == 0
+        assert out.read_bytes().count(b"\r\n") == 2
+
+    def test_csv_through_symlink_keeps_mode(self, p0_file, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x" * 10_000)
+        target.chmod(0o600)
+        link.symlink_to(target)
+        assert main(["sweep", p0_file, "--axis", "K2", "--grid", "60",
+                     "--csv", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == capsys.readouterr().out.encode()
+        assert os.stat(target).st_mode & 0o777 == 0o600
 
 
 class TestValidateCommand:

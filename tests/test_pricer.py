@@ -514,6 +514,19 @@ class TestHugeDrift:
         got = price_bond(inputs)
         assert got.price == pytest.approx(inputs.spec.R_u * got.zcb, abs=1e-12)
 
+    def test_custom_intensity_underflow_rejected(self):
+        # A custom intensity has no known limit at V1 = 0, so the inputs
+        # where V1 underflows are rejected, naming mu, in both routes.
+        custom = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
+        inputs = make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0),
+                             intensity=custom)
+        for mode in PricingMode:
+            with pytest.raises(ValueError, match=r"^custom intensity: .* mu "):
+                price_bond(inputs, mode)
+            with pytest.raises(ValueError, match=r"^custom intensity: ") as err:
+                price_batch([inputs], mode)
+            assert err.value.batch_index == 0
+
 
 class TestCreditSpread:
     def test_zero_for_par(self):
