@@ -76,10 +76,9 @@ def _mode(scenario: Scenario, flag: str | None) -> PricingMode:
 
 
 def _price_row(scenario: Scenario, result: PriceResult) -> list[str]:
+    """The priced columns of a CSV row: price through expected_leg."""
     t = result.terms
     return [
-        scenario.name,
-        result.mode.value,
         _fmt(result.price),
         _fmt(result.zcb),
         _fmt(_spread(result, scenario.spec.t2 - scenario.valuation_time)),
@@ -144,7 +143,8 @@ def cmd_price(args) -> int:
     else:
         print("  (post-announcement valuation: no term decomposition)")
     if args.csv:
-        _write_csv(args.csv, _csv_text(PRICE_COLUMNS, [_price_row(scenario, result)]))
+        _write_csv(args.csv, _csv_text(PRICE_COLUMNS, [[scenario.name, mode.value]
+                                                      + _price_row(scenario, result)]))
     return 0
 
 
@@ -214,7 +214,7 @@ def cmd_sweep(args) -> int:
             raise  # not tied to one point; main reports it
         return _fail(2, f"{args.axis} grid value {grid[err.batch_index]!r}: {err}")
     rows = [[scenario.name, mode.value, args.axis, _fmt(value)]
-            + _price_row(point, result)[2:]
+            + _price_row(point, result)
             for value, point, result in zip(grid, points, results)]
 
     text = _csv_text(SWEEP_COLUMNS, rows)
@@ -226,6 +226,14 @@ def cmd_sweep(args) -> int:
 
 # Roundoff floor of the z-score standard error, relative to the price.
 _SE_ROUNDOFF = 1e-14
+
+# The printed label of each closed-form leg of ``PriceResult.legs``.
+_LEG_LABELS = {
+    ("survive_both", "unexpected_leg2"): "survive+jump2 legs",
+    ("expected_t2",): "expected_t2 leg",
+    ("unexpected_leg1",): "unexpected_t1 leg",
+    ("expected_t1",): "expected_t1 leg",
+}
 
 
 def cmd_validate(args) -> int:
@@ -272,30 +280,14 @@ def cmd_validate(args) -> int:
     print(f"  z corrected           {z_corr:+.3f}")
     print(f"  z paper-literal       {z_lit:+.3f}")
 
-    if corrected.terms is not None:
-        spec = scenario.spec
-        decay1 = math.exp(
-            -spec.intensity(scenario.firm.V0) * (spec.t1 - scenario.valuation_time)
-        )
-        t = corrected.terms
-        lit_leg = literal.terms.expected_default
-        legs = (
-            ("survive+jump2 legs", corrected.zcb * decay1 * (t.i21 + t.i22),
-             est.leg_breakdown["survive_both"] + est.leg_breakdown["unexpected_leg2"],
-             math.hypot(est.leg_std_error["survive_both"],
-                        est.leg_std_error["unexpected_leg2"])),
-            ("expected_t2 leg", corrected.zcb * decay1 * (t.i23 + t.i24),
-             est.leg_breakdown["expected_t2"], est.leg_std_error["expected_t2"]),
-            ("unexpected_t1 leg", t.i1,
-             est.leg_breakdown["unexpected_leg1"],
-             est.leg_std_error["unexpected_leg1"]),
-            ("expected_t1 leg", t.expected_default,
-             est.leg_breakdown["expected_t1"], est.leg_std_error["expected_t1"]),
-        )
+    if corrected.legs is not None:
         print("  legs (corrected closed form vs monte carlo):")
-        for name, cf, mc, se in legs:
-            z = z_score(cf, mc, se)
-            print(f"    {name:20s} {_fmt(cf):>22s} vs {_fmt(mc):>22s}  z {z:+.3f}")
+        for keys, cf in corrected.legs.items():
+            mc = sum(est.leg_breakdown[k] for k in keys)
+            se = math.hypot(*(est.leg_std_error[k] for k in keys))
+            print(f"    {_LEG_LABELS[keys]:20s} {_fmt(cf):>22s} vs {_fmt(mc):>22s}"
+                  f"  z {z_score(cf, mc, se):+.3f}")
+        lit_leg = literal.legs[("expected_t1",)]
         z_lit_leg = z_score(lit_leg, est.leg_breakdown["expected_t1"],
                             est.leg_std_error["expected_t1"])
         print(f"    expected_t1 (paper-literal grouping)"

@@ -375,7 +375,8 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     0.925 it integrates Plackett's identity over asin(rho) with 6, 12
     or 20 Gauss-Legendre nodes (|rho| below 0.3, 0.75 or 0.925); from
     0.925 on it integrates the Drezner-Wesolowsky asymptotic series
-    in sqrt(1 - rho^2). Either bound may be +/-inf; |rho| <= 1.
+    in sqrt(1 - rho^2). Either bound may be +/-inf, and one beyond
+    +/-40 is taken as infinite; |rho| <= 1.
 
     Floats only, evaluated in ``math``.
     """
@@ -383,6 +384,9 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
         raise ValueError("bvn_cdf: NaN argument")
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"bvn_cdf: correlation must lie in [-1, 1], got {rho}")
+    # Phi is exactly 0 or 1 in double from |x| >= 38.5, so a bound past
+    # 40 is infinite here; kept finite, h*h or (h - k)**2 could overflow.
+    h, k = (math.copysign(math.inf, x) if abs(x) > 40.0 else x for x in (h, k))
     if h == -math.inf or k == -math.inf:
         return 0.0
     if h == math.inf:

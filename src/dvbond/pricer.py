@@ -108,8 +108,6 @@ __all__ = [
     "PriceResult",
     "price_last_interval",
     "compute_alphas",
-    "term_I21_I23",
-    "term_I22_I24",
     "expected_default_leg",
     "price_full",
     "price_bond",
@@ -202,8 +200,28 @@ class TermBreakdown:
 
     ``i1`` and ``expected_default`` include the discount-bond factor;
     the four ``i2x`` terms are the dimensionless integrals multiplying
-    Z * exp(-lambda(V0) (t1 - t)). In CORRECTED mode ``i24`` carries
-    the coefficient R_e - R_u and may be negative.
+    Z * exp(-lambda(V0) (t1 - t)). With c = sqrt(t1/(t2-t1)), CORRECTED
+    pairs the left-tail region with the reflected integrand (the exact
+    expectation over {V1 > K1}), so the floor R_u splits over the exact
+    joint law and I21 + I23 = R_u * N(alpha1):
+
+        I21 = R_u         * N2(alpha1,  alpha2 : M-)
+        I22 = (1 - R_u)   * int F(-x) N( alpha2 - c x) phi(x) dx
+        I23 = R_u         * N2(alpha1, -alpha2 : M+)
+        I24 = (R_e - R_u) * int F(-x) N(-alpha2 + c x) phi(x) dx
+
+    where ``i24`` may be negative (R_e < R_u). PAPER_LITERAL keeps the
+    printed assignment and kernels:
+
+        I21 = R_u             * N2(alpha1,  alpha2 : M+)
+        I22 = (1 - R_u)       * int F(x) N( alpha2 + c x) phi(x) dx
+        I23 = R_u * R_e       * N2(alpha1, -alpha2 : M-)
+        I24 = (1 - R_u) * R_e * int F(x) N(-alpha2 - c x) phi(x) dx
+
+    The integrals run over the left tail x < alpha1. The I23 and I24
+    coefficients are the breach (floor, coefficient) of the mode's
+    convention. With a constant intensity F factors out of I22 and
+    I24, leaving F times the bivariate probabilities of I21 and I23.
     """
 
     i1: float
@@ -222,15 +240,27 @@ class TermBreakdown:
 class PriceResult:
     """Bond price with its decomposition and the discount bond used.
 
-    ``terms`` is None when the valuation fell in the post-announcement
-    regime (t >= t1), where the closed form is a two-branch expression
-    with no integral decomposition.
+    ``legs`` splits the price as the Monte Carlo oracle splits it, in
+    price units, keyed by the tuple of ``mcoracle.LEG_NAMES`` each leg
+    covers; the legs sum to the price up to roundoff:
+
+        ("survive_both", "unexpected_leg2")  Z e^{-lambda(V0)(t1-t)} (I21 + I22)
+        ("expected_t2",)                     Z e^{-lambda(V0)(t1-t)} (I23 + I24)
+        ("unexpected_leg1",)                 I1
+        ("expected_t1",)                     the first-barrier leg
+
+    I21 + I22 does not split survival from a jump before t2, so the
+    first leg covers both. ``terms`` and ``legs`` are None when the
+    valuation fell in the post-announcement regime (t >= t1), where the
+    closed form is a two-branch expression with no integral
+    decomposition.
     """
 
     price: float
     mode: PricingMode
     terms: TermBreakdown | None
     zcb: float
+    legs: dict[tuple[str, ...], float] | None = None
 
 
 def price_last_interval(inputs: PricingInputs) -> float:
@@ -324,31 +354,6 @@ def _barrier_probabilities(alpha1: float, alpha2: float, t1: float, t2: float,
     return n_up, n_surv1 - n_up
 
 
-def term_I21_I23(
-    firm: FirmModel,
-    spec: DefaultSpec,
-    mode: PricingMode = PricingMode.CORRECTED,
-) -> tuple[float, float]:
-    """Bivariate-probability terms of the decomposition.
-
-    CORRECTED pairs the left-tail region with the reflected integrand,
-    so the recovery floor R_u splits over the exact joint law:
-
-        I21 = R_u * N2(alpha1,  alpha2 : M-)
-        I23 = R_u * N2(alpha1, -alpha2 : M+)
-
-    and I21 + I23 = R_u * N(alpha1). PAPER_LITERAL keeps the printed
-    assignment,
-
-        I21 = R_u       * N2(alpha1,  alpha2 : M+)
-        I23 = R_u * R_e * N2(alpha1, -alpha2 : M-).
-
-    The I23 coefficient is the breach floor of the mode's convention.
-    """
-    terms = _term_sets([(firm, spec, 0.0)], _CONVENTIONS[mode], DEFAULT_QUADRATURE)[0]
-    return terms.i21, terms.i23
-
-
 def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
     """The parameters of ``_tail_rows`` after alpha2: delta = t2 - t1,
     the mean of ln V1, s s_V sqrt(t1) and s c."""
@@ -377,43 +382,6 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     F = np.exp(-delta * lam)
     up = F * ndtr(alpha2 + sc * x)
     return np.array([up, F - up])
-
-
-def term_I22_I24(
-    firm: FirmModel,
-    spec: DefaultSpec,
-    mode: PricingMode = PricingMode.CORRECTED,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
-    """Quadrature terms of the decomposition, with c = sqrt(t1/(t2-t1)).
-
-    CORRECTED integrates the reflected kernels (exact expectation over
-    {V1 > K1} written as a left tail):
-
-        I22 = (1 - R_u)   * int F(-x) N( alpha2 - c x) phi(x) dx
-        I24 = (R_e - R_u) * int F(-x) N(-alpha2 + c x) phi(x) dx
-
-    (I24 may be negative when R_e < R_u). PAPER_LITERAL evaluates the
-    printed kernels:
-
-        I22 = (1 - R_u)       * int F(x) N( alpha2 + c x) phi(x) dx
-        I24 = (1 - R_u) * R_e * int F(x) N(-alpha2 - c x) phi(x) dx
-
-    The kernels differ only in the orientation sign s (-1 CORRECTED, +1
-    PAPER_LITERAL) of F(s x) N(alpha2 + s c x), and the I24 coefficient
-    is the breach jump-survival coefficient of the mode's convention.
-    One quadrature pass evaluates both once per node and both integrals
-    on shared panels, the breach kernel taken as
-    F(s x) - F(s x) N(alpha2 + s c x). With a constant intensity F
-    factors out of either integral, leaving F times the bivariate
-    probabilities of ``term_I21_I23``, which are used with no
-    quadrature. The kernel can have slope kinks for custom intensities,
-    which the adaptive panels absorb.
-    """
-    terms = _term_sets([(firm, spec, 0.0)], _CONVENTIONS[mode], quad)[0]
-    if terms.error is not None:
-        raise terms.error
-    return terms.i22, terms.i24
 
 
 class _Terms(NamedTuple):
@@ -501,7 +469,11 @@ def _priced(terms: _Terms, z: float, mode: PricingMode) -> PriceResult:
     breakdown = TermBreakdown(z * terms.i1, terms.i21, terms.i22, terms.i23,
                               terms.i24, z * terms.leg)
     price = breakdown.i1 + z * terms.decay1 * breakdown.i2_total + breakdown.expected_default
-    return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z)
+    legs = {("survive_both", "unexpected_leg2"): z * terms.decay1 * (terms.i21 + terms.i22),
+            ("expected_t2",): z * terms.decay1 * (terms.i23 + terms.i24),
+            ("unexpected_leg1",): breakdown.i1,
+            ("expected_t1",): breakdown.expected_default}
+    return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z, legs=legs)
 
 
 def expected_default_leg(inputs: PricingInputs,

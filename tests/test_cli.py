@@ -629,6 +629,39 @@ class TestValidateCommand:
         assert "exponent A - B*r = 1438" in captured.err and "s_r" in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
 
+    def test_leg_lines_print_price_legs(self, p0_file, capsys):
+        # The closed-form values of the leg lines are PriceResult.legs.
+        assert main(["validate", p0_file, "--paths", "2000", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        lines = out.split("legs (corrected closed form vs monte carlo):\n")[1].splitlines()
+        inputs = load_scenarios(p0_file)["P0"].pricing_inputs()
+        corrected = pricer.price_bond(inputs, pricer.PricingMode.CORRECTED).legs
+        literal = pricer.price_bond(inputs, pricer.PricingMode.PAPER_LITERAL).legs
+        assert [line.split(" vs ")[0].split()[-1] for line in lines[:4]] == \
+            [cli._fmt(v) for v in corrected.values()]
+        assert lines[4].startswith("    expected_t1 (paper-literal grouping)")
+        assert lines[4].split()[-3] == cli._fmt(literal[("expected_t1",)])
+
+    def test_post_announcement_prints_no_legs(self, tmp_path, capsys):
+        path = tmp_path / "post.yaml"
+        path.write_text(P0_YAML.replace("valuation_time: 0.0", "valuation_time: 0.75")
+                        .replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"))
+        assert main(["validate", str(path), "--paths", "2000", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "legs" not in out
+
+    @pytest.mark.parametrize("t1", ["0.5", "0.95"])
+    def test_tiny_firm_volatility(self, tmp_path, capsys, t1):
+        # alpha1 and alpha2 near 1e77 once gave "price nan" (exit 0) or
+        # a traceback (exit 1).
+        path = tmp_path / "tiny.yaml"
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e-160")
+                        .replace("t1: 0.5", f"t1: {t1}"))
+        assert main(["price", str(path)]) == 0
+        assert main(["validate", str(path), "--paths", "2000", "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and captured.err == ""
+
     def test_antithetic_flag(self, p0_file, capsys):
         code = main(["validate", p0_file, "--paths", "40000", "--seed", "21",
                      "--antithetic"])

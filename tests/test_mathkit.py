@@ -386,6 +386,17 @@ class TestBvnCdf:
                 assert bvn_cdf(x, -math.inf, rho) == 0.0
             assert bvn_cdf(math.inf, math.inf, rho) == 1.0
 
+    def test_huge_finite_bounds(self):
+        # Squaring a bound near 1e160 once overflowed, and inf - inf
+        # gave NaN; past 40 a bound is infinite in double.
+        assert bvn_cdf(1e200, 1e200, 0.7) == 1.0
+        assert bvn_cdf(3.0, 1e160, 0.95) == normal_cdf(3.0)
+        assert bvn_cdf(-1e200, 2.0, -0.5) == 0.0
+        for rho in (-0.99, -0.95, -0.5, 0.0, 0.6, 0.93, 0.99):
+            for k in (-38.0, -3.0, 0.0, 2.5, 39.0):
+                assert bvn_cdf(40.0, k, rho) == bvn_cdf(1e300, k, rho) == normal_cdf(k)
+                assert bvn_cdf(k, -40.0, rho) == bvn_cdf(k, -1e300, rho) == 0.0
+
     def test_independence(self):
         for h, k in self.POINTS:
             assert bvn_cdf(h, k, 0.0) == pytest.approx(

@@ -33,7 +33,8 @@ from dvbond.mathkit import (
     integrate_left_tail,
     normal_cdf,
 )
-from dvbond.pricer import price_batch, term_I21_I23, term_I22_I24
+from dvbond.mcoracle import LEG_NAMES
+from dvbond.pricer import price_batch
 
 from conftest import make_inputs
 from test_acceptance import random_scenario
@@ -195,27 +196,27 @@ class TestComputeAlphas:
 
 class TestTermI21I23:
     def test_no_floor_recovery(self):
-        firm = FirmModel(V0=100, mu=0.07, b=0.05, s_V=0.2)
-        spec0 = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=0.0, R_e=0.3)
-        assert term_I21_I23(firm, spec0) == (0.0, 0.0)
+        terms = price_full(make_inputs(default=dict(R_u=0.0))).terms
+        assert (terms.i21, terms.i23) == (0.0, 0.0)
 
-    def test_no_barriers_limit(self, p0_firm):
-        spec = DefaultSpec(t1=0.5, t2=1.0, K1=0.0, K2=0.0, R_u=0.4, R_e=0.3)
+    def test_no_barriers_limit(self):
+        inputs = make_inputs(default=dict(K1=0.0, K2=0.0))
         for mode in PricingMode:
-            i21, i23 = term_I21_I23(p0_firm, spec, mode)
-            assert i21 == pytest.approx(spec.R_u, abs=1e-12)
-            assert i23 == 0.0
+            terms = price_full(inputs, mode).terms
+            assert terms.i21 == pytest.approx(inputs.spec.R_u, abs=1e-12)
+            assert terms.i23 == 0.0
 
-    def test_corrected_floor_splits_survival_mass(self, p0_firm, p0_spec):
+    def test_corrected_floor_splits_survival_mass(self, p0_inputs, p0_firm, p0_spec):
         a = compute_alphas(p0_firm, p0_spec)
-        i21, i23 = term_I21_I23(p0_firm, p0_spec, PricingMode.CORRECTED)
-        assert i21 + i23 == pytest.approx(p0_spec.R_u * normal_cdf(a.alpha1),
-                                          abs=1e-11)
+        terms = price_full(p0_inputs, PricingMode.CORRECTED).terms
+        assert terms.i21 + terms.i23 == pytest.approx(
+            p0_spec.R_u * normal_cdf(a.alpha1), abs=1e-11)
 
-    def test_literal_matches_bruteforce_quadrature(self, p0_firm, p0_spec):
+    def test_literal_matches_bruteforce_quadrature(self, p0_inputs, p0_firm, p0_spec):
         a = compute_alphas(p0_firm, p0_spec)
         plus, minus = quadform_pair(p0_spec.t1, p0_spec.t2)
-        i21, i23 = term_I21_I23(p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
+        terms = price_full(p0_inputs, PricingMode.PAPER_LITERAL).terms
+        i21, i23 = terms.i21, terms.i23
         assert i21 == pytest.approx(
             p0_spec.R_u * bivariate_cdf_bruteforce(a.alpha1, a.alpha2, plus,
                                                    abs_tol=1e-11), abs=1e-8)
@@ -242,23 +243,24 @@ class TestTermI21I23:
                 worst = max(worst, abs(n_up - want))
         assert worst <= 1e-15
 
-    def test_modes_differ_for_finite_thresholds(self, p0_firm, p0_spec):
-        assert term_I21_I23(p0_firm, p0_spec, PricingMode.CORRECTED) != \
-            term_I21_I23(p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
+    def test_modes_differ_for_finite_thresholds(self, p0_inputs):
+        corrected, literal = (price_full(p0_inputs, mode).terms for mode in PricingMode)
+        assert (corrected.i21, corrected.i23) != (literal.i21, literal.i23)
 
 
 class TestTermI22I24:
-    def test_literal_full_floor_kills_both(self, p0_firm):
-        spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=1.0, R_e=0.3)
-        assert term_I22_I24(p0_firm, spec, PricingMode.PAPER_LITERAL) == (0.0, 0.0)
+    def test_literal_full_floor_kills_both(self):
+        terms = price_full(make_inputs(default=dict(R_u=1.0)),
+                           PricingMode.PAPER_LITERAL).terms
+        assert (terms.i22, terms.i24) == (0.0, 0.0)
 
-    def test_constant_intensity_factorization(self, p0_firm):
-        spec = DefaultSpec(t1=0.5, t2=1.0, K1=70.0, K2=80.0, R_u=0.4, R_e=0.3,
-                           intensity=IntensityFunction.constant(0.1))
+    def test_constant_intensity_factorization(self):
+        inputs = make_inputs(intensity=IntensityFunction.constant(0.1))
+        spec = inputs.spec
         decay = math.exp(-0.1 * 0.5)
         for mode in PricingMode:
-            i21, i23 = term_I21_I23(p0_firm, spec, mode)
-            i22, i24 = term_I22_I24(p0_firm, spec, mode)
+            terms = price_full(inputs, mode).terms
+            i21, i22, i23, i24 = terms.i21, terms.i22, terms.i23, terms.i24
             assert i22 == pytest.approx(
                 (1 - spec.R_u) * decay * i21 / spec.R_u, abs=1e-11)
             if mode is PricingMode.PAPER_LITERAL:
@@ -268,15 +270,16 @@ class TestTermI22I24:
                 want24 = (spec.R_e - spec.R_u) * decay * i23 / spec.R_u
             assert i24 == pytest.approx(want24, abs=1e-11)
 
-    def test_constant_intensity_against_quadrature(self, p0_firm):
+    def test_constant_intensity_against_quadrature(self):
         # The left-tail integrals of the constant kernel F, as the
         # log-reciprocal and custom intensities still evaluate them.
         for t1, t2, K1, K2, lam in ((0.5, 1.0, 70.0, 80.0, 0.1),
                                     (0.3, 1.2, 90.0, 85.0, 0.0),
                                     (1.5, 2.0, 40.0, 120.0, 0.2)):
-            spec = DefaultSpec(t1=t1, t2=t2, K1=K1, K2=K2, R_u=0.4, R_e=0.3,
-                               intensity=IntensityFunction.constant(lam))
-            a = compute_alphas(p0_firm, spec)
+            inputs = make_inputs(default=dict(t1=t1, t2=t2, K1=K1, K2=K2),
+                                 intensity=IntensityFunction.constant(lam))
+            spec = inputs.spec
+            a = compute_alphas(inputs.firm, spec)
             F = math.exp(-lam * (t2 - t1))
             c = math.sqrt(t1 / (t2 - t1))
             sign = {PricingMode.CORRECTED: -1.0, PricingMode.PAPER_LITERAL: 1.0}
@@ -288,9 +291,9 @@ class TestTermI22I24:
                     lambda x: ndtr(a.alpha2 + s * c * x), a.alpha1)
                 want24 = coeff24[mode] * F * integrate_left_tail(
                     lambda x: ndtr(-a.alpha2 - s * c * x), a.alpha1)
-                i22, i24 = term_I22_I24(p0_firm, spec, mode)
-                assert i22 == pytest.approx(want22, abs=1e-12)
-                assert i24 == pytest.approx(want24, abs=1e-12)
+                terms = price_full(inputs, mode).terms
+                assert terms.i22 == pytest.approx(want22, abs=1e-12)
+                assert terms.i24 == pytest.approx(want24, abs=1e-12)
 
     def test_shared_pass_matches_separate_integrals(self):
         # Acceptance criterion 7's 200 scenarios; the log-reciprocal
@@ -322,9 +325,9 @@ class TestTermI22I24:
                     lambda x: F(x) * ndtr(-a2 - c * x)),
             }
             for mode, (coeff24, up, dn) in kernels.items():
-                i22, i24 = term_I22_I24(firm, spec, mode)
-                assert abs(i22 - (1 - spec.R_u) * integrate_left_tail(up, a1)) <= 1e-12
-                assert abs(i24 - coeff24 * integrate_left_tail(dn, a1)) <= 1e-12
+                terms = price_full(inputs, mode).terms
+                assert abs(terms.i22 - (1 - spec.R_u) * integrate_left_tail(up, a1)) <= 1e-12
+                assert abs(terms.i24 - coeff24 * integrate_left_tail(dn, a1)) <= 1e-12
             checked += 1
         assert checked > 100
 
@@ -359,12 +362,10 @@ class TestTermI22I24:
                 price_full(inputs, mode)
                 assert len(calls) == 1
 
-    def test_corrected_term_sign(self, p0_firm, p0_spec):
+    def test_corrected_term_sign(self, p0_inputs):
         # R_e < R_u makes the corrected breach adjustment negative.
-        _, i24 = term_I22_I24(p0_firm, p0_spec, PricingMode.CORRECTED)
-        assert i24 < 0.0
-        _, i24_lit = term_I22_I24(p0_firm, p0_spec, PricingMode.PAPER_LITERAL)
-        assert i24_lit > 0.0
+        assert price_full(p0_inputs, PricingMode.CORRECTED).terms.i24 < 0.0
+        assert price_full(p0_inputs, PricingMode.PAPER_LITERAL).terms.i24 > 0.0
 
 
 class TestExpectedDefaultLeg:
@@ -528,6 +529,49 @@ class TestHugeDrift:
             assert err.value.batch_index == 0
 
 
+class TestTinyFirmVolatility:
+    @pytest.mark.parametrize("t1", [0.5, 0.95])
+    def test_prices_as_the_small_volatility_limit(self, t1):
+        # s_V = 1e-160 puts alpha1 and alpha2 near 1e77, which once gave
+        # a NaN price (t1 = 0.5) or an OverflowError (t1 = 0.95) in the
+        # bivariate normal CDF.
+        for mode in PricingMode:
+            got = price_full(make_inputs(firm=dict(s_V=1e-160), default=dict(t1=t1)),
+                             mode).price
+            want = price_full(make_inputs(firm=dict(s_V=1e-20), default=dict(t1=t1)),
+                              mode).price
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-15
+
+
+class TestLegs:
+    @pytest.mark.parametrize("mode", list(PricingMode))
+    def test_partition_and_sum_on_criterion_7(self, mode):
+        # Each Monte Carlo leg is covered by exactly one closed-form leg,
+        # and the legs add up to the price.
+        rng = np.random.default_rng(7007)
+        for inputs in (random_scenario(rng) for _ in range(200)):
+            res = price_full(inputs, mode)
+            assert sorted(name for keys in res.legs for name in keys) == sorted(LEG_NAMES)
+            assert abs(sum(res.legs.values()) - res.price) \
+                <= 1e-15 * sum(abs(v) for v in res.legs.values())
+
+    def test_terms_in_price_units(self, p0_inputs):
+        res = price_full(p0_inputs)
+        t, scale = res.terms, res.zcb * math.exp(
+            -p0_inputs.spec.intensity(p0_inputs.firm.V0) * p0_inputs.spec.t1)
+        assert res.legs == {("survive_both", "unexpected_leg2"): scale * (t.i21 + t.i22),
+                            ("expected_t2",): scale * (t.i23 + t.i24),
+                            ("unexpected_leg1",): t.i1,
+                            ("expected_t1",): t.expected_default}
+
+    def test_none_after_first_announcement(self):
+        inputs = make_inputs(t=0.6, V1=95.0)
+        for mode in PricingMode:
+            assert price_bond(inputs, mode).legs is None
+            assert price_batch([inputs], mode)[0].legs is None
+
+
 class TestCreditSpread:
     def test_zero_for_par(self):
         inputs = make_inputs(default=dict(R_u=1.0, R_e=1.0))
@@ -597,11 +641,14 @@ def assert_results_match(got, want, tol=1e-12):
     assert abs(got.price - want.price) <= tol
     assert abs(got.zcb - want.zcb) <= tol
     if want.terms is None:
-        assert got.terms is None
+        assert got.terms is None and got.legs is None
         return
     for field in dataclasses.fields(want.terms):
         assert abs(getattr(got.terms, field.name)
                    - getattr(want.terms, field.name)) <= tol, field.name
+    assert list(got.legs) == list(want.legs)
+    for keys, value in want.legs.items():
+        assert abs(got.legs[keys] - value) <= tol, keys
 
 
 class TestPriceBatch:
