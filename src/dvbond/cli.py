@@ -22,25 +22,26 @@ from .config import ConfigError, Scenario, load_scenarios
 from .defaultmodel import IntensityFunction
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
-from .pricer import PriceResult, PricingMode, _spread, price_batch, price_bond
+from .pricer import (PriceResult, PricingInputs, PricingMode, _spread,
+                     price_batch, price_bond)
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
                  "I1", "I21", "I22", "I23", "I24", "expected_leg")
 SWEEP_COLUMNS = ("scenario", "mode", "axis", "axis_value") + PRICE_COLUMNS[2:]
 
-# axis name -> the Scenario attribute that holds the field (None = the
-# Scenario itself); lambda0 replaces the spec's constant intensity.
+# axis name -> the PricingInputs attribute that holds the field (None =
+# the inputs themselves, under the field name of _INPUT_FIELDS where it
+# differs from the axis); lambda0 replaces the spec's constant intensity.
 _SWEEP_AXES = {
     **dict.fromkeys(("valuation_time", "r0", "V1"), None),
     **dict.fromkeys(("a1", "a2", "s_r"), "rate_model"),
     **dict.fromkeys(("V0", "mu", "b", "s_V"), "firm"),
     **dict.fromkeys(("t1", "t2", "K1", "K2", "R_u", "R_e", "lambda0"), "spec"),
 }
+_INPUT_FIELDS = {"r0": "r", "valuation_time": "t"}
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return f"{x:.15g}"
 
 
@@ -75,26 +76,25 @@ def _mode(scenario: Scenario, flag: str | None) -> PricingMode:
     return PricingMode(flag) if flag else scenario.mode
 
 
-def _price_row(scenario: Scenario, result: PriceResult) -> list[str]:
-    """The priced columns of a CSV row: price through expected_leg."""
-    t = result.terms
-    return [
-        _fmt(result.price),
-        _fmt(result.zcb),
-        _fmt(_spread(result, scenario.spec.t2 - scenario.valuation_time)),
-        _fmt(t.i1 if t else None),
-        _fmt(t.i21 if t else None),
-        _fmt(t.i22 if t else None),
-        _fmt(t.i23 if t else None),
-        _fmt(t.i24 if t else None),
-        _fmt(t.expected_default if t else None),
-    ]
-
-
-def _csv_text(header: tuple, rows: list[list[str]]) -> str:
+def _csv_table(columns: tuple, prefix: list[str], rows) -> str:
+    """The CSV text of ``columns`` and one row per (result, horizon, *lead)
+    of ``rows``: the ``prefix`` fields, the ``lead`` numbers, then price
+    through expected_leg. The prefix is quoted once by ``csv.writer``;
+    the numbers never need quoting, so a row is one format call, and a
+    row valued after t1 leaves the six term columns empty."""
     buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="").writerow(prefix)
+    head = buf.getvalue().replace("{", "{{").replace("}", "}}")
+    numbers = len(columns) - len(prefix)
+    full = head + ",{:.15g}" * numbers + "\r\n"
+    post = head + ",{:.15g}" * (numbers - 6) + ",,,,,,\r\n"
+    text = [",".join(columns) + "\r\n"]
+    for result, horizon, *lead in rows:
+        t, spread = result.terms, _spread(result, horizon)
+        text.append(post.format(*lead, result.price, result.zcb, spread) if t is None
+                    else full.format(*lead, result.price, result.zcb, spread, t.i1,
+                                     t.i21, t.i22, t.i23, t.i24, t.expected_default))
+    return "".join(text)
 
 
 def _write_csv(path: str, text: str) -> None:
@@ -143,39 +143,40 @@ def cmd_price(args) -> int:
     else:
         print("  (post-announcement valuation: no term decomposition)")
     if args.csv:
-        _write_csv(args.csv, _csv_text(PRICE_COLUMNS, [[scenario.name, mode.value]
-                                                      + _price_row(scenario, result)]))
+        _write_csv(args.csv, _csv_table(PRICE_COLUMNS, [scenario.name, mode.value],
+                                        [(result, horizon)]))
     return 0
 
 
-def _sweep_point(scenario: Scenario, axis: str, value: float) -> Scenario:
-    """The scenario with the swept field set to ``value``.
+def _sweep_point(inputs: PricingInputs, axis: str, value: float) -> PricingInputs:
+    """The pricing inputs with the swept field set to ``value``.
 
     Only the object that holds the field is rebuilt, so its constructor
-    checks the new value; a t2 point also moves the discount-bond
-    maturity.
+    checks the new value, and then ``PricingInputs`` checks the whole;
+    a t2 point also moves the discount-bond maturity.
     """
     holder = _SWEEP_AXES[axis]
     if holder is None:
-        return dataclasses.replace(scenario, **{axis: value})
+        return dataclasses.replace(inputs, **{_INPUT_FIELDS.get(axis, axis): value})
     change = ({"intensity": IntensityFunction.constant(value)}
               if axis == "lambda0" else {axis: value})
-    parts = {holder: dataclasses.replace(getattr(scenario, holder), **change)}
+    parts = {holder: dataclasses.replace(getattr(inputs, holder), **change)}
     if axis == "t2":
-        parts["rate_model"] = dataclasses.replace(scenario.rate_model,
+        parts["rate_model"] = dataclasses.replace(inputs.rate_model,
                                                   maturity=value)
-    return dataclasses.replace(scenario, **parts)
+    return dataclasses.replace(inputs, **parts)
 
 
 def cmd_sweep(args) -> int:
     """Price the scenario at each grid value of one field.
 
-    Each point replaces the swept field of the loaded scenario; the
-    replaced model and ``pricing_inputs`` check the value again. Every
-    grid value is validated before any is priced, so an invalid value
-    exits 2 even when another value would fail to converge. Errors name
-    the axis and the grid value, also those raised while the points are
-    priced together by ``price_batch``.
+    Each point is the loaded scenario's ``PricingInputs`` with the swept
+    field replaced; the replaced model and ``PricingInputs`` check the
+    value again. Every grid value is validated before any is priced, so
+    an invalid value exits 2 even when another value would fail to
+    converge. Errors name the axis and the grid value, also those raised
+    while the points are priced together by ``price_batch``. Each row is
+    one format call on a template whose quoted prefix is built once.
     """
     scenario = _select(_load(args.file), args.scenario)
     mode = _mode(scenario, args.mode)
@@ -196,16 +197,14 @@ def cmd_sweep(args) -> int:
     ).is_constant:
         return _fail(2, f"axis {args.axis} requires a constant coefficient")
 
-    points, inputs = [], []
+    base, points = scenario.pricing_inputs(), []
     for value in grid:
         try:
-            point = _sweep_point(scenario, args.axis, value)
-            inputs.append(point.pricing_inputs())
+            points.append(_sweep_point(base, args.axis, value))
         except ValueError as err:
             return _fail(2, f"{args.axis} grid value {value!r}: {err}")
-        points.append(point)
     try:
-        results = price_batch(inputs, mode)
+        results = price_batch(points, mode)
     except QuadratureConvergenceError as err:
         return _fail(3, f"{args.axis} grid value {grid[err.batch_index]!r}: "
                         f"quadrature failure: {err}")
@@ -213,11 +212,8 @@ def cmd_sweep(args) -> int:
         if not hasattr(err, "batch_index"):
             raise  # not tied to one point; main reports it
         return _fail(2, f"{args.axis} grid value {grid[err.batch_index]!r}: {err}")
-    rows = [[scenario.name, mode.value, args.axis, _fmt(value)]
-            + _price_row(point, result)
-            for value, point, result in zip(grid, points, results)]
-
-    text = _csv_text(SWEEP_COLUMNS, rows)
+    text = _csv_table(SWEEP_COLUMNS, [scenario.name, mode.value, args.axis],
+                      zip(results, [x.spec.t2 - x.t for x in points], grid))
     sys.stdout.write(text)
     if args.csv:
         _write_csv(args.csv, text)
@@ -249,6 +245,8 @@ def cmd_validate(args) -> int:
         return _fail(2, f"--paths must be at least 2, got {args.paths}")
     if args.threads < 1:
         return _fail(2, f"--threads must be at least 1, got {args.threads}")
+    if not 0 <= args.seed < 2**64:
+        return _fail(2, f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     scenario = _select(_load(args.file), args.scenario)
     inputs = scenario.pricing_inputs()
     try:

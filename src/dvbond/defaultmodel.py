@@ -65,6 +65,11 @@ class FirmModel:
             raise ValueError(f"V0 must be positive, got {self.V0}")
         if not self.s_V > 0.0:
             raise ValueError(f"s_V must be positive, got {self.s_V}")
+        try:
+            self.log_drift  # squares s_V
+        except OverflowError:
+            raise ValueError("s_V must be at most ~1.3e154 (s_V^2 overflows), "
+                             f"got {self.s_V}") from None
 
     @property
     def log_drift(self) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -81,6 +82,22 @@ def p0_file(tmp_path):
     path = tmp_path / "p0.yaml"
     path.write_text(P0_YAML)
     return str(path)
+
+
+def csv_writer_text(columns, lead_rows, points, mode):
+    """``csv.writer`` text of ``columns`` and one row per point: its
+    ``lead_rows`` fields, then the priced fields of ``price_batch``."""
+    results = pricer.price_batch(points, pricer.PricingMode(mode))
+    rows = [columns]
+    for lead, x, res in zip(lead_rows, points, results):
+        t = res.terms
+        numbers = [res.price, res.zcb, pricer._spread(res, x.spec.t2 - x.t)]
+        if t is not None:
+            numbers += [t.i1, t.i21, t.i22, t.i23, t.i24, t.expected_default]
+        rows.append(lead + [f"{v:.15g}" for v in numbers] + [""] * (9 - len(numbers)))
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 class TestConfig:
@@ -310,6 +327,20 @@ class TestPriceCommand:
         price, zcb = float(got["price"]), float(got["zcb"])
         assert 0.3 * zcb <= price <= zcb  # min(R_u, R_e) Z <= price <= Z
 
+    def test_huge_firm_volatility_exits_2(self, tmp_path, capsys):
+        # s_V**2 overflows past ~1.3e154; the file is rejected naming s_V
+        # instead of an OverflowError traceback, while 1e100 still prices.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e160"))
+        assert main(["price", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: scenarios.P0.firm: s_V must be at most "
+                                "~1.3e154 (s_V^2 overflows), got 1e+160\n")
+        assert captured.out == ""
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e100"))
+        assert main(["price", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_numerical_failure_exits_3(self, p0_file, monkeypatch, capsys):
         from dvbond.mathkit import QuadratureConvergenceError
 
@@ -332,6 +363,22 @@ class TestPriceCommand:
         assert "--scenario" in capsys.readouterr().err
         assert main(["price", str(path), "--scenario", "HIGHVOL"]) == 0
         assert "HIGHVOL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("valuation_time", ["0.0", "0.75"])
+    @pytest.mark.parametrize("mode", ["corrected", "paper-literal"])
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, capsys, valuation_time, mode):
+        # A name with a comma, a double quote and braces is quoted as
+        # csv.writer quotes it; after t1 the six term cells are empty.
+        name = 'P0, "odd" {0}'
+        path = tmp_path / "odd.yaml"
+        path.write_text(P0_YAML.replace("  P0:", "  'P0, \"odd\" {0}':")
+                        .replace("valuation_time: 0.0", f"valuation_time: {valuation_time}")
+                        .replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"))
+        out = tmp_path / "row.csv"
+        assert main(["price", str(path), "--mode", mode, "--csv", str(out)]) == 0
+        inputs = load_scenarios(str(path))[name].pricing_inputs()
+        assert out.read_bytes().decode() == csv_writer_text(
+            cli.PRICE_COLUMNS, [[name, mode]], [inputs], mode)
 
     def test_post_announcement_scenario(self, tmp_path, capsys):
         path = tmp_path / "post.yaml"
@@ -549,6 +596,49 @@ class TestSweepCommand:
             price, zcb = float(row["price"]), float(row["zcb"])
             assert 0.3 * zcb <= price <= zcb
 
+    def test_huge_firm_volatility_point_exits_2(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "s_V", "--grid", "0.2,1e160"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: s_V grid value 1e+160: s_V must be at most "
+                       "~1.3e154 (s_V^2 overflows), got 1e+160\n")
+
+    def test_quoted_name_bytes_equal_csv_writer(self, tmp_path, capsys):
+        name = 'P0, "odd" {0}'
+        path = tmp_path / "odd.yaml"
+        path.write_text(P0_YAML.replace("  P0:", "  'P0, \"odd\" {0}':"))
+        inputs = load_scenarios(str(path))[name].pricing_inputs()
+        out = tmp_path / "sweep.csv"
+        grid = [-0.01, 0.02, 0.05]
+        for mode in ("corrected", "paper-literal"):
+            assert main(["sweep", str(path), "--axis", "r0", "--grid", "-0.01,0.02,0.05",
+                         "--mode", mode, "--csv", str(out)]) == 0
+            expected = csv_writer_text(
+                cli.SWEEP_COLUMNS, [[name, mode, "r0", f"{v:.15g}"] for v in grid],
+                [dataclasses.replace(inputs, r=v) for v in grid], mode)
+            assert expected.count('"P0, ""odd"" {0}",') == 3
+            assert capsys.readouterr().out == expected
+            assert out.read_bytes().decode() == expected
+
+    def test_rows_across_t1_equal_csv_writer(self, tmp_path, capsys):
+        # Full rows before t1 and empty-term rows after it, interleaved.
+        path = tmp_path / "post.yaml"
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"))
+        inputs = load_scenarios(str(path))["P0"].pricing_inputs()
+        out = tmp_path / "sweep.csv"
+        grid = [0.2, 0.75, 0.4, 0.9]
+        for mode in ("corrected", "paper-literal"):
+            assert main(["sweep", str(path), "--axis", "valuation_time",
+                         "--grid", "0.2,0.75,0.4,0.9", "--mode", mode,
+                         "--csv", str(out)]) == 0
+            expected = csv_writer_text(
+                cli.SWEEP_COLUMNS,
+                [["P0", mode, "valuation_time", f"{v:.15g}"] for v in grid],
+                [dataclasses.replace(inputs, t=v) for v in grid], mode)
+            assert expected.count(",,,,,,\r\n") == 2
+            assert capsys.readouterr().out == expected
+            assert out.read_bytes().decode() == expected
+
     def test_csv_written(self, p0_file, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", p0_file, "--axis", "K2", "--grid", "60,80",
@@ -605,6 +695,24 @@ class TestValidateCommand:
         assert main(["validate", p0_file, "--paths", "1000", "--threads", "0"]) == 2
         err = capsys.readouterr().err
         assert "--threads" in err and "n_threads" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_rejected(self, p0_file, capsys, seed):
+        # The error names the flag, not the McConfig field behind it.
+        assert main(["validate", p0_file, "--paths", "1000", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --seed must be a 64-bit unsigned "
+                                f"integer, got {seed}\n")
+        assert captured.out == ""
+
+    def test_huge_firm_volatility_exits_2(self, tmp_path, capsys):
+        # An input error (exit 2), not a traceback reported as exit 1.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e160"))
+        assert main(["validate", str(path), "--paths", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scenarios.P0.firm: s_V must be at most")
+        assert captured.out == ""
 
     def test_zero_variance_scenario_passes(self, tmp_path, capsys):
         # No rate noise and full recovery: every path pays the discount

@@ -127,3 +127,8 @@ class TestSpecs:
             FirmModel(V0=0.0, mu=0.07, b=0.05, s_V=0.2)
         with pytest.raises(ValueError):
             FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=0.0)
+        # s_V**2 of log_drift overflows past ~1.3e154: a ValueError that
+        # names s_V, not an OverflowError.
+        with pytest.raises(ValueError, match=r"s_V .*got 1e\+160"):
+            FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=1e160)
+        assert math.isfinite(FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=1e100).log_drift)
