@@ -22,8 +22,7 @@ from .config import ConfigError, Scenario, load_scenarios
 from .defaultmodel import IntensityFunction
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
-from .pricer import (PriceResult, PricingInputs, PricingMode, _spread,
-                     price_batch, price_bond)
+from .pricer import PricingInputs, PricingMode, _spread, price_batch, price_bond
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
                  "I1", "I21", "I22", "I23", "I24", "expected_leg")
@@ -107,22 +106,15 @@ def _write_csv(path: str, text: str) -> None:
         raise SystemExit(_fail(2, f"--csv {path}: {err.strerror or err}"))
 
 
-def _priced_scenario(scenario: Scenario, mode: PricingMode,
-                     paper_literal_a: bool) -> PriceResult:
-    if paper_literal_a:
-        scenario = dataclasses.replace(
-            scenario,
-            rate_model=dataclasses.replace(scenario.rate_model,
-                                           paper_literal_a=True),
-        )
-    return price_bond(scenario.pricing_inputs(), mode)
-
-
 def cmd_price(args) -> int:
     scenario = _select(_load(args.file), args.scenario)
     mode = _mode(scenario, args.mode)
+    inputs = scenario.inputs
+    if args.paper_literal_a:
+        inputs = dataclasses.replace(
+            inputs, rate_model=dataclasses.replace(inputs.rate_model, paper_literal_a=True))
     try:
-        result = _priced_scenario(scenario, mode, args.paper_literal_a)
+        result = price_bond(inputs, mode)
     except QuadratureConvergenceError as err:
         return _fail(3, f"quadrature failure: {err}")
 
@@ -130,7 +122,7 @@ def cmd_price(args) -> int:
           + (", literal-A discount curve" if args.paper_literal_a else "") + ")")
     print(f"  price   {_fmt(result.price)}")
     print(f"  zcb     {_fmt(result.zcb)}")
-    horizon = scenario.spec.t2 - scenario.valuation_time
+    horizon = inputs.spec.t2 - inputs.t
     print(f"  spread  {_fmt(_spread(result, horizon))}")
     if result.terms:
         t = result.terms
@@ -190,14 +182,14 @@ def cmd_sweep(args) -> int:
     if not grid:
         return _fail(2, "empty grid")
 
-    if args.axis == "lambda0" and scenario.spec.intensity.family != "constant":
+    base = scenario.inputs
+    if args.axis == "lambda0" and base.spec.intensity.family != "constant":
         return _fail(2, "axis lambda0 requires a constant intensity family")
-    if args.axis in ("a1", "a2", "s_r") and not getattr(
-        scenario.rate_model, args.axis
-    ).is_constant:
+    if args.axis in ("a1", "a2", "s_r") and \
+            not getattr(base.rate_model, args.axis).is_constant:
         return _fail(2, f"axis {args.axis} requires a constant coefficient")
 
-    base, points = scenario.pricing_inputs(), []
+    points = []
     for value in grid:
         try:
             points.append(_sweep_point(base, args.axis, value))
@@ -248,7 +240,7 @@ def cmd_validate(args) -> int:
     if not 0 <= args.seed < 2**64:
         return _fail(2, f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     scenario = _select(_load(args.file), args.scenario)
-    inputs = scenario.pricing_inputs()
+    inputs = scenario.inputs
     try:
         corrected = price_bond(inputs, PricingMode.CORRECTED)
         literal = price_bond(inputs, PricingMode.PAPER_LITERAL)

@@ -72,26 +72,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully validated pricing scenario."""
+    """One fully validated pricing scenario: its name, its pricing mode
+    and the valuation it describes."""
 
     name: str
     mode: PricingMode
-    valuation_time: float
-    r0: float
-    rate_model: ShortRateModel
-    firm: FirmModel
-    spec: DefaultSpec
-    V1: float | None = None
+    inputs: PricingInputs
 
     def pricing_inputs(self) -> PricingInputs:
-        return PricingInputs(
-            rate_model=self.rate_model,
-            firm=self.firm,
-            spec=self.spec,
-            r=self.r0,
-            t=self.valuation_time,
-            V1=self.V1,
-        )
+        return self.inputs
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -216,25 +205,13 @@ def _parse_scenario(name: str, node, path: str) -> Scenario:
     except ValueError as err:
         raise ConfigError(f"{path}.rate", str(err)) from err
 
-    V1 = None
-    if "V1" in firm_node:
-        V1 = _number(firm_node, f"{path}.firm", "V1")
-
+    V1 = _number(firm_node, f"{path}.firm", "V1") if "V1" in firm_node else None
+    t, r = _number(node, path, "valuation_time"), _number(rate, f"{path}.rate", "r0")
     try:
-        scenario = Scenario(
-            name=name,
-            mode=mode,
-            valuation_time=_number(node, path, "valuation_time"),
-            r0=_number(rate, f"{path}.rate", "r0"),
-            rate_model=rate_model,
-            firm=firm,
-            spec=spec,
-            V1=V1,
-        )
-        scenario.pricing_inputs()  # surfaces cross-field violations now
+        inputs = PricingInputs(rate_model, firm, spec, r=r, t=t, V1=V1)
     except ValueError as err:
         raise ConfigError(path, str(err)) from err
-    return scenario
+    return Scenario(name=name, mode=mode, inputs=inputs)
 
 
 def load_scenarios(path: str) -> dict[str, Scenario]:

@@ -85,13 +85,17 @@ class IntensityFunction:
       * ``log_reciprocal`` - lambda(V) = ln(1 + 1/V), strictly
         decreasing, vanishing for large V;
       * ``constant`` - lambda(V) = lambda0 >= 0;
-      * ``custom`` - any nonnegative callable of V (must accept numpy
-        arrays); probed on a log grid at construction.
+      * ``custom`` - any nonnegative, hashable callable of V (must
+        accept numpy arrays); probed on a log grid at construction.
+
+    Two intensities are equal when their family, lambda0 and callable
+    are: custom intensities of different callables differ, so the
+    pricer never shares a term set between them.
     """
 
     family: str
     lambda0: float = 0.0
-    fn: Callable | None = field(default=None, compare=False)
+    fn: Callable | None = None
 
     def __post_init__(self):
         if self.family not in ("log_reciprocal", "constant", "custom"):
@@ -102,6 +106,10 @@ class IntensityFunction:
         if self.family == "custom":
             if self.fn is None:
                 raise ValueError("custom intensity needs a callable")
+            try:
+                hash(self.fn)
+            except TypeError:
+                raise ValueError("custom intensity needs a hashable callable") from None
             probe = np.asarray(self.fn(_CUSTOM_PROBE), dtype=float)
             if probe.shape != _CUSTOM_PROBE.shape:
                 raise ValueError("custom intensity must map arrays elementwise")

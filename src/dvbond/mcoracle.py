@@ -66,9 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaultmodel import DefaultSpec, FirmModel
 from .pricer import PricingInputs
-from .ratecurve import ShortRateModel, _segment_moments, zcb_price
+from .ratecurve import _segment_moments, zcb_price
 
 __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
            "simulate_price"]
@@ -135,42 +134,26 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Scenario constants shared by every chunk.
+    """The valuation and the constants shared by every chunk.
 
     ``segments`` splits [t, t2] at the rate-coefficient breakpoints into
     (left, right, a1, a2, s_r) spans of constant rate dynamics.
     """
 
-    rate_model: ShortRateModel
-    firm: FirmModel
-    spec: DefaultSpec
-    r0: float
-    t: float
-    V1_known: float | None
+    inputs: PricingInputs
     segments: tuple[tuple[float, float, float, float, float], ...]
     antithetic: bool
 
 
 def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
-    spec, rate = inputs.spec, inputs.rate_model
-    t, t2 = inputs.t, spec.t2
+    rate, t, t2 = inputs.rate_model, inputs.t, inputs.spec.t2
     edges = sorted({t, t2}.union(
         b for f in (rate.a1, rate.a2, rate.s_r) for b in f.breakpoints
         if t < b < t2
     ))
-    return _Plan(
-        rate_model=rate,
-        firm=inputs.firm,
-        spec=spec,
-        r0=inputs.r,
-        t=t,
-        V1_known=inputs.V1,
-        segments=tuple(
-            (lo, hi, float(rate.a1(lo)), float(rate.a2(lo)), float(rate.s_r(lo)))
-            for lo, hi in zip(edges, edges[1:])
-        ),
-        antithetic=cfg.antithetic,
-    )
+    return _Plan(inputs, tuple(
+        (lo, hi, float(rate.a1(lo)), float(rate.a2(lo)), float(rate.s_r(lo)))
+        for lo, hi in zip(edges, edges[1:])), cfg.antithetic)
 
 
 def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
@@ -251,7 +234,8 @@ def _leg_moments(label: np.ndarray, values: np.ndarray, n: int,
 
 def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dict:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
-    spec, firm = plan.spec, plan.firm
+    x = plan.inputs
+    spec, firm, t = x.spec, x.firm, x.t
 
     z1 = rng.standard_normal(n_units)
     z2 = rng.standard_normal(n_units)
@@ -271,20 +255,20 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     # The declared values, V = V_prev * exp(log_drift dt + s_V sqrt(dt) z),
     # are built in place of their normals.
     delta = spec.t2 - spec.t1
-    pre_announcement = plan.t < spec.t1
+    pre_announcement = t < spec.t1
     if pre_announcement:
         V1 = np.multiply(z1, firm.s_V * math.sqrt(spec.t1), out=z1)
         V1 += firm.log_drift * spec.t1
         np.exp(V1, out=V1)
         V1 *= firm.V0
         xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u1)
-        jump1 = xi1 < spec.t1 - plan.t
+        jump1 = xi1 < spec.t1 - t
         barrier1 = V1 <= spec.K1
         t_mid = spec.t1
     else:
-        V1 = plan.V1_known
+        V1 = x.V1
         jump1 = barrier1 = np.zeros(m, dtype=bool)
-        t_mid = plan.t
+        t_mid = t
     stop1 = jump1 | barrier1
 
     V2 = np.multiply(z2, firm.s_V * math.sqrt(delta), out=z2)
@@ -292,7 +276,17 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     np.exp(V2, out=V2)
     V2 *= V1
     barrier2 = V2 <= spec.K2
-    xi2 = _truncated_exp_clock(spec.intensity(V1), u2)
+    # A declared value that underflows to 0 would breach a zero barrier
+    # that the firm value never reaches.
+    if (spec.K1 == 0.0 and barrier1.any()) or (
+            spec.K2 == 0.0 and np.any(barrier2 & ~stop1)):
+        raise ValueError(f"s_V = {firm.s_V:g} (mu = {firm.mu:g}) is out of the "
+                         "simulation's range: a declared value underflows to 0, "
+                         "which a barrier of 0 would count as a breach")
+    # Only a path that did not stop in the first interval needs lambda(V1);
+    # a stopped one's V1 may have underflowed to 0.
+    xi2 = _truncated_exp_clock(spec.intensity(
+        np.where(stop1, firm.V0, V1) if pre_announcement else V1), u2)
     jump2 = xi2 < spec.t2 - t_mid
     jump2 &= ~stop1
 
@@ -305,11 +299,10 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     ev = np.flatnonzero(stop1 | jump2)
     per_path_all = 2 * ev.size > m
     sel = slice(None) if per_path_all else ev
-    s1 = (np.where(jump1[sel], plan.t + xi1[sel], t_mid) if pre_announcement
-          else t_mid)
+    s1 = np.where(jump1[sel], t + xi1[sel], t_mid) if pre_announcement else t_mid
     s2 = np.where(jump2[sel], t_mid + xi2[sel], np.where(stop1[sel], s1, spec.t2))
     z_sel = zr[..., sel]
-    r2, total_sel = _rate_transition(plan, plan.r0, plan.t, s1, z_sel[0])
+    r2, total_sel = _rate_transition(plan, x.r, t, s1, z_sel[0])
     # r2 holds r at s1 so far. A path that stops in the first interval
     # pays at s2 = s1; the others go on from t_mid.
     go = np.flatnonzero(~stop1[sel])
@@ -319,7 +312,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     if per_path_all:
         total, total_ev, r2, s2 = total_sel, total_sel[ev], r2[ev], s2[ev]
     else:
-        r_mid, total = _rate_transition(plan, plan.r0, plan.t, t_mid, zr[0])
+        r_mid, total = _rate_transition(plan, x.r, t, t_mid, zr[0])
         total += _rate_transition(plan, r_mid, t_mid, spec.t2, zr[1])[1]
         total_ev = total_sel
 
@@ -332,7 +325,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
     if ev.size:
         recovery = np.where(jump1[ev] | jump2[ev], spec.R_u, spec.R_e)
         pay[ev] = np.exp(-total_ev) * (
-            recovery * zcb_price(plan.rate_model, r2, s2))
+            recovery * zcb_price(x.rate_model, r2, s2))
         label[ev] = np.select(
             [barrier1[ev], jump1[ev], barrier2[ev]],
             [_EXPECTED_T1, _UNEXPECTED_1, _EXPECTED_T2], _UNEXPECTED_2)

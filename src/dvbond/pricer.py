@@ -38,8 +38,9 @@ and they are F times the same two probabilities as I21 and I23;
 term but Z depends only on (firm, spec, t) and the price is linear in
 Z, so one function, ``_term_sets``, computes the terms per unit Z of
 each distinct (firm, spec, t): scalar ``math`` per term set, except
-for one quadrature pass over the I22/I24 tails of all of them.
-``price_full`` is that function on one term set times Z.
+for one quadrature pass per intensity over the I22/I24 tails. One
+finisher, ``_result``, prices a valuation from Z and its term set (none
+at or after t1), for ``price_bond`` and ``price_batch`` alike.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -276,13 +277,7 @@ def price_last_interval(inputs: PricingInputs) -> float:
         raise ValueError(
             f"valuation time must lie in [{spec.t1}, {spec.t2}), got {inputs.t}"
         )
-    return _last_interval(inputs, zcb_price(inputs.rate_model, inputs.r, inputs.t))
-
-
-def _last_interval(inputs: PricingInputs, z: float) -> float:
-    """``price_last_interval`` for the discount bond z; t >= t1, so
-    ``PricingInputs`` has checked that V1 > 0."""
-    return z * _interval_factor(_CORRECTED, inputs.firm, inputs.spec, inputs.V1, inputs.t)
+    return price_bond(inputs).price
 
 
 def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
@@ -297,7 +292,8 @@ def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
     backward from its terminal payoff (1 cleared, R_e breached). At
     t = t1 this is the announcement-date factor that I21 + ... + I24
     average over V1 on {V1 > K1}, exactly for CORRECTED and in the
-    printed grouping for PAPER_LITERAL.
+    printed grouping for PAPER_LITERAL. Both modes price after t1 with
+    the exact grouping.
     """
     decay = math.exp(-spec.intensity(V1) * (spec.t2 - t))
     surv = survival_prob(firm, V1, spec.K2, spec.t2 - spec.t1)
@@ -362,21 +358,24 @@ def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
             sign * firm.s_V * math.sqrt(spec.t1), sign * math.sqrt(spec.t1 / delta))
 
 
-def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
+def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc, owner=0) -> np.ndarray:
     """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
     and F(s x) minus it; parameters are floats, or arrays that broadcast
-    against x."""
+    against x. ``owner`` is the tail each node belongs to."""
     # For a huge drift V1 overflows to inf at the far nodes, where the
     # intensity is 0 and F = 1, the exact limit. For a huge negative one
     # V1 underflows to 0 and the log-reciprocal ln(1 + 1/V1) to inf, so
     # F = 0; there ln V1 < -709 and the exact F is below e^{-709 delta}.
     # The log-reciprocal is evaluated here, as IntensityFunction rejects
-    # V1 = 0; the limit of a custom intensity there is unknown.
+    # V1 = 0; the limit of a custom intensity there is unknown, so the
+    # error names the first tail that underflows.
     with np.errstate(over="ignore", divide="ignore"):
         v1 = np.exp(log_v1 + scale * x)
         if intensity.family == "custom" and not np.all(v1 > 0.0):
-            raise ValueError("custom intensity: V1 underflows to 0 on the quadrature "
+            err = ValueError("custom intensity: V1 underflows to 0 on the quadrature "
                              "nodes (firm drift mu too negative)")
+            err.tail = int(np.broadcast_to(owner, v1.shape)[~(v1 > 0.0)].min())
+            raise err
         lam = np.log1p(1.0 / v1) if intensity.family == "log_reciprocal" \
             else intensity(v1)
     F = np.exp(-delta * lam)
@@ -387,8 +386,9 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
 class _Terms(NamedTuple):
     """The terms of one (firm, spec, t): ``TermBreakdown`` with ``i1``
     and ``leg`` per unit Z, the first-interval jump survival
-    e^{-lambda(V0)(t1 - t)}, and the QuadratureConvergenceError of a
-    term set whose I22/I24 tails ran out of their node budget."""
+    e^{-lambda(V0)(t1 - t)}, and the error of a term set that cannot be
+    priced (a QuadratureConvergenceError, or the ValueError of a custom
+    intensity whose V1 underflows)."""
 
     i1: float
     i21: float
@@ -397,7 +397,7 @@ class _Terms(NamedTuple):
     i24: float
     leg: float
     decay1: float
-    error: QuadratureConvergenceError | None = None
+    error: Exception | None = None
 
 
 def _term_sets(keys: list[tuple], conv: _Convention,
@@ -406,17 +406,18 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     key, t < t1.
 
     Each term set is scalar ``math`` but for the I22/I24 tails of a
-    non-constant intensity with a nonzero coefficient. The tails of all
-    keys take one ``integrate_left_tail`` call: over a float bound when
-    one key needs them (the cheaper loop, that of a single price), else
-    over the array of bounds, whose keys then share one intensity
-    (``price_batch`` prices custom intensities one by one). Each bound
-    keeps the panels of a call of its own, so the two differ only in
-    summation order. Adding 0.0 to I22 and I24 turns the -0.0 of a
-    negative coefficient times an empty tail (alpha1 below the cutoff,
-    or no maturity barrier for I24) into 0.0.
+    non-constant intensity with a nonzero coefficient. The tails of the
+    keys that share an intensity take one ``integrate_left_tail`` call:
+    over a float bound when one key needs them (the cheaper loop, that
+    of a single price), else over the array of bounds. Each bound keeps
+    the panels of a call of its own, so the two differ only in
+    summation order. A pass whose custom intensity underflows stops; its
+    other keys keep no tails, and the key that underflowed the error.
+    Adding 0.0 to I22 and I24 turns the -0.0 of a negative coefficient
+    times an empty tail (alpha1 below the cutoff, or no maturity
+    barrier for I24) into 0.0.
     """
-    rows, tails = [], []
+    rows, passes = [], {}
     for firm, spec, t in keys:
         alphas = compute_alphas(firm, spec)
         decay1 = math.exp(-spec.intensity(firm.V0) * (spec.t1 - t))
@@ -431,16 +432,16 @@ def _term_sets(keys: list[tuple], conv: _Convention,
             i22 = coefficients[0] * F * probs[0] + 0.0
             i24 = coefficients[1] * F * probs[1] + 0.0
         elif coefficients != (0.0, 0.0):
-            tails.append((len(rows), coefficients, alphas.alpha1,
-                          (alphas.alpha2, *_tail_params(firm, spec, conv.sign))))
+            passes.setdefault(spec.intensity, []).append(
+                (len(rows), coefficients, alphas.alpha1,
+                 (alphas.alpha2, *_tail_params(firm, spec, conv.sign))))
         rows.append(_Terms(
             i1=spec.R_u * (1.0 - decay1) * n_surv1, i21=spec.R_u * probs[0], i22=i22,
             i23=floor * probs[1], i24=i24,
             leg=(floor + coefficient * decay1) * normal_cdf(-alphas.alpha1),
             decay1=decay1))
-    if tails:
+    for intensity, tails in passes.items():
         index, pairs, bounds, params = zip(*tails)
-        intensity = keys[index[0]][1].intensity
         if len(tails) == 1:
             bound = bounds[0]
 
@@ -451,12 +452,17 @@ def _term_sets(keys: list[tuple], conv: _Convention,
             columns = np.array(params).T
 
             def kernel(nodes):
-                return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in columns))
+                return _tail_rows(nodes.x, intensity,
+                                  *(p[nodes.owner] for p in columns), owner=nodes.owner)
         errors = [None] * len(tails)
         try:
             estimate = integrate_left_tail(kernel, bound, quad)
         except QuadratureConvergenceError as err:
             estimate, errors = err.estimate, [err if bad else None for bad in err.failed]
+        except ValueError as err:
+            if not hasattr(err, "tail"):
+                raise
+            estimate, errors[err.tail] = np.zeros(2 * len(tails)), err
         for k, (c22, c24), (tail22, tail24), error in zip(
                 index, pairs, estimate.reshape(2, -1).T.tolist(), errors):
             rows[k] = rows[k]._replace(i22=c22 * tail22 + 0.0, i24=c24 * tail24 + 0.0,
@@ -464,8 +470,25 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     return rows
 
 
-def _priced(terms: _Terms, z: float, mode: PricingMode) -> PriceResult:
-    """The ``PriceResult`` of a term set at the discount bond z."""
+def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
+            i: int | None = None) -> PriceResult:
+    """The ``PriceResult`` of the valuation x at the discount bond z.
+
+    After t1 there is no term set and the price is z times
+    ``_interval_factor``. A term set with an error raises it, with
+    ``batch_index`` i (when given) and, for a quadrature failure, the
+    terms computed so far as ``partial_terms``.
+    """
+    if terms is None:
+        price = z * _interval_factor(_CORRECTED, x.firm, x.spec, x.V1, x.t)
+        return PriceResult(price=price, mode=mode, terms=None, zcb=z)
+    if terms.error is not None:
+        if isinstance(terms.error, QuadratureConvergenceError):
+            terms.error.partial_terms = {"i1": z * terms.i1,
+                                         "expected_default": z * terms.leg, "zcb": z}
+        if i is not None:
+            terms.error.batch_index = i
+        raise terms.error
     breakdown = TermBreakdown(z * terms.i1, terms.i21, terms.i22, terms.i23,
                               terms.i24, z * terms.leg)
     price = breakdown.i1 + z * terms.decay1 * breakdown.i2_total + breakdown.expected_default
@@ -504,13 +527,7 @@ def price_full(
             f"price_full requires a valuation time in [0, {spec.t1}), "
             f"got {inputs.t}; value later times with price_last_interval"
         )
-    z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    terms = _term_sets([(inputs.firm, spec, inputs.t)], _CONVENTIONS[mode], quad)[0]
-    if terms.error is not None:
-        terms.error.partial_terms = {"i1": z * terms.i1,
-                                     "expected_default": z * terms.leg, "zcb": z}
-        raise terms.error
-    return _priced(terms, z, mode)
+    return price_bond(inputs, mode, quad)
 
 
 def price_bond(
@@ -521,14 +538,13 @@ def price_bond(
     """Price at any valuation time before maturity.
 
     Times at or past the first announcement (which require the declared
-    V1) are routed to the post-announcement closed form, which has no
+    V1) are priced by the post-announcement closed form, which has no
     integral decomposition.
     """
-    if inputs.t < inputs.spec.t1:
-        return price_full(inputs, mode, quad)
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    return PriceResult(price=_last_interval(inputs, z), mode=mode,
-                       terms=None, zcb=z)
+    terms = None if inputs.t >= inputs.spec.t1 else _term_sets(
+        [(inputs.firm, inputs.spec, inputs.t)], _CONVENTIONS[mode], quad)[0]
+    return _result(inputs, z, terms, mode)
 
 
 def price_batch(
@@ -539,49 +555,26 @@ def price_batch(
     """``price_bond`` of many valuations, in input order.
 
     Equals ``[price_bond(x, mode, quad) for x in inputs]`` up to
-    roundoff. Valuations at or after t1 and custom intensities are
-    priced by ``price_bond``. Every term of the others but Z depends
-    only on (firm, spec, t) and the price is linear in Z, so
-    ``_term_sets`` computes the terms once per distinct (firm, spec, t)
-    (a sweep over r0 or a rate coefficient shares one set), with the
-    I22/I24 tails of all of them in one quadrature pass, and Z is
-    computed once per valuation, one ``zcb_price`` call per distinct
-    rate model.
+    roundoff. Every term but Z depends only on (firm, spec, t) and the
+    price is linear in Z, so ``_term_sets`` computes the terms once per
+    distinct (firm, spec, t) before t1 (a sweep over r0 or a rate
+    coefficient shares one set), with the I22/I24 tails of those that
+    share an intensity in one quadrature pass, and Z is computed once
+    per valuation, one ``zcb_price`` call per distinct rate model.
 
-    A term set whose quadrature runs out of its node budget is priced
-    by ``price_bond``, which raises QuadratureConvergenceError with
-    ``partial_terms``. That error, and the ``ValueError`` of a discount
-    bond whose exponent overflows, also carry ``batch_index``, the
+    A term set whose quadrature runs out of its node budget raises
+    QuadratureConvergenceError with ``partial_terms``. That error, the
+    ``ValueError`` of a custom intensity whose V1 underflows and that of
+    a discount bond whose exponent overflows carry ``batch_index``, the
     position in ``inputs`` of the valuation.
     """
-    results: list[PriceResult | None] = [None] * len(inputs)
-    scalar, batched, term_set = [], [], []
     keys: dict[tuple, int] = {}
-    for i, x in enumerate(inputs):
-        if x.t >= x.spec.t1 or x.spec.intensity.family == "custom":
-            scalar.append(i)
-        else:
-            batched.append(i)
-            term_set.append(keys.setdefault((x.firm, x.spec, x.t), len(keys)))
-    if batched:
-        terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
-        try:
-            z = _discount_bonds([inputs[i] for i in batched])
-        except ValueError as err:
-            err.batch_index = batched[err.batch_index]
-            raise
-        for i, k, zk in zip(batched, term_set, z.tolist()):
-            if terms[k].error is None:
-                results[i] = _priced(terms[k], zk, mode)
-            else:
-                scalar.append(i)
-    for i in sorted(scalar):
-        try:
-            results[i] = price_bond(inputs[i], mode, quad)
-        except (QuadratureConvergenceError, ValueError) as err:
-            err.batch_index = i
-            raise
-    return results
+    term_set = [None if x.t >= x.spec.t1
+                else keys.setdefault((x.firm, x.spec, x.t), len(keys)) for x in inputs]
+    terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
+    z = _discount_bonds(inputs).tolist()
+    return [_result(x, z[i], None if k is None else terms[k], mode, i)
+            for i, (x, k) in enumerate(zip(inputs, term_set))]
 
 
 def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:

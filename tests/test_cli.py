@@ -105,8 +105,8 @@ class TestConfig:
         scenarios = load_scenarios(p0_file)
         assert list(scenarios) == ["P0"]
         s = scenarios["P0"]
-        assert s.spec.K1 == 70.0
-        assert s.rate_model.maturity == s.spec.t2
+        assert s.inputs.spec.K1 == 70.0
+        assert s.inputs.rate_model.maturity == s.inputs.spec.t2
 
     def test_missing_field_names_it(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -137,8 +137,8 @@ class TestConfig:
             "a1:\n            breakpoints: [0.5]\n            values: [0.01, 0.02]",
         ))
         s = load_scenarios(str(path))["P0"]
-        assert s.rate_model.a1(0.25) == 0.01
-        assert s.rate_model.a1(0.75) == 0.02
+        assert s.inputs.rate_model.a1(0.25) == 0.01
+        assert s.inputs.rate_model.a1(0.75) == 0.02
 
     def test_non_scalar_family_names_it(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -158,8 +158,19 @@ class TestConfig:
         path = tmp_path / "exp.yaml"
         path.write_text(P0_YAML.replace(old, text))
         s = load_scenarios(str(path))["P0"]
-        assert (s.spec.K1 if key == "K1" else s.r0) == value
+        assert (s.inputs.spec.K1 if key == "K1" else s.inputs.r) == value
         assert main(["price", str(path)]) == 0
+
+    @pytest.mark.parametrize("old, field", [
+        ("valuation_time: 0.0", "scenarios.P0.valuation_time"),
+        ("r0: 0.05", "scenarios.P0.rate.r0")])
+    def test_valuation_field_named_once(self, tmp_path, old, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(P0_YAML.replace(old, old.split(":")[0] + ": abc"))
+        with pytest.raises(ConfigError) as err:
+            load_scenarios(str(path))
+        assert str(err.value) == f"{field}: expected a number, got 'abc'"
+        assert err.value.path == field
 
     def test_quoted_and_non_finite_numbers_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -200,7 +211,7 @@ class TestConfig:
                                         "valuation_time: 0.6")
                         .replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"))
         s = load_scenarios(str(path))["P0"]
-        assert s.V1 == 95.0
+        assert s.inputs.V1 == 95.0
 
 
 class TestPriceCommand:
@@ -712,6 +723,27 @@ class TestValidateCommand:
         assert main(["validate", str(path), "--paths", "2000"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: scenarios.P0.firm: s_V must be at most")
+        assert captured.out == ""
+
+    def test_underflowing_declared_value_passes(self, tmp_path, capsys):
+        # At s_V = 1e100 every simulated V1 underflows to 0 and breaches
+        # K1, so no path needs lambda(V1), and the one leg left agrees.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e100"))
+        assert main(["validate", str(path), "--paths", "20000"]) == 0
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out and captured.err == ""
+
+    def test_underflow_against_zero_barrier_exits_2(self, tmp_path, capsys):
+        # With K1 = 0 the underflowed V1 would count as a breach of a
+        # barrier the closed form does not have; the error names s_V.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e100")
+                        .replace("K1: 70.0", "K1: 0.0"))
+        assert main(["validate", str(path), "--paths", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: s_V = 1e+100 ")
+        assert "underflows to 0" in captured.err
         assert captured.out == ""
 
     def test_zero_variance_scenario_passes(self, tmp_path, capsys):

@@ -61,6 +61,27 @@ class TestIntensity:
         with pytest.raises(ValueError):
             IntensityFunction.constant(-0.1)
 
+    def test_custom_equality_follows_the_callable(self):
+        def f(v):
+            return 0.01 / v
+
+        def g(v):
+            return 0.02 / v
+
+        assert IntensityFunction.custom(f) == IntensityFunction.custom(f)
+        assert IntensityFunction.custom(f) != IntensityFunction.custom(g)
+        assert len({IntensityFunction.custom(f), IntensityFunction.custom(g)}) == 2
+
+    def test_unhashable_custom_rejected(self):
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, v):
+                return 0.01 / v
+
+        with pytest.raises(ValueError, match="hashable"):
+            IntensityFunction.custom(Unhashable())
+
 
 class TestDMinus:
     def test_vanishing_numerator(self):

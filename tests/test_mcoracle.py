@@ -204,6 +204,24 @@ class TestAgainstClosedForm:
         closed = price_full(inputs, PricingMode.CORRECTED).price
         assert abs(closed - est.price) <= 3 * est.std_error
 
+    def test_underflow_against_zero_barrier_rejected(self):
+        # A declared value that underflows to 0 would breach a zero
+        # barrier the firm value never reaches; the error names s_V.
+        for inputs in (make_inputs(firm=dict(s_V=1e100), default=dict(K1=0.0)),
+                       make_inputs(firm=dict(s_V=1e100), default=dict(K2=0.0),
+                                   t=0.7, V1=95.0)):
+            with pytest.raises(ValueError, match=r"^s_V = 1e\+100 .*underflows to 0"):
+                simulate_price(inputs, McConfig(n_paths=1000))
+
+    def test_underflowed_first_breach_needs_no_second_intensity(self):
+        # Every V1 underflows and breaches K1 = 70: each path pays the
+        # first-barrier recovery, which the closed form prices.
+        inputs = make_inputs(firm=dict(s_V=1e100))
+        est = simulate_price(inputs, McConfig(n_paths=20_000, seed=5))
+        assert est.leg_breakdown["expected_t1"] + est.leg_breakdown["unexpected_leg1"] \
+            == pytest.approx(est.price, abs=1e-15)
+        assert abs(price_full(inputs).price - est.price) <= 3 * est.std_error
+
     def test_long_maturity_memory_is_per_path(self):
         # 30 years: a per-step rate grid would need gigabytes per chunk.
         inputs = make_inputs(default=dict(t1=15.0, t2=30.0))
@@ -361,7 +379,8 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
     per-leg pair statistics: the arithmetic that ``_simulate_chunk``
     must reproduce from the same Philox draws."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
-    spec, firm = plan.spec, plan.firm
+    x = plan.inputs
+    spec, firm = x.spec, x.firm
     z1 = rng.standard_normal(n_units)
     z2 = rng.standard_normal(n_units)
     u1 = rng.random(n_units)
@@ -377,27 +396,27 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
     m = len(z1)
 
     delta = spec.t2 - spec.t1
-    if plan.t < spec.t1:
+    if x.t < spec.t1:
         V1 = firm.V0 * np.exp(
             firm.log_drift * spec.t1 + firm.s_V * math.sqrt(spec.t1) * z1)
         xi1 = _reference_clock(np.full(m, spec.intensity(firm.V0)), u1)
-        jump1 = xi1 < spec.t1 - plan.t
+        jump1 = xi1 < spec.t1 - x.t
         barrier1 = V1 <= spec.K1
         seg2_start = spec.t1
-        s1 = np.where(jump1, plan.t + xi1, spec.t1)
+        s1 = np.where(jump1, x.t + xi1, spec.t1)
     else:
-        V1 = np.full(m, plan.V1_known)
+        V1 = np.full(m, x.V1)
         jump1 = np.zeros(m, dtype=bool)
         barrier1 = np.zeros(m, dtype=bool)
-        seg2_start = plan.t
-        s1 = np.full(m, plan.t)
+        seg2_start = x.t
+        s1 = np.full(m, x.t)
     enter2 = ~jump1 & ~barrier1
     V2 = V1 * np.exp(firm.log_drift * delta + firm.s_V * math.sqrt(delta) * z2)
     barrier2 = V2 <= spec.K2
     xi2 = _reference_clock(spec.intensity(V1), u2)
     jump2 = enter2 & (xi2 < spec.t2 - seg2_start)
     s2 = np.where(jump2, seg2_start + xi2, np.where(enter2, spec.t2, s1))
-    r1, int1 = _reference_transition(plan, np.full(m, plan.r0), plan.t, s1, zr[0])
+    r1, int1 = _reference_transition(plan, np.full(m, x.r), x.t, s1, zr[0])
     r2, int2 = _reference_transition(plan, r1, s1, s2, zr[1])
 
     pay = np.exp(-(int1 + int2))
@@ -406,7 +425,7 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
     early = ~surv_t2
     if early.any():
         recovery = np.where(jump1[early] | jump2[early], spec.R_u, spec.R_e)
-        pay[early] *= recovery * zcb_price(plan.rate_model, r2[early], s2[early])
+        pay[early] *= recovery * zcb_price(x.rate_model, r2[early], s2[early])
     legs = {
         "survive_both": enter2 & ~jump2 & ~barrier2,
         "unexpected_leg1": jump1 & ~barrier1,

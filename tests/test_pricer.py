@@ -528,6 +528,19 @@ class TestHugeDrift:
                 price_batch([inputs], mode)
             assert err.value.batch_index == 0
 
+    def test_custom_intensity_underflow_names_its_point(self):
+        # Both points share one intensity and so one tail pass; only
+        # point 1 underflows, and the error is its own.
+        custom = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
+        batch = [make_inputs(default=dict(K1=0.0), intensity=custom),
+                 make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0),
+                             intensity=custom)]
+        for mode in PricingMode:
+            price_bond(batch[0], mode)
+            with pytest.raises(ValueError, match=r"^custom intensity: ") as err:
+                price_batch(batch, mode)
+            assert err.value.batch_index == 1
+
 
 class TestTinyFirmVolatility:
     @pytest.mark.parametrize("t1", [0.5, 0.95])
@@ -729,6 +742,42 @@ class TestPriceBatch:
         assert calls == {"quad": 1, "bvn": len(batch)}
         for res, expected in zip(got, want):
             assert_results_match(res, expected)
+
+    def test_custom_intensities_keep_their_callables(self):
+        # Specs that differ only in their callable have a term set each.
+        batch = [make_inputs(intensity=IntensityFunction.custom(
+                     lambda v, c=c: c * np.log1p(1.0 / np.asarray(v))))
+                 for c in (1.0, 50.0, 1.0)]
+        for mode in PricingMode:
+            got = price_batch(batch, mode)
+            for res, inputs in zip(got, batch):
+                assert_results_match(res, price_bond(inputs, mode))
+            assert got[1].price < got[0].price - 1e-3
+            assert got[2].price == pytest.approx(got[0].price, abs=1e-15)
+
+    def test_starved_batch_computes_its_term_sets_once(self, monkeypatch):
+        calls = []
+        real = pricer._term_sets
+        monkeypatch.setattr(pricer, "_term_sets",
+                            lambda *args: calls.append(1) or real(*args))
+        starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
+        batch = [make_inputs(intensity=IntensityFunction.constant(0.1)),
+                 make_inputs()]
+        with pytest.raises(QuadratureConvergenceError):
+            price_batch(batch, quad=starved)
+        assert len(calls) == 1
+
+    def test_post_announcement_points_share_one_discount_bond_call(self, monkeypatch):
+        calls = []
+        real = pricer.zcb_price
+        monkeypatch.setattr(pricer, "zcb_price",
+                            lambda *args: calls.append(1) or real(*args))
+        batch = [make_inputs(t=0.7, V1=95.0, r=r) for r in np.linspace(-0.01, 0.08, 50)]
+        got = price_batch(batch)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for res, inputs in zip(got, batch):
+            assert_results_match(res, price_bond(inputs))
 
     def test_quadrature_failure_is_the_scalar_error(self):
         starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
