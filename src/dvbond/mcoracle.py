@@ -53,13 +53,17 @@ the exact simulation counterpart of the closed form's
 first-barrier-breach term, and likewise for ``expected_t2`` among
 paths reaching the second interval. ``unexpected_leg1``/``2`` hold the
 remaining jump defaults and ``survive_both`` the par payoffs. Each
-path carries one leg label, its index into ``LEG_NAMES``; the per-leg
-means and second moments come from ``bincount`` over the labels, and
-an antithetic pair adds half of each payoff to its own path's leg.
+path carries one leg label, its index into ``LEG_NAMES``; an antithetic
+pair adds half of each payoff to its own path's leg. A chunk returns
+one statistics record, the means and second moments of the price and
+of each leg (by ``bincount`` over the labels), in units of 2^e for e
+the ``math.frexp`` exponent of Z(r, t): an exact scale that keeps the
+squared deviations of a tiny price from underflowing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -73,6 +77,7 @@ __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
            "simulate_price"]
 
 CHUNK_PATHS = 1 << 16
+_Stats = tuple[int, np.ndarray, np.ndarray]  # a chunk's statistics record
 
 LEG_NAMES = ("survive_both", "unexpected_leg1", "unexpected_leg2",
              "expected_t1", "expected_t2")
@@ -138,11 +143,13 @@ class _Plan:
 
     ``segments`` splits [t, t2] at the rate-coefficient breakpoints into
     (left, right, a1, a2, s_r) spans of constant rate dynamics.
+    ``exponent`` is the ``math.frexp`` exponent of Z(r, t), 0 when Z is 0.
     """
 
     inputs: PricingInputs
     segments: tuple[tuple[float, float, float, float, float], ...]
     antithetic: bool
+    exponent: int
 
 
 def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
@@ -153,7 +160,21 @@ def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
     ))
     return _Plan(inputs, tuple(
         (lo, hi, float(rate.a1(lo)), float(rate.a2(lo)), float(rate.s_r(lo)))
-        for lo, hi in zip(edges, edges[1:])), cfg.antithetic)
+        for lo, hi in zip(edges, edges[1:])), cfg.antithetic,
+        math.frexp(zcb_price(rate, inputs.r, t))[1])
+
+
+def _declared_value(prev, z: np.ndarray, firm, dt: float) -> np.ndarray:
+    """prev * exp(log_drift dt + s_V sqrt(dt) z), built in place of ``z``.
+
+    An overflow is not reported: inf is the exact limit, with no breach
+    and a log-reciprocal intensity of 0 (see ``pricer._tail_rows``)."""
+    with np.errstate(over="ignore"):
+        v = np.multiply(z, firm.s_V * math.sqrt(dt), out=z)
+        v += firm.log_drift * dt
+        np.exp(v, out=v)
+        v *= prev
+    return v
 
 
 def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
@@ -209,8 +230,8 @@ def _rate_transition(plan: _Plan, r, lo, hi, z: np.ndarray):
 
 
 def _leg_moments(label: np.ndarray, values: np.ndarray, n: int,
-                 total: float) -> list[tuple[float, float]]:
-    """Per-leg (mean, centered M2) over n units, in LEG_NAMES order.
+                 total: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-leg means and centered M2s over n units, in LEG_NAMES order.
 
     Entry k adds ``values[k]`` to leg ``label[k]`` of its unit; a unit
     has at most one entry per leg and is zero in every leg it has none.
@@ -229,10 +250,10 @@ def _leg_moments(label: np.ndarray, values: np.ndarray, n: int,
     np.subtract(values, dev, out=dev)
     dev *= dev
     m2 = np.bincount(label, weights=dev, minlength=legs) + (n - count) * mean * mean
-    return [(float(a), float(b)) for a, b in zip(mean, m2)]
+    return mean, m2
 
 
-def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dict:
+def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _Stats:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
     x = plan.inputs
     spec, firm, t = x.spec, x.firm, x.t
@@ -252,15 +273,9 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
         zr = np.concatenate([zr, -zr], axis=-1)
     m = len(z1)
 
-    # The declared values, V = V_prev * exp(log_drift dt + s_V sqrt(dt) z),
-    # are built in place of their normals.
-    delta = spec.t2 - spec.t1
     pre_announcement = t < spec.t1
     if pre_announcement:
-        V1 = np.multiply(z1, firm.s_V * math.sqrt(spec.t1), out=z1)
-        V1 += firm.log_drift * spec.t1
-        np.exp(V1, out=V1)
-        V1 *= firm.V0
+        V1 = _declared_value(firm.V0, z1, firm, spec.t1)
         xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u1)
         jump1 = xi1 < spec.t1 - t
         barrier1 = V1 <= spec.K1
@@ -271,10 +286,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
         t_mid = t
     stop1 = jump1 | barrier1
 
-    V2 = np.multiply(z2, firm.s_V * math.sqrt(delta), out=z2)
-    V2 += firm.log_drift * delta
-    np.exp(V2, out=V2)
-    V2 *= V1
+    V2 = _declared_value(V1, z2, firm, spec.t2 - spec.t1)
     barrier2 = V2 <= spec.K2
     # A declared value that underflows to 0 would breach a zero barrier
     # that the firm value never reaches.
@@ -329,6 +341,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
         label[ev] = np.select(
             [barrier1[ev], jump1[ev], barrier2[ev]],
             [_EXPECTED_T1, _UNEXPECTED_1, _EXPECTED_T2], _UNEXPECTED_2)
+    np.ldexp(pay, -plan.exponent, out=pay)
 
     if plan.antithetic:
         # A pair adds half of each payoff to that path's leg.
@@ -345,19 +358,16 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> dic
         leg_value = np.concatenate([pair_a, 0.5 * pay_b[split]])
     else:
         price, leg_label, leg_value = pay, label, pay
-    price_sum = float(price.sum())
-    legs = _leg_moments(leg_label, leg_value, n_units, price_sum)
+    price_sum = price.sum()
+    leg_mean, leg_m2 = _leg_moments(leg_label, leg_value, n_units, price_sum)
     mean = price_sum / n_units
     price -= mean
     np.square(price, out=price)
-    stats = {"price": (mean, float(price.sum()))}
-    stats.update(zip((f"leg_{name}" for name in LEG_NAMES), legs))
-    return {"n": n_units, "stats": stats}
+    return n_units, np.r_[mean, leg_mean], np.r_[price.sum(), leg_m2]
 
 
-def _merge_stats(a: tuple[int, float, float],
-                 b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Combine (count, mean, centered M2) of two disjoint samples."""
+def _merge_stats(a: _Stats, b: _Stats) -> _Stats:
+    """Combine the (units, means, M2s) records of two disjoint samples."""
     na, mean_a, m2a = a
     nb, mean_b, m2b = b
     n = na + nb
@@ -367,54 +377,26 @@ def _merge_stats(a: tuple[int, float, float],
     return n, mean, m2
 
 
-def _mean_se(acc: tuple[int, float, float]) -> tuple[float, float]:
-    n, mean, m2 = acc
-    if n < 2:
-        return mean, 0.0
-    return mean, math.sqrt(max(m2, 0.0) / (n - 1) / n)
-
-
 def simulate_price(inputs: PricingInputs, cfg: McConfig) -> McEstimate:
     """Monte Carlo price of the bond with standard error and leg split.
 
     Reproducible for a fixed (inputs, cfg): the same seed yields a
     bit-identical estimate at any thread count.
     """
-    if not inputs.t < inputs.spec.t2:
-        raise ValueError("valuation time must precede maturity")
     plan = _build_plan(inputs, cfg)
-
-    units_per_chunk = CHUNK_PATHS // (2 if cfg.antithetic else 1)
-    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    n_chunks = (n_units + units_per_chunk - 1) // units_per_chunk
-    sizes = [min(units_per_chunk, n_units - i * units_per_chunk)
-             for i in range(n_chunks)]
-
-    if cfg.n_threads > 1 and n_chunks > 1:
+    units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    step = CHUNK_PATHS // 2 if cfg.antithetic else CHUNK_PATHS
+    sizes = [min(step, units - i) for i in range(0, units, step)]
+    run = functools.partial(_simulate_chunk, plan, cfg.seed)
+    if cfg.n_threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            results = list(pool.map(
-                lambda i: _simulate_chunk(plan, cfg.seed, i, sizes[i]),
-                range(n_chunks),
-            ))
+            results = list(pool.map(run, range(len(sizes)), sizes))
     else:
-        results = [_simulate_chunk(plan, cfg.seed, i, sizes[i])
-                   for i in range(n_chunks)]
-
-    acc = {key: (results[0]["n"], mean, m2)
-           for key, (mean, m2) in results[0]["stats"].items()}
-    for res in results[1:]:  # fixed chunk order keeps the merge deterministic
-        for key, (mean, m2) in res["stats"].items():
-            acc[key] = _merge_stats(acc[key], (res["n"], mean, m2))
-
-    price, se = _mean_se(acc["price"])
-    leg_means, leg_ses = {}, {}
-    for name in LEG_NAMES:
-        leg_means[name], leg_ses[name] = _mean_se(acc[f"leg_{name}"])
-    return McEstimate(
-        price=price,
-        std_error=se,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        leg_breakdown=leg_means,
-        leg_std_error=leg_ses,
-    )
+        results = list(map(run, range(len(sizes)), sizes))
+    # A fixed chunk order keeps the merge deterministic.
+    n, means, m2s = functools.reduce(_merge_stats, results)
+    ses = np.sqrt(np.maximum(m2s, 0.0) / (n - 1) / n) if n > 1 else np.zeros_like(m2s)
+    means, ses = (np.ldexp(v, plan.exponent).tolist() for v in (means, ses))
+    return McEstimate(means[0], ses[0], cfg.n_paths, cfg.seed,
+                      leg_breakdown=dict(zip(LEG_NAMES, means[1:])),
+                      leg_std_error=dict(zip(LEG_NAMES, ses[1:])))

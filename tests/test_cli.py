@@ -734,6 +734,33 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert "PASS" in captured.out and captured.err == ""
 
+    @pytest.mark.parametrize("old, new", [
+        ("mu: 0.07", "mu: 1.0e3"),  # V2 overflows
+        ("b: 0.05", "b: -1.0e300"),  # V1 overflows
+        ("t2: 1.0", "t2: 1.0e8"),  # V2 overflows; Z underflows to 0
+    ])
+    def test_overflowing_declared_value_passes(self, tmp_path, capsys, old, new):
+        # An inf declared value is the exact limit: no breach and a
+        # log-reciprocal intensity of 0. Its overflow once leaked a
+        # RuntimeWarning, which the test suite turns into an error.
+        path = tmp_path / "huge.yaml"
+        path.write_text(P0_YAML.replace(old, new))
+        assert main(["validate", str(path), "--paths", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out and captured.err == ""
+
+    def test_tiny_price_has_a_standard_error(self, tmp_path, capsys):
+        # At a1 = 1e3 the price is ~3.7e-204. The squared deviations of
+        # such payoffs underflow to 0, which once printed "+/- 0" and a z
+        # of ~3e11; the simulation takes them in units of 2^e, where e is
+        # the binary exponent of Z.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(P0_YAML.replace("a1: 0.01", "a1: 1.0e3"))
+        assert main(["validate", str(path), "--paths", "2000"]) == 0
+        out = capsys.readouterr().out
+        mc = next(line for line in out.splitlines() if "monte carlo" in line)
+        assert 0.0 < float(mc.split()[-1]) < 1e-203
+
     def test_underflow_against_zero_barrier_exits_2(self, tmp_path, capsys):
         # With K1 = 0 the underflowed V1 would count as a breach of a
         # barrier the closed form does not have; the error names s_V.

@@ -467,14 +467,18 @@ def _chunk_cases():
         "lambda_20": dict(intensity=IntensityFunction.constant(20.0)),
         "post_t1_lambda_20": dict(t=0.7, V1=90.0,
                                   intensity=IntensityFunction.constant(20.0)),
+        # Z(r, t) = 0.066: the chunk's moments are in units of 2^-3.
+        "low_zcb": dict(r=3.0),
     }
 
 
 class TestChunkAgainstReference:
     """Per-key (mean, M2) of one chunk against the per-path reference.
 
-    Tolerances: 1e-14 absolute on means (the leg sums run in another
-    order) and 1e-12 relative on M2; a zero reference M2 must be 0.
+    The chunk's record is in units of 2^plan.exponent; it is converted
+    back exactly before the comparison. Tolerances: 1e-14 absolute on
+    means (the leg sums run in another order) and 1e-12 relative on M2;
+    a zero reference M2 must be 0.
     """
 
     @staticmethod
@@ -483,12 +487,13 @@ class TestChunkAgainstReference:
         plan = _build_plan(inputs, McConfig(n_paths=2, antithetic=antithetic))
         got = _simulate_chunk(plan, seed, chunk_idx, n_units)
         want = _reference_chunk(plan, seed, chunk_idx, n_units)
-        assert got["n"] == want["n"] == n_units
-        assert got["stats"].keys() == want["stats"].keys()
-        for key, (mean, m2) in want["stats"].items():
-            got_mean, got_m2 = got["stats"][key]
-            assert abs(got_mean - mean) <= 1e-14, key
-            assert abs(got_m2 - m2) <= 1e-12 * abs(m2), key
+        assert got[0] == want["n"] == n_units
+        assert list(want["stats"]) == ["price"] + [f"leg_{n}" for n in LEG_NAMES]
+        got_means = np.ldexp(got[1], plan.exponent)
+        got_m2s = np.ldexp(got[2], 2 * plan.exponent)
+        for k, (key, (mean, m2)) in enumerate(want["stats"].items()):
+            assert abs(got_means[k] - mean) <= 1e-14, key
+            assert abs(got_m2s[k] - m2) <= 1e-12 * abs(m2), key
         return got
 
     @pytest.mark.parametrize("antithetic", [False, True])
@@ -533,14 +538,15 @@ class TestChunkAgainstReference:
 
     def test_guard_extremes(self):
         # No event at all: every leg but the par leg is exactly empty.
-        got = self.check(make_inputs(**_chunk_cases()["all_nominal"]))
-        for name in LEG_NAMES[1:]:
-            assert got["stats"][f"leg_{name}"] == (0.0, 0.0)
+        # Record rows: the price, then the legs in LEG_NAMES order.
+        _, means, m2s = self.check(make_inputs(**_chunk_cases()["all_nominal"]))
+        for k in range(2, 1 + len(LEG_NAMES)):
+            assert (means[k], m2s[k]) == (0.0, 0.0)
         # Every path breaches K1: everything sits in the expected_t1 leg.
-        got = self.check(make_inputs(**_chunk_cases()["all_barrier1"]))
-        for name in LEG_NAMES:
+        _, means, m2s = self.check(make_inputs(**_chunk_cases()["all_barrier1"]))
+        for k, name in enumerate(LEG_NAMES, start=1):
             if name != "expected_t1":
-                assert got["stats"][f"leg_{name}"] == (0.0, 0.0)
+                assert (means[k], m2s[k]) == (0.0, 0.0)
         # A single path: the event subset is empty or everything.
         for case in ("all_nominal", "all_barrier1", "P0"):
             self.check(make_inputs(**_chunk_cases()[case]), n_units=1)
