@@ -30,7 +30,6 @@ from .pricer import (
     PricingMode,
     TermBreakdown,
     compute_alphas,
-    credit_spread,
     expected_default_leg,
     price_batch,
     price_bond,
@@ -59,7 +58,6 @@ __all__ = [
     "coeff_A",
     "coeff_B",
     "compute_alphas",
-    "credit_spread",
     "d_minus",
     "expected_default_leg",
     "integrate_left_tail",

@@ -22,7 +22,7 @@ from .config import ConfigError, Scenario, load_scenarios
 from .defaultmodel import IntensityFunction
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
-from .pricer import PricingInputs, PricingMode, _spread, price_batch, price_bond
+from .pricer import PricingInputs, PricingMode, price_batch, price_bond
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
                  "I1", "I21", "I22", "I23", "I24", "expected_leg")
@@ -76,8 +76,8 @@ def _mode(scenario: Scenario, flag: str | None) -> PricingMode:
 
 
 def _csv_table(columns: tuple, prefix: list[str], rows) -> str:
-    """The CSV text of ``columns`` and one row per (result, horizon, *lead)
-    of ``rows``: the ``prefix`` fields, the ``lead`` numbers, then price
+    """The CSV text of ``columns`` and one row per (result, *lead) of
+    ``rows``: the ``prefix`` fields, the ``lead`` numbers, then price
     through expected_leg. The prefix is quoted once by ``csv.writer``;
     the numbers never need quoting, so a row is one format call, and a
     row valued after t1 leaves the six term columns empty."""
@@ -88,11 +88,11 @@ def _csv_table(columns: tuple, prefix: list[str], rows) -> str:
     full = head + ",{:.15g}" * numbers + "\r\n"
     post = head + ",{:.15g}" * (numbers - 6) + ",,,,,,\r\n"
     text = [",".join(columns) + "\r\n"]
-    for result, horizon, *lead in rows:
-        t, spread = result.terms, _spread(result, horizon)
-        text.append(post.format(*lead, result.price, result.zcb, spread) if t is None
-                    else full.format(*lead, result.price, result.zcb, spread, t.i1,
-                                     t.i21, t.i22, t.i23, t.i24, t.expected_default))
+    for result, *lead in rows:
+        t, priced = result.terms, (result.price, result.zcb, result.spread)
+        text.append(post.format(*lead, *priced) if t is None
+                    else full.format(*lead, *priced, t.i1, t.i21, t.i22, t.i23,
+                                     t.i24, t.expected_default))
     return "".join(text)
 
 
@@ -113,17 +113,12 @@ def cmd_price(args) -> int:
     if args.paper_literal_a:
         inputs = dataclasses.replace(
             inputs, rate_model=dataclasses.replace(inputs.rate_model, paper_literal_a=True))
-    try:
-        result = price_bond(inputs, mode)
-    except QuadratureConvergenceError as err:
-        return _fail(3, f"quadrature failure: {err}")
-
+    result = price_bond(inputs, mode)
     print(f"scenario {scenario.name} (mode {mode.value}"
           + (", literal-A discount curve" if args.paper_literal_a else "") + ")")
     print(f"  price   {_fmt(result.price)}")
     print(f"  zcb     {_fmt(result.zcb)}")
-    horizon = inputs.spec.t2 - inputs.t
-    print(f"  spread  {_fmt(_spread(result, horizon))}")
+    print(f"  spread  {_fmt(result.spread)}")
     if result.terms:
         t = result.terms
         print(f"  I1      {_fmt(t.i1)}")
@@ -136,7 +131,7 @@ def cmd_price(args) -> int:
         print("  (post-announcement valuation: no term decomposition)")
     if args.csv:
         _write_csv(args.csv, _csv_table(PRICE_COLUMNS, [scenario.name, mode.value],
-                                        [(result, horizon)]))
+                                        [(result,)]))
     return 0
 
 
@@ -205,7 +200,7 @@ def cmd_sweep(args) -> int:
             raise  # not tied to one point; main reports it
         return _fail(2, f"{args.axis} grid value {grid[err.batch_index]!r}: {err}")
     text = _csv_table(SWEEP_COLUMNS, [scenario.name, mode.value, args.axis],
-                      zip(results, [x.spec.t2 - x.t for x in points], grid))
+                      zip(results, grid))
     sys.stdout.write(text)
     if args.csv:
         _write_csv(args.csv, text)
@@ -241,11 +236,8 @@ def cmd_validate(args) -> int:
         return _fail(2, f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     scenario = _select(_load(args.file), args.scenario)
     inputs = scenario.inputs
-    try:
-        corrected = price_bond(inputs, PricingMode.CORRECTED)
-        literal = price_bond(inputs, PricingMode.PAPER_LITERAL)
-    except QuadratureConvergenceError as err:
-        return _fail(3, f"quadrature failure: {err}")
+    corrected = price_bond(inputs, PricingMode.CORRECTED)
+    literal = price_bond(inputs, PricingMode.PAPER_LITERAL)
     cfg = McConfig(
         n_paths=args.paths,
         seed=args.seed,
@@ -348,6 +340,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
+    except QuadratureConvergenceError as err:
+        return _fail(3, f"quadrature failure: {err}")
     except ValueError as err:
         return _fail(2, str(err))
 

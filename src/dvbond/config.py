@@ -83,19 +83,41 @@ class Scenario:
         return self.inputs
 
 
-def _require_mapping(node, path: str) -> dict:
+# Each block's (required, optional) fields, checked and read in this order.
+_FIELDS = {
+    "root": (("scenarios",), ()),
+    "scenario": (("valuation_time", "rate", "firm", "default"), ("mode",)),
+    "rate": (("a1", "a2", "s_r", "r0"), ()),
+    "firm": (("V0", "mu", "b", "s_V"), ("V1",)),
+    "default": (("t1", "t2", "K1", "K2", "R_u", "R_e", "intensity"), ()),
+    "intensity": (("family",), ("lambda0",)),
+    "coefficient": (("breakpoints", "values"), ()),
+}
+
+
+def _mapping(node, path: str, block: str | None = None) -> dict:
+    """``node`` as a mapping, whose keys, given a block name, are that
+    block's fields."""
     if not isinstance(node, dict):
         raise ConfigError(path, f"expected a mapping, got {type(node).__name__}")
+    if block is not None:
+        required, optional = _FIELDS[block]
+        for key in node:
+            if key not in required and key not in optional:
+                raise ConfigError(f"{path}.{key}", "unknown key")
+        for key in required:
+            if key not in node:
+                raise ConfigError(f"{path}.{key}", "missing required field")
     return node
 
 
-def _check_keys(node: dict, path: str, required: tuple, optional: tuple = ()):
-    for key in node:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in node:
-            raise ConfigError(f"{path}.{key}", "missing required field")
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError raised as a ConfigError
+    at ``path``. A ConfigError of an argument names its own field."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from err
 
 
 def _number(node: dict, path: str, key: str) -> float:
@@ -110,22 +132,21 @@ def _coefficient(node: dict, path: str, key: str):
     value = node[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    sub = _require_mapping(value, f"{path}.{key}")
-    _check_keys(sub, f"{path}.{key}", ("breakpoints", "values"))
-    for field_name in ("breakpoints", "values"):
+    path = f"{path}.{key}"
+    sub = _mapping(value, path, "coefficient")
+    fields = _FIELDS["coefficient"][0]
+    for field_name in fields:
         if not isinstance(sub[field_name], list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in sub[field_name]
         ):
-            raise ConfigError(f"{path}.{key}.{field_name}", "expected a list of numbers")
-    try:
-        return PiecewiseConstant(tuple(sub["breakpoints"]), tuple(sub["values"]))
-    except ValueError as err:
-        raise ConfigError(f"{path}.{key}", str(err)) from err
+            raise ConfigError(f"{path}.{field_name}", "expected a list of numbers")
+    return _build(path, PiecewiseConstant, *(tuple(sub[f]) for f in fields))
 
 
-def _intensity(node: dict, path: str) -> IntensityFunction:
-    _check_keys(node, path, ("family",), ("lambda0",))
+def _intensity(node: dict, path: str, key: str) -> IntensityFunction:
+    path = f"{path}.{key}"
+    node = _mapping(node[key], path, "intensity")
     family = node["family"]
     if family not in _INTENSITY_FAMILIES:
         raise ConfigError(
@@ -135,19 +156,20 @@ def _intensity(node: dict, path: str) -> IntensityFunction:
     if family == "constant":
         if "lambda0" not in node:
             raise ConfigError(f"{path}.lambda0", "missing required field")
-        try:
-            return IntensityFunction.constant(_number(node, path, "lambda0"))
-        except ValueError as err:
-            raise ConfigError(f"{path}.lambda0", str(err)) from err
+        return _build(f"{path}.lambda0", IntensityFunction.constant,
+                      _number(node, path, "lambda0"))
     if "lambda0" in node:
         raise ConfigError(f"{path}.lambda0", "only valid for the constant family")
     return IntensityFunction.log_reciprocal()
 
 
-def _parse_scenario(name: str, node, path: str) -> Scenario:
-    node = _require_mapping(node, path)
-    _check_keys(node, path, ("valuation_time", "rate", "firm", "default"), ("mode",))
+# The reader of each model field that is not a plain number.
+_READERS = {"a1": _coefficient, "a2": _coefficient, "s_r": _coefficient,
+            "intensity": _intensity}
 
+
+def _parse_scenario(name: str, node, path: str) -> Scenario:
+    node = _mapping(node, path, "scenario")
     mode_name = node.get("mode", "corrected")
     try:
         mode = PricingMode(mode_name)
@@ -156,61 +178,23 @@ def _parse_scenario(name: str, node, path: str) -> Scenario:
             f"{path}.mode",
             f"unknown mode {mode_name!r}; choose corrected or paper-literal",
         ) from None
+    blocks = {block: _mapping(node[block], f"{path}.{block}", block)
+              for block in ("rate", "firm", "default")}
 
-    rate = _require_mapping(node["rate"], f"{path}.rate")
-    _check_keys(rate, f"{path}.rate", ("a1", "a2", "s_r", "r0"))
-    firm_node = _require_mapping(node["firm"], f"{path}.firm")
-    _check_keys(firm_node, f"{path}.firm", ("V0", "mu", "b", "s_V"), ("V1",))
-    dflt = _require_mapping(node["default"], f"{path}.default")
-    _check_keys(dflt, f"{path}.default",
-                ("t1", "t2", "K1", "K2", "R_u", "R_e", "intensity"))
+    def model(make, block: str, **extra):
+        # The block's required fields that are arguments of its model.
+        where = f"{path}.{block}"
+        fields = {key: _READERS.get(key, _number)(blocks[block], where, key)
+                  for key in _FIELDS[block][0] if key in make.__dataclass_fields__}
+        return _build(where, make, **fields, **extra)
 
-    try:
-        spec = DefaultSpec(
-            t1=_number(dflt, f"{path}.default", "t1"),
-            t2=_number(dflt, f"{path}.default", "t2"),
-            K1=_number(dflt, f"{path}.default", "K1"),
-            K2=_number(dflt, f"{path}.default", "K2"),
-            R_u=_number(dflt, f"{path}.default", "R_u"),
-            R_e=_number(dflt, f"{path}.default", "R_e"),
-            intensity=_intensity(
-                _require_mapping(dflt["intensity"], f"{path}.default.intensity"),
-                f"{path}.default.intensity",
-            ),
-        )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{path}.default", str(err)) from err
-
-    try:
-        firm = FirmModel(
-            V0=_number(firm_node, f"{path}.firm", "V0"),
-            mu=_number(firm_node, f"{path}.firm", "mu"),
-            b=_number(firm_node, f"{path}.firm", "b"),
-            s_V=_number(firm_node, f"{path}.firm", "s_V"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{path}.firm", str(err)) from err
-
-    try:
-        rate_model = ShortRateModel(
-            a1=_coefficient(rate, f"{path}.rate", "a1"),
-            a2=_coefficient(rate, f"{path}.rate", "a2"),
-            s_r=_coefficient(rate, f"{path}.rate", "s_r"),
-            maturity=spec.t2,
-        )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{path}.rate", str(err)) from err
-
-    V1 = _number(firm_node, f"{path}.firm", "V1") if "V1" in firm_node else None
-    t, r = _number(node, path, "valuation_time"), _number(rate, f"{path}.rate", "r0")
-    try:
-        inputs = PricingInputs(rate_model, firm, spec, r=r, t=t, V1=V1)
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from err
+    spec = model(DefaultSpec, "default")
+    firm = model(FirmModel, "firm")
+    rate_model = model(ShortRateModel, "rate", maturity=spec.t2)
+    V1 = _number(blocks["firm"], f"{path}.firm", "V1") if "V1" in blocks["firm"] else None
+    t = _number(node, path, "valuation_time")
+    r = _number(blocks["rate"], f"{path}.rate", "r0")
+    inputs = _build(path, PricingInputs, rate_model, firm, spec, r=r, t=t, V1=V1)
     return Scenario(name=name, mode=mode, inputs=inputs)
 
 
@@ -221,9 +205,8 @@ def load_scenarios(path: str) -> dict[str, Scenario]:
             doc = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as err:
             raise ConfigError(str(path), f"not valid YAML ({err})") from err
-    doc = _require_mapping(doc, "<root>")
-    _check_keys(doc, "<root>", ("scenarios",))
-    table = _require_mapping(doc["scenarios"], "scenarios")
+    doc = _mapping(doc, "<root>", "root")
+    table = _mapping(doc["scenarios"], "scenarios")
     if not table:
         raise ConfigError("scenarios", "no scenarios defined")
     return {

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mathkit import normal_cdf
+from .mathkit import log_ratio, normal_cdf
 
 __all__ = [
     "FirmModel",
@@ -140,7 +140,10 @@ class IntensityFunction:
         if np.any(V_arr <= 0.0):
             raise ValueError("intensity requires V > 0")
         if self.family == "log_reciprocal":
-            out = np.log1p(1.0 / V_arr)
+            # 1/V overflows for V below ~5.6e-309; inf stands for an
+            # intensity above 709 (see pricer._tail_rows).
+            with np.errstate(over="ignore"):
+                out = np.log1p(1.0 / V_arr)
         elif self.family == "constant":
             out = np.full_like(V_arr, self.lambda0)
         else:
@@ -184,19 +187,27 @@ def d_minus(x_over_K: float, fm: FirmModel, tau: float) -> float:
     """
     if not x_over_K > 0.0:
         raise ValueError(f"x/K must be positive, got {x_over_K}")
+    return _standardize(math.log(x_over_K), fm, tau)
+
+
+def _standardize(log_x_over_K: float, fm: FirmModel, tau: float) -> float:
+    """``d_minus`` of the log-distance ln(x/K)."""
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return (math.log(x_over_K) + fm.log_drift * tau) / (fm.s_V * math.sqrt(tau))
+    return (log_x_over_K + fm.log_drift * tau) / (fm.s_V * math.sqrt(tau))
 
 
 def survival_prob(fm: FirmModel, V_now: float, K: float, tau: float) -> float:
     """Probability that the firm value exceeds barrier K after tau years.
 
     N[d_minus(V_now/K, tau)]; exactly 1 for K = 0 (the GBM stays
-    positive).
+    positive). The log-distance is ln V_now - ln K where V_now/K
+    underflows, as it does for a tiny declared value.
     """
     if K < 0.0:
         raise ValueError(f"barrier must be >= 0, got {K}")
     if K == 0.0:
         return 1.0
-    return normal_cdf(d_minus(V_now / K, fm, tau))
+    if not V_now > 0.0:
+        raise ValueError(f"V must be positive, got {V_now}")
+    return normal_cdf(_standardize(log_ratio(V_now, K), fm, tau))

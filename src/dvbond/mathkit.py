@@ -52,6 +52,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "normal_cdf",
+    "log_ratio",
     "integrate_left_tail",
     "bvn_cdf",
     "bivariate_cdf_quadform",
@@ -93,6 +94,13 @@ def normal_cdf(a: float) -> float:
     if math.isnan(a):
         raise ValueError("normal_cdf: input is NaN")
     return 0.5 * math.erfc(-a / math.sqrt(2.0))
+
+
+def log_ratio(x: float, y: float) -> float:
+    """ln(x / y) of positive x and y; ln x - ln y where x / y underflows
+    to 0 or overflows to inf, so a tiny firm value keeps a finite log."""
+    q = x / y
+    return math.log(q) if 0.0 < q < math.inf else math.log(x) - math.log(y)
 
 
 @dataclass(frozen=True)

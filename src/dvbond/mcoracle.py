@@ -177,6 +177,22 @@ def _declared_value(prev, z: np.ndarray, firm, dt: float) -> np.ndarray:
     return v
 
 
+def _breaches(V: np.ndarray, K: float, used: np.ndarray, firm) -> np.ndarray:
+    """The paths whose declared value V breaches the barrier K.
+
+    A barrier of 0 is never breached. A V that underflows to 0 would
+    breach it all the same, so a path in ``used`` (one whose V is not
+    preempted by a jump) with such a V is out of the simulation's range.
+    """
+    if K > 0.0:
+        return V <= K
+    if np.any((V <= 0.0) & used):
+        raise ValueError(f"s_V = {firm.s_V:g} (mu = {firm.mu:g}) is out of the "
+                         "simulation's range: a declared value underflows to 0, "
+                         "which a barrier of 0 would count as a breach")
+    return np.zeros(V.shape, dtype=bool)
+
+
 def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
     """Waiting time of the jump clock, written over the uniforms ``u``.
 
@@ -278,7 +294,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
         V1 = _declared_value(firm.V0, z1, firm, spec.t1)
         xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u1)
         jump1 = xi1 < spec.t1 - t
-        barrier1 = V1 <= spec.K1
+        barrier1 = _breaches(V1, spec.K1, ~jump1, firm)
         t_mid = spec.t1
     else:
         V1 = x.V1
@@ -287,20 +303,13 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
     stop1 = jump1 | barrier1
 
     V2 = _declared_value(V1, z2, firm, spec.t2 - spec.t1)
-    barrier2 = V2 <= spec.K2
-    # A declared value that underflows to 0 would breach a zero barrier
-    # that the firm value never reaches.
-    if (spec.K1 == 0.0 and barrier1.any()) or (
-            spec.K2 == 0.0 and np.any(barrier2 & ~stop1)):
-        raise ValueError(f"s_V = {firm.s_V:g} (mu = {firm.mu:g}) is out of the "
-                         "simulation's range: a declared value underflows to 0, "
-                         "which a barrier of 0 would count as a breach")
     # Only a path that did not stop in the first interval needs lambda(V1);
     # a stopped one's V1 may have underflowed to 0.
     xi2 = _truncated_exp_clock(spec.intensity(
         np.where(stop1, firm.V0, V1) if pre_announcement else V1), u2)
     jump2 = xi2 < spec.t2 - t_mid
     jump2 &= ~stop1
+    barrier2 = _breaches(V2, spec.K2, ~(stop1 | jump2), firm)
 
     # Every path ends at its payment time s2: the jump time, the first
     # announcement date for a barrier-1 breach, or maturity. A nominal

@@ -40,7 +40,9 @@ Z, so one function, ``_term_sets``, computes the terms per unit Z of
 each distinct (firm, spec, t): scalar ``math`` per term set, except
 for one quadrature pass per intensity over the I22/I24 tails. One
 finisher, ``_result``, prices a valuation from Z and its term set (none
-at or after t1), for ``price_bond`` and ``price_batch`` alike.
+at or after t1), for ``price_bond`` and ``price_batch`` alike; it also
+takes the credit spread -ln(price / Z) / (t2 - t) that every
+``PriceResult`` carries.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -97,6 +99,7 @@ from .mathkit import (
     QuadratureConvergenceError,
     QuadratureSpec,
     integrate_left_tail,
+    log_ratio,
     normal_cdf,
 )
 from .ratecurve import ShortRateModel, zcb_price
@@ -113,7 +116,6 @@ __all__ = [
     "price_full",
     "price_bond",
     "price_batch",
-    "credit_spread",
 ]
 
 
@@ -255,12 +257,17 @@ class PriceResult:
     valuation fell in the post-announcement regime (t >= t1), where the
     closed form is a two-branch expression with no integral
     decomposition.
+
+    ``spread`` is the continuously compounded yield spread over the
+    default-free bond, -ln(price / Z) / (t2 - t): 0.0 (not -0.0) at
+    par, and inf at a zero price (default certain, nothing recovered).
     """
 
     price: float
     mode: PricingMode
     terms: TermBreakdown | None
     zcb: float
+    spread: float
     legs: dict[tuple[str, ...], float] | None = None
 
 
@@ -316,13 +323,13 @@ def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
     if spec.K1 == 0.0:
         alpha1 = math.inf
     else:
-        alpha1 = (math.log(firm.V0 / spec.K1) + firm.log_drift * spec.t1) / (
+        alpha1 = (log_ratio(firm.V0, spec.K1) + firm.log_drift * spec.t1) / (
             firm.s_V * math.sqrt(spec.t1)
         )
     if spec.K2 == 0.0:
         alpha2 = math.inf
     else:
-        alpha2 = (math.log(firm.V0 / spec.K2) + firm.log_drift * spec.t2) / (
+        alpha2 = (log_ratio(firm.V0, spec.K2) + firm.log_drift * spec.t2) / (
             firm.s_V * math.sqrt(spec.t2 - spec.t1)
         )
     return Alpha(alpha1=alpha1, alpha2=alpha2)
@@ -479,24 +486,29 @@ def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
     ``batch_index`` i (when given) and, for a quadrature failure, the
     terms computed so far as ``partial_terms``.
     """
+    breakdown = legs = None
     if terms is None:
         price = z * _interval_factor(_CORRECTED, x.firm, x.spec, x.V1, x.t)
-        return PriceResult(price=price, mode=mode, terms=None, zcb=z)
-    if terms.error is not None:
+    elif terms.error is not None:
         if isinstance(terms.error, QuadratureConvergenceError):
             terms.error.partial_terms = {"i1": z * terms.i1,
                                          "expected_default": z * terms.leg, "zcb": z}
         if i is not None:
             terms.error.batch_index = i
         raise terms.error
-    breakdown = TermBreakdown(z * terms.i1, terms.i21, terms.i22, terms.i23,
-                              terms.i24, z * terms.leg)
-    price = breakdown.i1 + z * terms.decay1 * breakdown.i2_total + breakdown.expected_default
-    legs = {("survive_both", "unexpected_leg2"): z * terms.decay1 * (terms.i21 + terms.i22),
-            ("expected_t2",): z * terms.decay1 * (terms.i23 + terms.i24),
-            ("unexpected_leg1",): breakdown.i1,
-            ("expected_t1",): breakdown.expected_default}
-    return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z, legs=legs)
+    else:
+        breakdown = TermBreakdown(z * terms.i1, terms.i21, terms.i22, terms.i23,
+                                  terms.i24, z * terms.leg)
+        jump_free = z * terms.decay1
+        price = breakdown.i1 + jump_free * breakdown.i2_total + breakdown.expected_default
+        legs = {("survive_both", "unexpected_leg2"): jump_free * (terms.i21 + terms.i22),
+                ("expected_t2",): jump_free * (terms.i23 + terms.i24),
+                ("unexpected_leg1",): breakdown.i1,
+                ("expected_t1",): breakdown.expected_default}
+    spread = math.inf if price <= 0.0 else -log_ratio(price, z) / (x.spec.t2 - x.t)
+    # Not max(spread, 0.0), which keeps the -0.0 of a par price.
+    return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z,
+                       spread=spread if spread > 0.0 else 0.0, legs=legs)
 
 
 def expected_default_leg(inputs: PricingInputs,
@@ -604,26 +616,3 @@ def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:
                 err.batch_index = j
                 raise
     return z
-
-
-def credit_spread(
-    inputs: PricingInputs,
-    mode: PricingMode = PricingMode.CORRECTED,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Continuously compounded yield spread over the default-free bond.
-
-    -ln(price / Z) / (t2 - t), floored at zero against roundoff when
-    the price equals the discount bond exactly. A price of zero
-    (default certain, nothing recovered) has an infinite spread.
-    """
-    return _spread(price_bond(inputs, mode, quad), inputs.spec.t2 - inputs.t)
-
-
-def _spread(result: PriceResult, horizon: float) -> float:
-    """``credit_spread`` of a priced result over ``horizon`` = t2 - t."""
-    if result.price <= 0.0:
-        return math.inf
-    spread = -math.log(result.price / result.zcb) / horizon
-    # Not max(spread, 0.0), which keeps the -0.0 of a par price.
-    return spread if spread > 0.0 else 0.0

@@ -91,7 +91,7 @@ def csv_writer_text(columns, lead_rows, points, mode):
     rows = [columns]
     for lead, x, res in zip(lead_rows, points, results):
         t = res.terms
-        numbers = [res.price, res.zcb, pricer._spread(res, x.spec.t2 - x.t)]
+        numbers = [res.price, res.zcb, res.spread]
         if t is not None:
             numbers += [t.i1, t.i21, t.i22, t.i23, t.i24, t.expected_default]
         rows.append(lead + [f"{v:.15g}" for v in numbers] + [""] * (9 - len(numbers)))
@@ -163,10 +163,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("old, field", [
         ("valuation_time: 0.0", "scenarios.P0.valuation_time"),
-        ("r0: 0.05", "scenarios.P0.rate.r0")])
+        ("r0: 0.05", "scenarios.P0.rate.r0"),
+        ("V0: 100.0", "scenarios.P0.firm.V0"),
+        ("mu: 0.07", "scenarios.P0.firm.mu"),
+        ("b: 0.05", "scenarios.P0.firm.b"),
+        ("s_V: 0.2", "scenarios.P0.firm.s_V")])
     def test_valuation_field_named_once(self, tmp_path, old, field):
         path = tmp_path / "bad.yaml"
         path.write_text(P0_YAML.replace(old, old.split(":")[0] + ": abc"))
+        with pytest.raises(ConfigError) as err:
+            load_scenarios(str(path))
+        assert str(err.value) == f"{field}: expected a number, got 'abc'"
+        assert err.value.path == field
+
+    def test_intensity_field_named_once(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(P0_YAML.replace("family: log-reciprocal",
+                                        "family: constant\n        lambda0: abc"))
+        field = "scenarios.P0.default.intensity.lambda0"
         with pytest.raises(ConfigError) as err:
             load_scenarios(str(path))
         assert str(err.value) == f"{field}: expected a number, got 'abc'"
@@ -452,6 +466,11 @@ class TestSweepCommand:
         assert f"error: --csv {out}: No such file or directory" in \
             capsys.readouterr().err
 
+    def test_non_numeric_grid_exits_2(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "V0", "--grid", "0.1,abc"]) == 2
+        assert capsys.readouterr().err == \
+            "error: grid must be comma-separated numbers, got '0.1,abc'\n"
+
     def test_unknown_axis_exits_2(self, p0_file):
         assert main(["sweep", p0_file, "--axis", "nope", "--grid", "1,2"]) == 2
 
@@ -509,7 +528,7 @@ class TestSweepCommand:
         t = want.terms
         expected = {
             "price": want.price, "zcb": want.zcb,
-            "spread": pricer.credit_spread(inputs, pricer.PricingMode(mode)),
+            "spread": want.spread,
             "I1": t and t.i1, "I21": t and t.i21, "I22": t and t.i22,
             "I23": t and t.i23, "I24": t and t.i24,
             "expected_leg": t and t.expected_default,
@@ -829,8 +848,62 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert "nan" not in captured.out and captured.err == ""
 
+    def test_numerical_failure_exits_3(self, p0_file, monkeypatch, capsys):
+        from dvbond.mathkit import QuadratureConvergenceError
+
+        def explode(*args, **kwargs):
+            raise QuadratureConvergenceError("forced", 0.0, 1.0)
+
+        monkeypatch.setattr("dvbond.cli.price_bond", explode)
+        assert main(["validate", p0_file, "--paths", "2000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: quadrature failure: forced\n"
+        assert captured.out == ""
+
     def test_antithetic_flag(self, p0_file, capsys):
         code = main(["validate", p0_file, "--paths", "40000", "--seed", "21",
                      "--antithetic"])
         assert code == 0
         assert "antithetic" in capsys.readouterr().out
+
+
+class TestTinyFirmValue:
+    """A firm value of 5e-324: V/K underflows to 0 and 1/V overflows to
+    inf. The intensity is taken as inf, so the bond pays R_u Z at once."""
+
+    def check_every_command(self, path, axis, capsys):
+        scenario = load_scenarios(str(path))["P0"]
+        want = pricer.price_bond(scenario.inputs)
+        assert want.price == scenario.inputs.spec.R_u * want.zcb
+        assert main(["price", str(path)]) == 0
+        assert f"  price   {want.price:.15g}\n" in capsys.readouterr().out
+        assert main(["sweep", str(path), "--axis", axis, "--grid", "5e-324,100"]) == 0
+        assert main(["validate", str(path), "--paths", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out and captured.err == ""
+
+    def test_tiny_initial_value(self, tmp_path, capsys):
+        # ln(V0/K1) was a "math domain error" (exit 2) in every command.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(P0_YAML.replace("V0: 100.0", "V0: 5.0e-324"))
+        self.check_every_command(path, "V0", capsys)
+
+    def test_tiny_declared_value_after_t1(self, tmp_path, capsys):
+        # ln(V1/K2) was "x/K must be positive, got 0.0" (exit 2).
+        path = tmp_path / "tiny.yaml"
+        path.write_text(P0_YAML.replace("valuation_time: 0.0", "valuation_time: 0.75")
+                        .replace("s_V: 0.2", "s_V: 0.2\n      V1: 5.0e-324"))
+        self.check_every_command(path, "V1", capsys)
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_tiny_initial_value_against_zero_barriers(self, tmp_path, capsys, seed):
+        # Every path jumps at once, so its V1 and V2 are never used. The
+        # simulation leaked an overflow RuntimeWarning from lambda(V0),
+        # and at 2,000,000 paths exited 2 for some seeds (a V1 that
+        # underflowed to 0 "breached" K1 = 0) and 0 for others.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(P0_YAML.replace("V0: 100.0", "V0: 5.0e-324")
+                        .replace("K1: 70.0", "K1: 0.0").replace("K2: 80.0", "K2: 0.0"))
+        assert main(["validate", str(path), "--paths", "2000", "--seed", seed]) == 0
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out and captured.err == ""

@@ -15,6 +15,7 @@ from dvbond import (
     PricingMode,
     ShortRateModel,
     expected_default_leg,
+    price_bond,
     price_full,
     price_last_interval,
     simulate_price,
@@ -212,6 +213,22 @@ class TestAgainstClosedForm:
                                    t=0.7, V1=95.0)):
             with pytest.raises(ValueError, match=r"^s_V = 1e\+100 .*underflows to 0"):
                 simulate_price(inputs, McConfig(n_paths=1000))
+
+    @pytest.mark.parametrize("case", ["pre", "post"])
+    def test_tiny_firm_value_against_zero_barriers(self, case):
+        # lambda = inf: every path jumps at once and pays R_u Z, so the
+        # declared values that underflow to 0 (most of them at s_V = 3)
+        # are never used. They once raised, naming s_V.
+        inputs = (make_inputs(firm=dict(V0=5e-324, s_V=3.0), default=dict(K1=0.0, K2=0.0))
+                  if case == "pre" else
+                  make_inputs(firm=dict(s_V=3.0), default=dict(K2=0.0), t=0.7, V1=5e-324))
+        leg = "unexpected_leg1" if case == "pre" else "unexpected_leg2"
+        closed = price_bond(inputs)
+        assert closed.price == inputs.spec.R_u * closed.zcb
+        for seed in (1, 2, 3):
+            est = simulate_price(inputs, McConfig(n_paths=2000, seed=seed))
+            assert est.price == pytest.approx(closed.price, rel=1e-14)
+            assert est.leg_breakdown[leg] == est.price
 
     def test_underflowed_first_breach_needs_no_second_intensity(self):
         # Every V1 underflows and breaches K1 = 70: each path pays the

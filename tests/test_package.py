@@ -13,7 +13,7 @@ EXPORTED = {
     "McEstimate", "PiecewiseConstant", "PriceResult", "PricingInputs",
     "PricingMode", "QuadratureConvergenceError", "QuadratureSpec",
     "ShortRateModel", "TermBreakdown", "coeff_A", "coeff_B", "compute_alphas",
-    "credit_spread", "d_minus", "expected_default_leg", "integrate_left_tail",
+    "d_minus", "expected_default_leg", "integrate_left_tail",
     "normal_cdf", "price_batch", "price_bond",
     "price_full", "price_last_interval", "simulate_price", "survival_prob",
     "zcb_price",
@@ -32,6 +32,7 @@ def test_deleted_names_are_gone():
                          (pricer, "quadform_pair"), (pricer, "interval_factor_u1"),
                          (pricer, "_TermSets"), (pricer, "_i22_i24"),
                          (pricer, "term_I21_I23"), (pricer, "term_I22_I24"),
+                         (pricer, "credit_spread"), (pricer, "_spread"),
                          (mathkit, "_bvn_cdf_array"), (mathkit, "_bvn_plackett"),
                          (mathkit, "_bvn_asymptotic"),
                          (defaultmodel, "firm_value_step"),

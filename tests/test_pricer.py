@@ -17,7 +17,6 @@ from dvbond import (
     QuadratureConvergenceError,
     QuadratureSpec,
     compute_alphas,
-    credit_spread,
     expected_default_leg,
     price_bond,
     price_full,
@@ -588,24 +587,24 @@ class TestLegs:
 class TestCreditSpread:
     def test_zero_for_par(self):
         inputs = make_inputs(default=dict(R_u=1.0, R_e=1.0))
-        assert credit_spread(inputs) == 0.0
+        assert price_bond(inputs).spread == 0.0
         # -ln(price / Z) is -0.0 at par; the floor returns +0.0.
-        assert math.copysign(1.0, credit_spread(inputs)) == 1.0
+        assert math.copysign(1.0, price_bond(inputs).spread) == 1.0
 
     def test_pure_hazard_rate(self):
         inputs = make_inputs(default=dict(K1=0.0, K2=0.0, R_u=0.0, R_e=0.3),
                              intensity=IntensityFunction.constant(0.01))
-        assert credit_spread(inputs) == pytest.approx(0.01, rel=1e-10)
+        assert price_bond(inputs).spread == pytest.approx(0.01, rel=1e-10)
 
     def test_positive_for_benchmark(self, p0_inputs):
-        assert credit_spread(p0_inputs) > 0.0
+        assert price_bond(p0_inputs).spread > 0.0
 
     def test_infinite_for_zero_price(self):
         # The first barrier is breached for certain and nothing is recovered.
         inputs = make_inputs(default=dict(K1=1e7, R_u=0.0, R_e=0.0))
         for mode in PricingMode:
             assert price_bond(inputs, mode).price == 0.0
-            assert credit_spread(inputs, mode) == math.inf
+            assert price_bond(inputs, mode).spread == math.inf
 
 
 class TestPriceProperties:
