@@ -18,7 +18,10 @@ default-free bond, while jump default pays R_u times it.
 
 Barriers are monitored only at the announcement dates, not
 continuously; the barrier comparison uses <= (the boundary event has
-probability zero under the lognormal law).
+probability zero under the lognormal law). A declared value that
+underflows to 0 takes its limit: no breach of a barrier of 0, which
+the lognormal value never reaches, and the intensity that
+``IntensityFunction`` alone gives at V = 0.
 """
 
 from __future__ import annotations
@@ -83,10 +86,12 @@ class IntensityFunction:
 
     Families:
       * ``log_reciprocal`` - lambda(V) = ln(1 + 1/V), strictly
-        decreasing, vanishing for large V;
+        decreasing, vanishing for large V and inf at V = 0 (as below
+        ~5.6e-309, where 1/V overflows);
       * ``constant`` - lambda(V) = lambda0 >= 0;
       * ``custom`` - any nonnegative, hashable callable of V (must
         accept numpy arrays); probed on a log grid at construction.
+        Its limit at V = 0 is unknown, so a call there is rejected.
 
     Two intensities are equal when their family, lambda0 and callable
     are: custom intensities of different callables differ, so the
@@ -132,17 +137,15 @@ class IntensityFunction:
 
     def __call__(self, V):
         if isinstance(V, (int, float)) and self.family != "custom":
-            if not V > 0.0:
-                raise ValueError("intensity requires V > 0")
-            return math.log1p(1.0 / V) if self.family == "log_reciprocal" \
-                else self.lambda0
+            if not V >= 0.0:
+                raise ValueError("intensity requires V >= 0")
+            return self.lambda0 if self.family == "constant" \
+                else math.log1p(1.0 / V) if V > 0.0 else math.inf
         V_arr = np.asarray(V, dtype=float)
-        if np.any(V_arr <= 0.0):
-            raise ValueError("intensity requires V > 0")
+        if np.any(V_arr < 0.0) or self.family == "custom" and np.any(V_arr == 0.0):
+            raise ValueError("intensity requires V >= 0, and V > 0 if custom")
         if self.family == "log_reciprocal":
-            # 1/V overflows for V below ~5.6e-309; inf stands for an
-            # intensity above 709 (see pricer._tail_rows).
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 out = np.log1p(1.0 / V_arr)
         elif self.family == "constant":
             out = np.full_like(V_arr, self.lambda0)

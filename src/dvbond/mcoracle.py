@@ -27,6 +27,10 @@ Design:
   assumptions instead of to the algebra under test.
 * A jump before the first announcement preempts the announcement-date
   barrier check.
+* A declared value that underflows to 0 takes the limit the closed
+  form prices, whatever the draws: it breaches a positive barrier and
+  never a barrier of 0, and ``IntensityFunction`` gives its intensity
+  (inf, a jump at once, for the log-reciprocal family).
 * Paths are processed in fixed chunks of 65536, each owning a jumped
   substream of a counter-based Philox generator; chunk results merge
   in chunk order, so the estimate is bit-identical for a given seed
@@ -167,30 +171,14 @@ def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
 def _declared_value(prev, z: np.ndarray, firm, dt: float) -> np.ndarray:
     """prev * exp(log_drift dt + s_V sqrt(dt) z), built in place of ``z``.
 
-    An overflow is not reported: inf is the exact limit, with no breach
-    and a log-reciprocal intensity of 0 (see ``pricer._tail_rows``)."""
+    An overflow to inf or an underflow to 0 is not reported: either is
+    the value's limit, whose intensity ``IntensityFunction`` gives."""
     with np.errstate(over="ignore"):
         v = np.multiply(z, firm.s_V * math.sqrt(dt), out=z)
         v += firm.log_drift * dt
         np.exp(v, out=v)
         v *= prev
     return v
-
-
-def _breaches(V: np.ndarray, K: float, used: np.ndarray, firm) -> np.ndarray:
-    """The paths whose declared value V breaches the barrier K.
-
-    A barrier of 0 is never breached. A V that underflows to 0 would
-    breach it all the same, so a path in ``used`` (one whose V is not
-    preempted by a jump) with such a V is out of the simulation's range.
-    """
-    if K > 0.0:
-        return V <= K
-    if np.any((V <= 0.0) & used):
-        raise ValueError(f"s_V = {firm.s_V:g} (mu = {firm.mu:g}) is out of the "
-                         "simulation's range: a declared value underflows to 0, "
-                         "which a barrier of 0 would count as a breach")
-    return np.zeros(V.shape, dtype=bool)
 
 
 def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
@@ -294,7 +282,8 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
         V1 = _declared_value(firm.V0, z1, firm, spec.t1)
         xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u1)
         jump1 = xi1 < spec.t1 - t
-        barrier1 = _breaches(V1, spec.K1, ~jump1, firm)
+        # A barrier of 0 is never breached, even by a V1 that underflowed.
+        barrier1 = (V1 <= spec.K1) & (spec.K1 > 0.0)
         t_mid = spec.t1
     else:
         V1 = x.V1
@@ -304,12 +293,13 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
 
     V2 = _declared_value(V1, z2, firm, spec.t2 - spec.t1)
     # Only a path that did not stop in the first interval needs lambda(V1);
-    # a stopped one's V1 may have underflowed to 0.
+    # a stopped one's V1 may have underflowed to 0, where a custom
+    # intensity has no value.
     xi2 = _truncated_exp_clock(spec.intensity(
         np.where(stop1, firm.V0, V1) if pre_announcement else V1), u2)
     jump2 = xi2 < spec.t2 - t_mid
     jump2 &= ~stop1
-    barrier2 = _breaches(V2, spec.K2, ~(stop1 | jump2), firm)
+    barrier2 = (V2 <= spec.K2) & (spec.K2 > 0.0)
 
     # Every path ends at its payment time s2: the jump time, the first
     # announcement date for a barrier-1 breach, or maturity. A nominal

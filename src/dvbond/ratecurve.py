@@ -4,9 +4,9 @@ The short rate follows
 
     dr(t) = (a1(t) - a2(t) * r) dt + s_r(t) dW(t)
 
-with a2(t) > 0 and s_r(t) >= 0, all three coefficients piecewise
-constant in time (constants being the classic Vasicek case). The
-discount bond maturing at T is affine,
+with a2(t) > 0 (a normal float) and s_r(t) >= 0, all three
+coefficients piecewise constant in time (constants being the classic
+Vasicek case). The discount bond maturing at T is affine,
 
     Z(r, t) = exp(A(t) - B(t) * r),    A(T) = B(T) = 0.
 
@@ -167,8 +167,11 @@ class ShortRateModel:
                     f"(0, {self.maturity}), got {bps}"
                 )
         # With every breakpoint inside (0, T), each value applies somewhere.
-        if any(v <= 0.0 for v in self.a2.values):
+        a2_min = min(self.a2.values)
+        if a2_min <= 0.0:
             raise ValueError("a2(t) must be positive on [0, maturity]")
+        if a2_min < np.finfo(float).tiny:  # -expm1(-a2 h) / a2 keeps no digits
+            raise ValueError(f"a2(t) = {a2_min:g} is below the smallest normal float")
         if any(v < 0.0 for v in self.s_r.values):
             raise ValueError("s_r(t) must be nonnegative on [0, maturity]")
 
@@ -227,11 +230,12 @@ def _segment_moments(a1, a2, s_r, h):
     decay = np.exp(-x)
     ramp = -np.expm1(-x) / a2
     half_ramp2 = 0.5 * ramp * (1.0 + decay)  # (1 - e^{-2x}) / (2 a2)
-    lag = (h - ramp) / a2
-    s_a = s_r / a2
-    var_int = (h - 2.0 * ramp + half_ramp2) * s_a * s_a
-    # A zero length is exact in closed form (every moment but decay is 0).
-    small = np.flatnonzero((x < _SMALL_X) & (x > 0.0))
+    # These overflow only where the series replaces them (x = 0 at a tiny a2).
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = (h - ramp) / a2
+        s_a = s_r / a2
+        var_int = (h - 2.0 * ramp + half_ramp2) * s_a * s_a
+    small = np.flatnonzero(x < _SMALL_X)
     if small.size:
         lag.flat[small], var_int.flat[small] = _series(
             np.broadcast_to(s_r, x.shape).flat[small], h.flat[small], x.flat[small])

@@ -340,6 +340,16 @@ class TestPriceCommand:
         assert "s_r (up to 1e+160)" in captured.err
         assert captured.out == ""
 
+    def test_subnormal_a2_exits_2(self, tmp_path, capsys):
+        # Below the smallest normal float the rate moments have no
+        # precision left; the file is rejected naming a2.
+        path = tmp_path / "sub.yaml"
+        path.write_text(P0_YAML.replace("a2: 0.2", "a2: 5.0e-324"))
+        assert main(["price", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scenarios.P0.rate: a2(t) = 4.94066e-324 ")
+        assert captured.out == ""
+
     def test_huge_a2_prices(self, tmp_path, capsys):
         # a2 only divides in the segment moments, so a2 = 1e200 (whose
         # square overflows) prices: the rate reverts to ~0 at once.
@@ -626,6 +636,12 @@ class TestSweepCommand:
             price, zcb = float(row["price"]), float(row["zcb"])
             assert 0.3 * zcb <= price <= zcb
 
+    def test_subnormal_a2_point_exits_2(self, p0_file, capsys):
+        assert main(["sweep", p0_file, "--axis", "a2", "--grid", "0.2,5e-324"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a2 grid value 5e-324: a2(t) = 4.94066e-324 ")
+
     def test_huge_firm_volatility_point_exits_2(self, p0_file, capsys):
         assert main(["sweep", p0_file, "--axis", "s_V", "--grid", "0.2,1e160"]) == 2
         out, err = capsys.readouterr()
@@ -780,17 +796,27 @@ class TestValidateCommand:
         mc = next(line for line in out.splitlines() if "monte carlo" in line)
         assert 0.0 < float(mc.split()[-1]) < 1e-203
 
-    def test_underflow_against_zero_barrier_exits_2(self, tmp_path, capsys):
-        # With K1 = 0 the underflowed V1 would count as a breach of a
-        # barrier the closed form does not have; the error names s_V.
+    @pytest.mark.parametrize("s_V, n_seeds", [("1.0e100", 4), ("50.0", 6)])
+    def test_underflow_against_zero_barrier_passes(self, tmp_path, capsys, s_V, n_seeds):
+        # A V1 that underflows to 0 breaches no barrier of 0, and its
+        # intensity is inf: the simulation prices the closed form's limit.
+        # It once raised a range error naming s_V, on some seeds only.
         path = tmp_path / "huge.yaml"
-        path.write_text(P0_YAML.replace("s_V: 0.2", "s_V: 1.0e100")
+        path.write_text(P0_YAML.replace("s_V: 0.2", f"s_V: {s_V}")
                         .replace("K1: 70.0", "K1: 0.0"))
-        assert main(["validate", str(path), "--paths", "2000"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: s_V = 1e+100 ")
-        assert "underflows to 0" in captured.err
-        assert captured.out == ""
+        for seed in range(1, n_seeds + 1):
+            assert main(["validate", str(path), "--paths", "2000",
+                         "--seed", str(seed)]) == 0
+            captured = capsys.readouterr()
+            assert "PASS" in captured.out and captured.err == ""
+
+    def test_tiny_a2_validates(self, tmp_path, capsys):
+        # At a2 = 1e-300, a2 h underflows to 0 for tiny segment overlaps;
+        # the series moments serve there, with no overflow warning.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(P0_YAML.replace("a2: 0.2", "a2: 1.0e-300"))
+        assert main(["validate", str(path), "--paths", "2000"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_zero_variance_scenario_passes(self, tmp_path, capsys):
         # No rate noise and full recovery: every path pays the discount

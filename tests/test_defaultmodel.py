@@ -47,11 +47,28 @@ class TestIntensity:
                     (v / (1.0 + v)) ** dt, rel=1e-14)
 
     def test_domain_error(self):
+        # V = 0 has a limit (test_limit_at_zero); V < 0 and NaN have none.
         f = IntensityFunction.log_reciprocal()
-        with pytest.raises(ValueError):
-            f(0.0)
-        with pytest.raises(ValueError):
-            f(-1.0)
+        for v in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                f(v)
+
+    @pytest.mark.parametrize("f, limit", [(IntensityFunction.log_reciprocal(), math.inf),
+                                          (IntensityFunction.constant(0.03), 0.03)])
+    def test_limit_at_zero(self, f, limit):
+        # A declared value that underflowed to 0 gets the limit of lambda
+        # there, on the scalar and the array path, and V < 0 stays rejected.
+        assert f(0.0) == limit
+        np.testing.assert_array_equal(f(np.array([0.0, 5e-324])), [limit, limit])
+        for v in (-1.0, np.array([0.0, -1.0])):
+            with pytest.raises(ValueError, match="V >= 0"):
+                f(v)
+
+    def test_custom_has_no_limit_at_zero(self):
+        f = IntensityFunction.custom(lambda v: 0.01 / v)
+        for v in (0.0, np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="V > 0 if custom"):
+                f(v)
 
     def test_custom_validated(self):
         ok = IntensityFunction.custom(lambda v: 0.01 / v)

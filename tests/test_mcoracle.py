@@ -205,14 +205,17 @@ class TestAgainstClosedForm:
         closed = price_full(inputs, PricingMode.CORRECTED).price
         assert abs(closed - est.price) <= 3 * est.std_error
 
-    def test_underflow_against_zero_barrier_rejected(self):
-        # A declared value that underflows to 0 would breach a zero
-        # barrier the firm value never reaches; the error names s_V.
+    def test_underflow_against_zero_barrier_prices_the_limit(self):
+        # A declared value that underflows to 0 stands for a tiny one: no
+        # breach of a zero barrier, and an intensity of inf. The
+        # simulation prices the closed form's limit, for every seed.
         for inputs in (make_inputs(firm=dict(s_V=1e100), default=dict(K1=0.0)),
                        make_inputs(firm=dict(s_V=1e100), default=dict(K2=0.0),
                                    t=0.7, V1=95.0)):
-            with pytest.raises(ValueError, match=r"^s_V = 1e\+100 .*underflows to 0"):
-                simulate_price(inputs, McConfig(n_paths=1000))
+            closed = price_bond(inputs).price
+            for seed in (1, 2, 3):
+                est = simulate_price(inputs, McConfig(n_paths=20_000, seed=seed))
+                assert abs(est.price - closed) <= 3 * est.std_error
 
     @pytest.mark.parametrize("case", ["pre", "post"])
     def test_tiny_firm_value_against_zero_barriers(self, case):

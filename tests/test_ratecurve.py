@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy.integrate import quad, solve_ivp
 from dvbond.ratecurve import (
     PiecewiseConstant,
     ShortRateModel,
+    _segment_moments,
+    _segment_moments1,
     coeff_A,
     coeff_B,
     zcb_price,
@@ -63,6 +66,13 @@ class TestShortRateModel:
         with pytest.raises(ValueError):
             ShortRateModel(a1=0.01, a2=PiecewiseConstant((0.5,), (0.2, -0.1)),
                            s_r=0.01, maturity=1.0)
+
+    def test_rejects_subnormal_reversion(self):
+        # ramp = -expm1(-a2 h) / a2 has no precision left below it.
+        for a2 in (5e-324, 2e-308):
+            with pytest.raises(ValueError, match=r"^a2\(t\) = .* smallest normal"):
+                ShortRateModel(a1=0.01, a2=a2, s_r=0.01, maturity=1.0)
+        ShortRateModel(a1=0.01, a2=2.3e-308, s_r=0.01, maturity=1.0)
 
     def test_rejects_negative_volatility(self):
         with pytest.raises(ValueError):
@@ -274,6 +284,17 @@ class TestZcbPrice:
             assert zcb_price(model, 0.03, 0.0) == pytest.approx(exact, rel=1e-13, abs=0)
             z_arr = zcb_price(model, np.array([0.03]), np.array([0.0]))
             assert z_arr[0] == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_moments_where_the_reversion_underflows(self):
+        # a2 h underflows to 0 for h > 0: the series serves, as in the
+        # scalar twin, and the closed forms it replaces warn of nothing.
+        h = np.array([1e-30, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _segment_moments(0.01, 1e-300, 0.01, h)
+        assert [v[0] for v in got] == list(_segment_moments1(0.01, 1e-300, 0.01, 1e-30))
+        np.testing.assert_allclose(got[2], h * h / 2, rtol=1e-15)
+        np.testing.assert_allclose(got[5], 0.01**2 * h**3 / 3, rtol=1e-15)
 
     def test_overflowing_exponent_names_s_r(self):
         # s_r = 100 makes A(0) ~ 1438: exp would overflow to inf.
