@@ -15,11 +15,11 @@ Design:
   r_s is bivariate Gaussian (Glasserman 2003, *Monte Carlo Methods in
   Financial Engineering*, sec. 3.3). Its moments are
   ``ratecurve._segment_moments``, the same that build the discount
-  bond's A and B, so one module owns the segment integrals. Each path
-  takes two transitions, t -> s1 and s1 -> s2, to the payment time,
-  each chained over the coefficient segments it overlaps. The discount
-  factor therefore carries no discretisation error, and memory is
-  O(paths) whatever the maturity.
+  bond's A and B, so one module owns the segment integrals. An event
+  path takes two transitions, t -> s1 and s1 -> s2, to its payment
+  time s2, each chained over the coefficient segments it overlaps. The
+  discount factor therefore carries no discretisation error, and
+  memory is O(paths) whatever the maturity.
 * Jump default within an interval uses the inverse CDF of the
   truncated exponential clock, and the recovery R_u * Z(r, tau) is
   discounted pathwise from the actual jump time tau rather than
@@ -31,24 +31,21 @@ Design:
   form prices, whatever the draws: it breaches a positive barrier and
   never a barrier of 0, and ``IntensityFunction`` gives its intensity
   (inf, a jump at once, for the log-reciprocal family).
-* Paths are processed in fixed chunks of 65536, each owning a jumped
-  substream of a counter-based Philox generator; chunk results merge
-  in chunk order, so the estimate is bit-identical for a given seed
-  regardless of the thread count. Each chunk's stream yields z1, z2,
-  u1, u2 and then the rate normals.
+* Paths run in fixed chunks of 65536, each on its own SFC64 stream,
+  ``SeedSequence(seed, spawn_key=(chunk,))``; chunk results merge in
+  chunk order, so the estimate is bit-identical for a given seed at
+  any thread count; the worker threads persist across calls. A chunk
+  draws z1, z2, u1, u2 (z1 and u1 only before t1), one rate normal per
+  nominal unit, then the full rate normals of each event unit.
+* A unit is a path or an antithetic pair, nominal when none of its
+  paths jumps or breaches K1. A nominal path pays at t2, and its
+  int_t^t2 r is one Gaussian shared by every nominal path
+  (``_nominal_integral``): one normal. An event unit's paths take a
+  pair of normals per segment and transition, and ``_rate_transition``
+  per path. Each path's law, and each pair's, is that of the full set.
 * Antithetic variates mirror every draw (normals, rate normals
   included, negated; uniforms reflected); the standard error then
   comes from the pair means.
-* Per-path arithmetic goes only to paths with an event. A nominal path
-  (no jump, no barrier breach) takes the same two transitions as every
-  other nominal path, t -> t1 -> t2 (t -> t -> t2 after t1), so
-  ``_rate_transition`` runs with scalar times: each segment's moments
-  are computed once and broadcast over the paths' normals. Paths that
-  jump or breach K1 are recomputed per path on their subset. When they
-  are the majority of a chunk (a guard on the event share the chunk
-  sees in its own draws, not a setting), the per-path form runs on
-  every path instead. Both routes give bit-identical payoffs, and the
-  payoff and rate integrals are updated in place.
 
 Leg bookkeeping groups each path by its barrier outcome: the
 ``expected_t1`` leg collects every path whose first declared value
@@ -69,13 +66,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pricer import PricingInputs
-from .ratecurve import _segment_moments, zcb_price
+from .ratecurve import _segment_moments, _segment_moments1, zcb_price
 
 __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
            "simulate_price"]
@@ -97,7 +95,7 @@ class McConfig:
     """Simulation controls.
 
     ``n_paths`` total paths (must be even when antithetic); ``seed``
-    keys the Philox substreams; ``n_threads`` only parallelizes over
+    keys the chunks' SFC64 streams; ``n_threads`` only parallelizes over
     chunks and never changes the result. ``rate_steps_per_year`` is
     validated but not read: the rate transitions are exact, so there
     is no grid. It remains for callers that still pass it.
@@ -168,32 +166,47 @@ def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
         math.frexp(zcb_price(rate, inputs.r, t))[1])
 
 
-def _declared_value(prev, z: np.ndarray, firm, dt: float) -> np.ndarray:
-    """prev * exp(log_drift dt + s_V sqrt(dt) z), built in place of ``z``.
-
-    An overflow to inf or an underflow to 0 is not reported: either is
-    the value's limit, whose intensity ``IntensityFunction`` gives."""
+def _declared_value(log_prev, z: np.ndarray, firm, dt: float):
+    """(ln V, V) for ln V = log_prev + log_drift dt + s_V sqrt(dt) z, ln V
+    in place of ``z``. Taking V from ln V keeps inf * 0 out of V2. An
+    overflow to inf or an underflow to 0 is V's limit, whose intensity
+    ``IntensityFunction`` gives, and is not reported."""
+    log_v = np.multiply(z, firm.s_V * math.sqrt(dt), out=z)
+    log_v += firm.log_drift * dt
+    log_v += log_prev
     with np.errstate(over="ignore"):
-        v = np.multiply(z, firm.s_V * math.sqrt(dt), out=z)
-        v += firm.log_drift * dt
-        np.exp(v, out=v)
-        v *= prev
-    return v
+        return log_v, np.exp(log_v)
 
 
 def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
     """Waiting time of the jump clock, written over the uniforms ``u``.
 
     ``lam`` is one intensity or one per path; the time is +inf where it
-    is zero.
+    is zero or small enough to overflow the quotient (the limit).
     """
     xi = np.negative(u, out=u)
     np.log1p(xi, out=xi)
     np.negative(xi, out=xi)
     live = np.asarray(lam) > 0.0
-    np.divide(xi, lam, out=xi, where=live)
+    with np.errstate(over="ignore"):
+        np.divide(xi, lam, out=xi, where=live)
     np.copyto(xi, np.inf, where=~live)
     return xi
+
+
+def _nominal_integral(plan: _Plan) -> tuple[float, float]:
+    """Mean and SD of the Gaussian int_t^t2 r given r(t) = ``plan.inputs.r``:
+    the exact segment transitions chained over ``plan.segments``."""
+    m_r, m_int = plan.inputs.r, 0.0
+    v_rr = v_ri = v_int = 0.0  # covariance of (r, integral)
+    for left, right, a1, a2, s_r in plan.segments:
+        decay, ramp, lag, var_r, cov, var_int = _segment_moments1(a1, a2, s_r, right - left)
+        m_int += ramp * m_r + a1 * lag
+        m_r = decay * m_r + a1 * ramp
+        v_int += ramp * (2.0 * v_ri + ramp * v_rr) + var_int
+        v_ri = decay * (v_ri + ramp * v_rr) + cov
+        v_rr = decay * decay * v_rr + var_r
+    return m_int, math.sqrt(v_int)
 
 
 def _rate_transition(plan: _Plan, r, lo, hi, z: np.ndarray):
@@ -204,8 +217,7 @@ def _rate_transition(plan: _Plan, r, lo, hi, z: np.ndarray):
     (len(plan.segments), 2, paths). The step is chained over the
     coefficient segments; a segment it does not overlap has length zero
     and is an exact identity, so a segment no path overlaps is skipped.
-    With scalar ``lo`` and ``hi`` the moments are computed once and
-    broadcast. Returns per-path arrays.
+    Returns per-path arrays.
     """
     n = z.shape[-1]
     integral = np.zeros(n)
@@ -258,88 +270,77 @@ def _leg_moments(label: np.ndarray, values: np.ndarray, n: int,
 
 
 def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _Stats:
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(chunk_idx,))))
     x = plan.inputs
     spec, firm, t = x.spec, x.firm, x.t
-
-    z1 = rng.standard_normal(n_units)
-    z2 = rng.standard_normal(n_units)
-    u1 = rng.random(n_units)
-    u2 = rng.random(n_units)
-    # Two transitions (t -> s1, s1 -> s2), each with a pair of normals
-    # per coefficient segment.
-    zr = rng.standard_normal((2, len(plan.segments), 2, n_units))
-    if plan.antithetic:
-        z1 = np.concatenate([z1, -z1])
-        z2 = np.concatenate([z2, -z2])
-        u1 = np.concatenate([u1, np.minimum(1.0 - u1, _U_CAP)])
-        u2 = np.concatenate([u2, np.minimum(1.0 - u2, _U_CAP)])
-        zr = np.concatenate([zr, -zr], axis=-1)
-    m = len(z1)
-
     pre_announcement = t < spec.t1
+    z = rng.standard_normal((1 + pre_announcement, n_units))  # z1 (before t1), z2
+    u = rng.random((1 + pre_announcement, n_units))  # u1 (before t1), u2
+    if plan.antithetic:
+        z = np.concatenate([z, -z], axis=1)
+        u = np.concatenate([u, np.minimum(1.0 - u, _U_CAP)], axis=1)
+
     if pre_announcement:
-        V1 = _declared_value(firm.V0, z1, firm, spec.t1)
-        xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u1)
+        log_v1, V1 = _declared_value(math.log(firm.V0), z[0], firm, spec.t1)
+        xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u[0])
         jump1 = xi1 < spec.t1 - t
         # A barrier of 0 is never breached, even by a V1 that underflowed.
         barrier1 = (V1 <= spec.K1) & (spec.K1 > 0.0)
         t_mid = spec.t1
     else:
-        V1 = x.V1
-        jump1 = barrier1 = np.zeros(m, dtype=bool)
+        log_v1, V1 = math.log(x.V1), x.V1
+        jump1 = barrier1 = np.zeros(z.shape[1], dtype=bool)
         t_mid = t
     stop1 = jump1 | barrier1
 
-    V2 = _declared_value(V1, z2, firm, spec.t2 - spec.t1)
-    # Only a path that did not stop in the first interval needs lambda(V1);
-    # a stopped one's V1 may have underflowed to 0, where a custom
-    # intensity has no value.
+    V2 = _declared_value(log_v1, z[-1], firm, spec.t2 - spec.t1)[1]
+    # Only paths that did not stop need lambda(V1): a stopped one's V1 may
+    # have underflowed to 0, where a custom intensity has no value.
     xi2 = _truncated_exp_clock(spec.intensity(
-        np.where(stop1, firm.V0, V1) if pre_announcement else V1), u2)
+        np.where(stop1, firm.V0, V1) if pre_announcement else V1), u[-1])
     jump2 = xi2 < spec.t2 - t_mid
     jump2 &= ~stop1
     barrier2 = (V2 <= spec.K2) & (spec.K2 > 0.0)
 
-    # Every path ends at its payment time s2: the jump time, the first
-    # announcement date for a barrier-1 breach, or maturity. A nominal
-    # path (no jump, no breach) runs t -> t_mid -> t2, the same times on
-    # every path, so its moments are computed once per segment. The
-    # per-path form runs on the event paths only; when they are the
-    # majority it runs on every path, and the nominal pass is skipped.
-    ev = np.flatnonzero(stop1 | jump2)
-    per_path_all = 2 * ev.size > m
-    sel = slice(None) if per_path_all else ev
-    s1 = np.where(jump1[sel], t + xi1[sel], t_mid) if pre_announcement else t_mid
-    s2 = np.where(jump2[sel], t_mid + xi2[sel], np.where(stop1[sel], s1, spec.t2))
-    z_sel = zr[..., sel]
-    r2, total_sel = _rate_transition(plan, x.r, t, s1, z_sel[0])
-    # r2 holds r at s1 so far. A path that stops in the first interval
-    # pays at s2 = s1; the others go on from t_mid.
-    go = np.flatnonzero(~stop1[sel])
-    r_go, int_go = _rate_transition(plan, r2[go], t_mid, s2[go], z_sel[1][..., go])
-    r2[go] = r_go
-    total_sel[go] += int_go
-    if per_path_all:
-        total, total_ev, r2, s2 = total_sel, total_sel[ev], r2[ev], s2[ev]
-    else:
-        r_mid, total = _rate_transition(plan, x.r, t, t_mid, zr[0])
-        total += _rate_transition(plan, r_mid, t_mid, spec.t2, zr[1])[1]
-        total_ev = total_sel
-
-    # Discount each payoff along its own path from tau, then value the
-    # recovery claim on the default-free bond at (r_tau, tau).
-    pay = np.exp(np.negative(total, out=total), out=total)
-    np.multiply(pay, spec.R_e, out=pay, where=barrier2)
+    # A nominal unit draws one normal for its shared Gaussian integral, an
+    # event unit the full set for per-path transitions to s2 (tau, t1 or t2).
+    event = stop1 | jump2
+    event_unit = event[:n_units] | event[n_units:] if plan.antithetic else event
+    paths = np.flatnonzero(event_unit)
+    noise = np.zeros(n_units)
+    noise[~event_unit] = rng.standard_normal(n_units - paths.size)
+    zr = rng.standard_normal((2, len(plan.segments), 2, paths.size))
+    int_mean, int_sd = _nominal_integral(plan)
+    noise *= int_sd
+    if plan.antithetic:
+        noise = np.concatenate([noise, -noise])
+        zr = np.concatenate([zr, -zr], axis=-1)
+        paths = np.concatenate([paths, paths + n_units])
+    total = np.add(noise, int_mean, out=noise)
+    payoff = np.where(barrier2, spec.R_e, 1.0)  # at s2, per unit of discount
     # Leg labels index LEG_NAMES: a nominal path survives or breaches K2.
     label = np.where(barrier2, _EXPECTED_T2, _SURVIVE)
-    if ev.size:
-        recovery = np.where(jump1[ev] | jump2[ev], spec.R_u, spec.R_e)
-        pay[ev] = np.exp(-total_ev) * (
-            recovery * zcb_price(x.rate_model, r2, s2))
-        label[ev] = np.select(
-            [barrier1[ev], jump1[ev], barrier2[ev]],
-            [_EXPECTED_T1, _UNEXPECTED_1, _EXPECTED_T2], _UNEXPECTED_2)
+    s1 = np.where(jump1[paths], t + xi1[paths], t_mid) if pre_announcement else t_mid
+    s2 = np.where(jump2[paths], t_mid + xi2[paths], np.where(stop1[paths], s1, spec.t2))
+    r2, total_ev = _rate_transition(plan, x.r, t, s1, zr[0])
+    # r2 holds r at s1 so far. A path that stops in the first interval
+    # pays at s2 = s1; the others go on from t_mid.
+    go = np.flatnonzero(~stop1[paths])
+    r2[go], int_go = _rate_transition(plan, r2[go], t_mid, s2[go], zr[1][..., go])
+    total_ev[go] += int_go
+    total[paths] = total_ev
+    # A recovery claim is valued on the default-free bond at (r, s2).
+    own = event[paths]
+    ev = paths[own]
+    payoff[ev] = np.where(jump1[ev] | jump2[ev], spec.R_u, spec.R_e) * zcb_price(
+        x.rate_model, r2[own], s2[own])
+    label[ev] = np.select(
+        [barrier1[ev], jump1[ev], barrier2[ev]],
+        [_EXPECTED_T1, _UNEXPECTED_1, _EXPECTED_T2], _UNEXPECTED_2)
+    # Discount each payoff along its own path from its payment time.
+    pay = np.exp(np.negative(total, out=total), out=total)
+    pay *= payoff
     np.ldexp(pay, -plan.exponent, out=pay)
 
     if plan.antithetic:
@@ -376,6 +377,12 @@ def _merge_stats(a: _Stats, b: _Stats) -> _Stats:
     return n, mean, m2
 
 
+@functools.cache
+def _pool(pid: int, n_threads: int) -> ThreadPoolExecutor:
+    """Workers kept across calls; keyed by pid, so a forked child makes its own."""
+    return ThreadPoolExecutor(max_workers=n_threads)
+
+
 def simulate_price(inputs: PricingInputs, cfg: McConfig) -> McEstimate:
     """Monte Carlo price of the bond with standard error and leg split.
 
@@ -388,8 +395,8 @@ def simulate_price(inputs: PricingInputs, cfg: McConfig) -> McEstimate:
     sizes = [min(step, units - i) for i in range(0, units, step)]
     run = functools.partial(_simulate_chunk, plan, cfg.seed)
     if cfg.n_threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            results = list(pool.map(run, range(len(sizes)), sizes))
+        pool = _pool(os.getpid(), cfg.n_threads)
+        results = list(pool.map(run, range(len(sizes)), sizes))
     else:
         results = list(map(run, range(len(sizes)), sizes))
     # A fixed chunk order keeps the merge deterministic.

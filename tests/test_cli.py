@@ -14,6 +14,7 @@ from dvbond import cli, pricer
 from dvbond.cli import main
 from dvbond.config import ConfigError, _Loader, load_scenarios
 from dvbond.mathkit import QuadratureSpec
+from dvbond.mcoracle import McConfig, simulate_price
 
 P0_YAML = textwrap.dedent("""\
     scenarios:
@@ -75,6 +76,13 @@ _PureLoader.yaml_implicit_resolvers = {
     first: list(resolvers)
     for first, resolvers in _Loader.yaml_implicit_resolvers.items()
 }
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
 
 
 @pytest.fixture
@@ -724,9 +732,22 @@ class TestValidateCommand:
         assert "z corrected" in out and "z paper-literal" in out
         assert "expected_t1" in out
 
+    @pytest.mark.skipif(not _glibc(), reason="sets glibc malloc thresholds")
+    def test_freed_chunk_memory_stays_in_process(self, p0_file, capsys):
+        # Trimmed by glibc, a chunk's freed temporaries come back as ~1,700
+        # page faults per 2^18 paths; after validate they stay mapped.
+        import resource
+        assert main(["validate", p0_file, "--paths", "1000"]) == 0
+        inputs = load_scenarios(p0_file)["P0"].inputs
+        cfg = McConfig(n_paths=1 << 18, seed=1, n_threads=2)
+        simulate_price(inputs, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate_price(inputs, cfg)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 400
+
     def test_unlucky_seed_fails_gate(self, p0_file, capsys):
         # Frozen adversarial draw: |z| > 3 at 2000 paths for this seed.
-        code = main(["validate", p0_file, "--paths", "2000", "--seed", "88"])
+        code = main(["validate", p0_file, "--paths", "2000", "--seed", "1259"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,8 +28,11 @@ from dvbond.mcoracle import (
     CHUNK_PATHS,
     LEG_NAMES,
     _build_plan,
+    _declared_value,
+    _nominal_integral,
     _rate_transition,
     _simulate_chunk,
+    _truncated_exp_clock,
 )
 from dvbond.ratecurve import _segment_moments
 
@@ -117,6 +123,21 @@ class TestEstimatorMechanics:
         cfg3 = McConfig(n_paths=(1 << 16) + 1234, seed=8, antithetic=True,
                         n_threads=3)
         assert simulate_price(p0_inputs, cfg1) == simulate_price(p0_inputs, cfg3)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
+    def test_forked_child_gets_its_own_workers(self, p0_inputs):
+        # The worker pool outlives the call, but a forked child has none of
+        # its threads: the child must start its own rather than wait.
+        cfg = McConfig(n_paths=2 * CHUNK_PATHS, seed=5, n_threads=2)
+        want = simulate_price(p0_inputs, cfg)
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(simulate_price(p0_inputs, cfg) != want))
+        child.start()
+        child.join(timeout=60)
+        if child.exitcode is None:
+            child.kill()
+        assert child.exitcode == 0
 
     def test_antithetic_unbiased_and_tighter(self, p0_inputs):
         plain = simulate_price(p0_inputs, McConfig(n_paths=200_000, seed=7))
@@ -241,6 +262,21 @@ class TestAgainstClosedForm:
         assert est.leg_breakdown["expected_t1"] + est.leg_breakdown["unexpected_leg1"] \
             == pytest.approx(est.price, abs=1e-15)
         assert abs(price_full(inputs).price - est.price) <= 3 * est.std_error
+
+    def test_overflowed_first_value_keeps_the_second_barrier(self):
+        # mu = 501400, s_V = 1000: about half of the V1 overflow to inf,
+        # and some of their V2 = V0 exp(both steps) lie below K2. Every leg
+        # matches the closed form, with no RuntimeWarning (the jump clock
+        # of a huge V1 overflows to inf, its limit).
+        inputs = make_inputs(firm=dict(mu=501400.0, s_V=1000.0))
+        closed = price_bond(inputs)
+        for seed in (1, 2, 3):
+            est = simulate_price(inputs, McConfig(n_paths=20_000, seed=seed))
+            assert abs(est.price - closed.price) <= 3 * est.std_error
+            for keys, value in closed.legs.items():
+                se = math.hypot(*(est.leg_std_error[k] for k in keys))
+                mc = sum(est.leg_breakdown[k] for k in keys)
+                assert abs(mc - value) <= 3 * se, keys
 
     def test_long_maturity_memory_is_per_path(self):
         # 30 years: a per-step rate grid would need gigabytes per chunk.
@@ -374,6 +410,47 @@ class TestRateTransition:
                                        rtol=1e-14)
 
 
+class TestDrawHelpers:
+    def test_declared_value_never_nan(self):
+        # V1 overflows to inf, and the second step would underflow exp to
+        # 0: V2 comes from ln V0 plus both steps, finite and below K2.
+        firm = FirmModel(V0=100.0, mu=501400.0, b=0.05, s_V=1000.0)
+        log_v1, v1 = _declared_value(math.log(firm.V0), np.array([0.1, 0.1]),
+                                     firm, 0.5)
+        assert np.all(v1 == np.inf)
+        _, v2 = _declared_value(log_v1, np.array([-3.0, 0.0]), firm, 0.5)
+        scale = firm.s_V * math.sqrt(0.5)
+        want = math.exp(math.log(firm.V0) + firm.log_drift + scale * (0.1 - 3.0))
+        assert 0.0 < want < 80.0
+        assert v2[0] == pytest.approx(want, rel=1e-10)
+        assert v2[1] == np.inf
+
+    def test_clock_of_a_subnormal_intensity_is_inf(self):
+        # ln(1 + 1/V) at V ~ 1e310 is subnormal; xi / lambda overflows to
+        # inf, the limit (no jump), without a warning.
+        lam = np.array([5e-324, 1e-310, 0.0, 2.0])
+        xi = _truncated_exp_clock(lam, np.full(4, 0.5))
+        assert list(xi[:3]) == [np.inf] * 3
+        assert xi[3] == pytest.approx(math.log(2.0) / 2.0, rel=1e-15)
+
+
+class TestNominalIntegral:
+    @pytest.mark.parametrize("rate", ["constant", "piecewise"])
+    @pytest.mark.parametrize("t, V1", [(0.0, None), (0.3, None), (0.75, 90.0)])
+    def test_lognormal_mean_is_the_discount_bond(self, rate, t, V1):
+        # E[exp(-int_t^t2 r)] = exp(-mean + var / 2) = Z(r, t).
+        piecewise = dict(a1=PiecewiseConstant((0.4,), (0.01, 0.03)),
+                         a2=PiecewiseConstant((0.7,), (0.2, 0.35)),
+                         s_r=PiecewiseConstant((0.5, 0.8), (0.01, 0.02, 0.03)))
+        inputs = make_inputs(rate=piecewise if rate == "piecewise" else None,
+                             t=t, V1=V1)
+        plan = _build_plan(inputs, McConfig(n_paths=2))
+        mean, sd = _nominal_integral(plan)
+        log_z = math.log(zcb_price(inputs.rate_model, inputs.r, t))
+        assert -mean + 0.5 * sd * sd == pytest.approx(log_z, rel=1e-13, abs=0.0)
+        assert (mean, sd) == pytest.approx(_reference_nominal(plan), rel=1e-13)
+
+
 def _reference_clock(lam, u):
     lam = np.asarray(lam, dtype=float)
     safe = np.where(lam > 0.0, lam, 1.0)
@@ -394,52 +471,93 @@ def _reference_transition(plan, r, lo, hi, z):
     return r, integral
 
 
+def _reference_nominal(plan):
+    """(mean, SD) of a nominal path's int_t^t2 r, from _reference_transition.
+
+    The integral is linear in the normals: at z = 0 it is the mean, and
+    at each unit vector the mean plus that normal's loading, whose
+    squares sum to the variance.
+    """
+    x = plan.inputs
+    k = 2 * len(plan.segments) * 2
+    z = np.concatenate([np.zeros((k, 1)), np.eye(k)], axis=1)
+    z = z.reshape(2, len(plan.segments), 2, k + 1)
+    t_mid = x.spec.t1 if x.t < x.spec.t1 else x.t
+    r1, int1 = _reference_transition(plan, np.full(k + 1, x.r), x.t, t_mid, z[0])
+    _, int2 = _reference_transition(plan, r1, t_mid, x.spec.t2, z[1])
+    total = int1 + int2
+    return total[0], math.sqrt(np.sum(np.square(total[1:] - total[0])))
+
+
 def _reference_chunk(plan, seed, chunk_idx, n_units):
-    """One chunk with per-path work on every path, five leg masks and
-    per-leg pair statistics: the arithmetic that ``_simulate_chunk``
-    must reproduce from the same Philox draws."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_idx))
+    """One chunk with per-path work on every event path, five leg masks
+    and per-leg pair statistics: the arithmetic that ``_simulate_chunk``
+    must reproduce from the same draws.
+
+    Draw order: z1, z2, u1, u2 (z1 and u1 only before t1), one normal
+    per nominal unit, then (2, segments, 2) normals per event unit; a
+    unit is a path or an antithetic pair, and it is an event unit when
+    any of its paths jumps or breaches K1.
+    """
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(chunk_idx,))))
     x = plan.inputs
     spec, firm = x.spec, x.firm
-    z1 = rng.standard_normal(n_units)
+    pre = x.t < spec.t1
+    z1 = rng.standard_normal(n_units) if pre else np.zeros(n_units)
     z2 = rng.standard_normal(n_units)
-    u1 = rng.random(n_units)
+    u1 = rng.random(n_units) if pre else np.zeros(n_units)
     u2 = rng.random(n_units)
-    zr = rng.standard_normal((2, len(plan.segments), 2, n_units))
     if plan.antithetic:
         cap = math.nextafter(1.0, 0.0)
         z1 = np.concatenate([z1, -z1])
         z2 = np.concatenate([z2, -z2])
         u1 = np.concatenate([u1, np.minimum(1.0 - u1, cap)])
         u2 = np.concatenate([u2, np.minimum(1.0 - u2, cap)])
-        zr = np.concatenate([zr, -zr], axis=-1)
-    m = len(z1)
+    m = len(z2)
 
     delta = spec.t2 - spec.t1
-    if x.t < spec.t1:
-        V1 = firm.V0 * np.exp(
-            firm.log_drift * spec.t1 + firm.s_V * math.sqrt(spec.t1) * z1)
+    if pre:
+        log_v1 = (math.log(firm.V0) + firm.log_drift * spec.t1
+                  + firm.s_V * math.sqrt(spec.t1) * z1)
+        V1 = np.exp(log_v1)
         xi1 = _reference_clock(np.full(m, spec.intensity(firm.V0)), u1)
         jump1 = xi1 < spec.t1 - x.t
         barrier1 = V1 <= spec.K1
         seg2_start = spec.t1
         s1 = np.where(jump1, x.t + xi1, spec.t1)
     else:
+        log_v1 = np.full(m, math.log(x.V1))
         V1 = np.full(m, x.V1)
         jump1 = np.zeros(m, dtype=bool)
         barrier1 = np.zeros(m, dtype=bool)
         seg2_start = x.t
         s1 = np.full(m, x.t)
     enter2 = ~jump1 & ~barrier1
-    V2 = V1 * np.exp(firm.log_drift * delta + firm.s_V * math.sqrt(delta) * z2)
+    V2 = np.exp(log_v1 + firm.log_drift * delta + firm.s_V * math.sqrt(delta) * z2)
     barrier2 = V2 <= spec.K2
     xi2 = _reference_clock(spec.intensity(V1), u2)
     jump2 = enter2 & (xi2 < spec.t2 - seg2_start)
     s2 = np.where(jump2, seg2_start + xi2, np.where(enter2, spec.t2, s1))
+
+    event = ~enter2 | jump2
+    if plan.antithetic:
+        event = np.tile(event[:n_units] | event[n_units:], 2)
+    event_units = int(event[:n_units].sum())
+    w = np.zeros(n_units)
+    w[~event[:n_units]] = rng.standard_normal(n_units - event_units)
+    zr = np.zeros((2, len(plan.segments), 2, n_units))
+    zr[..., event[:n_units]] = rng.standard_normal(
+        (2, len(plan.segments), 2, event_units))
+    if plan.antithetic:
+        w = np.concatenate([w, -w])
+        zr = np.concatenate([zr, -zr], axis=-1)
     r1, int1 = _reference_transition(plan, np.full(m, x.r), x.t, s1, zr[0])
     r2, int2 = _reference_transition(plan, r1, s1, s2, zr[1])
+    mean, sd = _reference_nominal(plan)
+    total = np.where(event, int1 + int2, mean + sd * w)
 
-    pay = np.exp(-(int1 + int2))
+    pay = np.exp(-total)
     surv_t2 = enter2 & ~jump2
     pay[surv_t2 & barrier2] *= spec.R_e
     early = ~surv_t2
@@ -463,7 +581,7 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
     stats = {"price": pair_stats(pay)}
     for name, mask in legs.items():
         stats[f"leg_{name}"] = pair_stats(pay * mask)
-    return {"n": n_units, "stats": stats}
+    return {"n": n_units, "event_units": event_units, "stats": stats}
 
 
 def _chunk_cases():
@@ -530,31 +648,36 @@ class TestChunkAgainstReference:
         self.check(make_inputs(), antithetic=antithetic, n_units=1234,
                    chunk_idx=3)
 
-    @pytest.mark.parametrize("case, nominal_pass, per_path_paths", [
-        ("all_nominal", True, 0),
-        ("P0", True, None),  # a few events, well under half
-        ("all_barrier1", False, CHUNK_PATHS),
-        ("lambda_20", False, CHUNK_PATHS),
-    ])
-    def test_guard_picks_route(self, monkeypatch, case, nominal_pass,
-                               per_path_paths):
-        # Scalar-time transitions are the nominal pass; the first
-        # per-path transition covers the event subset or every path.
+    @pytest.mark.parametrize("case", ["all_nominal", "P0", "all_barrier1",
+                                      "lambda_20"])
+    def test_per_path_work_only_on_event_units(self, monkeypatch, case):
+        # The first per-path transition (t -> s1) covers exactly the paths
+        # of the event units, with a full normal set each; the second a
+        # subset of them. No nominal unit gets per-path work.
         calls = []
 
         def spy(plan, r, lo, hi, z):
-            calls.append((np.ndim(hi), z.shape[-1]))
+            calls.append(z.shape)
             return _rate_transition(plan, r, lo, hi, z)
 
         monkeypatch.setattr("dvbond.mcoracle._rate_transition", spy)
-        self.check(make_inputs(**_chunk_cases()[case]))
-        shared = [n for ndim, n in calls if ndim == 0]
-        per_path = [n for ndim, n in calls if ndim == 1]
-        assert shared == ([CHUNK_PATHS] * 2 if nominal_pass else [])
-        if per_path_paths is None:
-            assert 0 < per_path[0] < CHUNK_PATHS // 2
-        else:
-            assert per_path[0] == per_path_paths
+        inputs = make_inputs(**_chunk_cases()[case])
+        segments = len(_build_plan(inputs, McConfig(n_paths=2)).segments)
+        for antithetic in (False, True):
+            calls.clear()
+            n_units = CHUNK_PATHS // 2 if antithetic else CHUNK_PATHS
+            self.check(inputs, antithetic=antithetic, n_units=n_units)
+            plan = _build_plan(inputs, McConfig(n_paths=2, antithetic=antithetic))
+            units = _reference_chunk(plan, 2024, 0, n_units)["event_units"]
+            per_unit = 2 if antithetic else 1
+            assert calls[0] == (segments, 2, per_unit * units)
+            assert calls[1][:2] == (segments, 2) and calls[1][2] <= calls[0][2]
+            if case == "all_nominal":
+                assert units == 0
+            elif case == "P0":
+                assert 0 < units < n_units // 10
+            else:  # every unit has an event and draws one full set
+                assert units == n_units
 
     def test_guard_extremes(self):
         # No event at all: every leg but the par leg is exactly empty.
@@ -567,6 +690,6 @@ class TestChunkAgainstReference:
         for k, name in enumerate(LEG_NAMES, start=1):
             if name != "expected_t1":
                 assert (means[k], m2s[k]) == (0.0, 0.0)
-        # A single path: the event subset is empty or everything.
+        # A single path: it is nominal or an event unit.
         for case in ("all_nominal", "all_barrier1", "P0"):
             self.check(make_inputs(**_chunk_cases()[case]), n_units=1)
