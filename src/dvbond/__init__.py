@@ -13,7 +13,6 @@ from .defaultmodel import (
     DefaultSpec,
     FirmModel,
     IntensityFunction,
-    d_minus,
     survival_prob,
 )
 from .mathkit import (
@@ -34,7 +33,6 @@ from .pricer import (
     price_batch,
     price_bond,
     price_full,
-    price_last_interval,
 )
 from .ratecurve import PiecewiseConstant, ShortRateModel, coeff_A, coeff_B, zcb_price
 
@@ -58,14 +56,12 @@ __all__ = [
     "coeff_A",
     "coeff_B",
     "compute_alphas",
-    "d_minus",
     "expected_default_leg",
     "integrate_left_tail",
     "normal_cdf",
     "price_batch",
     "price_bond",
     "price_full",
-    "price_last_interval",
     "simulate_price",
     "survival_prob",
     "zcb_price",

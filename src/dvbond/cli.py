@@ -14,7 +14,6 @@ import ctypes
 import dataclasses
 import functools
 import io
-import math
 import os
 import re
 import sys
@@ -23,7 +22,7 @@ from .config import ConfigError, Scenario, load_scenarios
 from .defaultmodel import IntensityFunction
 from .mathkit import QuadratureConvergenceError
 from .mcoracle import McConfig, simulate_price
-from .pricer import PricingInputs, PricingMode, price_batch, price_bond
+from .pricer import LEG_NAMES, PricingInputs, PricingMode, price_batch, price_bond
 
 PRICE_COLUMNS = ("scenario", "mode", "price", "zcb", "spread",
                  "I1", "I21", "I22", "I23", "I24", "expected_leg")
@@ -213,14 +212,6 @@ def cmd_sweep(args) -> int:
 # Roundoff floor of the z-score standard error, relative to the price.
 _SE_ROUNDOFF = 1e-14
 
-# The printed label of each closed-form leg of ``PriceResult.legs``.
-_LEG_LABELS = {
-    ("survive_both", "unexpected_leg2"): "survive+jump2 legs",
-    ("expected_t2",): "expected_t2 leg",
-    ("unexpected_leg1",): "unexpected_t1 leg",
-    ("expected_t1",): "expected_t1 leg",
-}
-
 
 @functools.cache
 def _keep_freed_memory() -> None:
@@ -252,9 +243,17 @@ def cmd_validate(args) -> int:
     ~1e-18 from summation roundoff alone, which would turn agreement to
     the last printed digit into |z| >> 3. Any stochastic SE lies many
     orders of magnitude above the floor, so the 3-SE gate is not widened.
+
+    Before t1 a table compares each of the ``LEG_NAMES`` legs of the
+    simulation with that leg of both closed forms. A leg that is 0 in the
+    simulation (no path paid on it) and nonzero in the closed form prints
+    ``simulated leg is 0`` in place of a z, which the SE floor would
+    make huge, or 0 for a tiny leg.
     """
     if args.paths < 2:
         return _fail(2, f"--paths must be at least 2, got {args.paths}")
+    if args.antithetic and args.paths % 2:
+        return _fail(2, f"--paths must be even with --antithetic, got {args.paths}")
     if args.threads < 1:
         return _fail(2, f"--threads must be at least 1, got {args.threads}")
     if not 0 <= args.seed < 2**64:
@@ -288,18 +287,18 @@ def cmd_validate(args) -> int:
     print(f"  z corrected           {z_corr:+.3f}")
     print(f"  z paper-literal       {z_lit:+.3f}")
 
+    def leg_row(name: str, mc: str, se: str, cells) -> str:
+        return (f"    {name:16s}{mc:>22s} +/- {se:8s}"
+                + "".join(f" {cf:>22s} {z:16s}" for cf, z in cells)).rstrip()
+
     if corrected.legs is not None:
-        print("  legs (corrected closed form vs monte carlo):")
-        for keys, cf in corrected.legs.items():
-            mc = sum(est.leg_breakdown[k] for k in keys)
-            se = math.hypot(*(est.leg_std_error[k] for k in keys))
-            print(f"    {_LEG_LABELS[keys]:20s} {_fmt(cf):>22s} vs {_fmt(mc):>22s}"
-                  f"  z {z_score(cf, mc, se):+.3f}")
-        lit_leg = literal.legs[("expected_t1",)]
-        z_lit_leg = z_score(lit_leg, est.leg_breakdown["expected_t1"],
-                            est.leg_std_error["expected_t1"])
-        print(f"    expected_t1 (paper-literal grouping)"
-              f" {_fmt(lit_leg):>22s}  z {z_lit_leg:+.3f}")
+        print(leg_row("legs", "monte carlo", "SE", [(m.value, "z") for m in PricingMode]))
+        for name in LEG_NAMES:
+            mc, se = est.leg_breakdown[name], est.leg_std_error[name]
+            print(leg_row(name, _fmt(mc), f"{se:.3g}", [
+                (_fmt(cf), "simulated leg is 0" if mc == 0.0 and cf != 0.0
+                 else f"z {z_score(cf, mc, se):+.3f}")
+                for cf in (corrected.legs[name], literal.legs[name])]))
 
     ok = abs(z_corr) <= 3.0
     print("PASS: corrected closed form within 3 SE of the simulation"

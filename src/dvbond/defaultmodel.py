@@ -38,7 +38,6 @@ __all__ = [
     "FirmModel",
     "IntensityFunction",
     "DefaultSpec",
-    "d_minus",
     "survival_prob",
 ]
 
@@ -183,29 +182,14 @@ class DefaultSpec:
                 raise ValueError(f"{name} must lie in [0, 1], got {r}")
 
 
-def d_minus(x_over_K: float, fm: FirmModel, tau: float) -> float:
-    """Standardized log-distance to a barrier over a horizon tau.
-
-    [ln(x/K) + (mu - b - s_V^2/2) tau] / (s_V sqrt(tau)).
-    """
-    if not x_over_K > 0.0:
-        raise ValueError(f"x/K must be positive, got {x_over_K}")
-    return _standardize(math.log(x_over_K), fm, tau)
-
-
-def _standardize(log_x_over_K: float, fm: FirmModel, tau: float) -> float:
-    """``d_minus`` of the log-distance ln(x/K)."""
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return (log_x_over_K + fm.log_drift * tau) / (fm.s_V * math.sqrt(tau))
-
-
 def survival_prob(fm: FirmModel, V_now: float, K: float, tau: float) -> float:
     """Probability that the firm value exceeds barrier K after tau years.
 
-    N[d_minus(V_now/K, tau)]; exactly 1 for K = 0 (the GBM stays
-    positive). The log-distance is ln V_now - ln K where V_now/K
-    underflows, as it does for a tiny declared value.
+    N(d) for the standardized log-distance
+    d = [ln(V_now/K) + (mu - b - s_V^2/2) tau] / (s_V sqrt(tau));
+    exactly 1 for K = 0 (the GBM stays positive). The log-distance is
+    ln V_now - ln K where V_now/K underflows, as it does for a tiny
+    declared value.
     """
     if K < 0.0:
         raise ValueError(f"barrier must be >= 0, got {K}")
@@ -213,4 +197,7 @@ def survival_prob(fm: FirmModel, V_now: float, K: float, tau: float) -> float:
         return 1.0
     if not V_now > 0.0:
         raise ValueError(f"V must be positive, got {V_now}")
-    return normal_cdf(_standardize(log_ratio(V_now, K), fm, tau))
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return normal_cdf((log_ratio(V_now, K) + fm.log_drift * tau)
+                      / (fm.s_V * math.sqrt(tau)))

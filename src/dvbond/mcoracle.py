@@ -53,7 +53,8 @@ breaches K1 (including those killed earlier by a jump), which makes it
 the exact simulation counterpart of the closed form's
 first-barrier-breach term, and likewise for ``expected_t2`` among
 paths reaching the second interval. ``unexpected_leg1``/``2`` hold the
-remaining jump defaults and ``survive_both`` the par payoffs. Each
+remaining jump defaults and ``survive_both`` the par payoffs: the five
+``LEG_NAMES`` that also key the closed form's ``PriceResult.legs``. Each
 path carries one leg label, its index into ``LEG_NAMES``; an antithetic
 pair adds half of each payoff to its own path's leg. A chunk returns
 one statistics record, the means and second moments of the price and
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pricer import PricingInputs
+from .pricer import LEG_NAMES, PricingInputs
 from .ratecurve import _segment_moments, _segment_moments1, zcb_price
 
 __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
@@ -81,9 +82,7 @@ __all__ = ["CHUNK_PATHS", "LEG_NAMES", "McConfig", "McEstimate",
 CHUNK_PATHS = 1 << 16
 _Stats = tuple[int, np.ndarray, np.ndarray]  # a chunk's statistics record
 
-LEG_NAMES = ("survive_both", "unexpected_leg1", "unexpected_leg2",
-             "expected_t1", "expected_t2")
-# Each path's leg label is its index into LEG_NAMES.
+# Each path's leg label is its index into LEG_NAMES (from ``pricer``).
 _SURVIVE, _UNEXPECTED_1, _UNEXPECTED_2, _EXPECTED_T1, _EXPECTED_T2 = range(5)
 
 # Largest double below 1; keeps mirrored uniforms inside [0, 1).

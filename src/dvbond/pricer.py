@@ -34,6 +34,10 @@ With a constant intensity F is the constant exp(-lambda0 (t2 - t1)),
 and they are F times the same two probabilities as I21 and I23;
 ``price_full`` computes those once.
 
+``PriceResult.legs`` splits the price into those five endings, keyed
+by ``LEG_NAMES`` as ``mcoracle`` labels its paths; survival and a jump
+between the announcements split I21 + I22 with no extra quadrature.
+
 ``price_bond`` prices one valuation; ``price_batch`` prices many. Every
 term but Z depends only on (firm, spec, t) and the price is linear in
 Z, so one function, ``_term_sets``, computes the terms per unit Z of
@@ -72,7 +76,7 @@ per price, and the three places map onto its two fields:
 
 CORRECTED mode prices the model exactly (it is the one the Monte Carlo
 engine in ``mcoracle`` reproduces to sampling noise, and it is
-continuous at t1 against ``price_last_interval``). PAPER_LITERAL
+continuous at t1 with the post-announcement price). PAPER_LITERAL
 evaluates the printed closed form verbatim so the discrepancy can be
 measured; its one internal contradiction (the second-breach
 coefficient appears both as R_u and as R_u * R_e in different
@@ -105,18 +109,22 @@ from .mathkit import (
 from .ratecurve import ShortRateModel, zcb_price
 
 __all__ = [
+    "LEG_NAMES",
     "PricingMode",
     "PricingInputs",
     "Alpha",
     "TermBreakdown",
     "PriceResult",
-    "price_last_interval",
     "compute_alphas",
     "expected_default_leg",
     "price_full",
     "price_bond",
     "price_batch",
 ]
+
+# The five ways the bond can end, in the order of ``PriceResult.legs``.
+LEG_NAMES = ("survive_both", "unexpected_leg1", "unexpected_leg2",
+             "expected_t1", "expected_t2")
 
 
 class PricingMode(enum.Enum):
@@ -244,19 +252,22 @@ class PriceResult:
     """Bond price with its decomposition and the discount bond used.
 
     ``legs`` splits the price as the Monte Carlo oracle splits it, in
-    price units, keyed by the tuple of ``mcoracle.LEG_NAMES`` each leg
-    covers; the legs sum to the price up to roundoff:
+    price units, keyed by ``LEG_NAMES`` in that order; the legs sum to
+    the price up to roundoff. With D = Z e^{-lambda(V0)(t1-t)}, P21 the
+    bivariate probability of I21 = R_u P21 and J22 the tail of
+    I22 = (1 - R_u) J22:
 
-        ("survive_both", "unexpected_leg2")  Z e^{-lambda(V0)(t1-t)} (I21 + I22)
-        ("expected_t2",)                     Z e^{-lambda(V0)(t1-t)} (I23 + I24)
-        ("unexpected_leg1",)                 I1
-        ("expected_t1",)                     the first-barrier leg
+        survive_both     D J22
+        unexpected_leg1  I1
+        unexpected_leg2  D R_u (P21 - J22)
+        expected_t1      the first-barrier leg
+        expected_t2      D (I23 + I24)
 
-    I21 + I22 does not split survival from a jump before t2, so the
-    first leg covers both. ``terms`` and ``legs`` are None when the
-    valuation fell in the post-announcement regime (t >= t1), where the
-    closed form is a two-branch expression with no integral
-    decomposition.
+    J22 is the probability of clearing both barriers with no jump
+    between the announcements; P21 - J22 >= 0 that of clearing both
+    with a jump. ``terms`` and ``legs`` are None when the valuation
+    fell in the post-announcement regime (t >= t1), where the closed
+    form is a two-branch expression with no integral decomposition.
 
     ``spread`` is the continuously compounded yield spread over the
     default-free bond, -ln(price / Z) / (t2 - t): 0.0 (not -0.0) at
@@ -268,23 +279,7 @@ class PriceResult:
     terms: TermBreakdown | None
     zcb: float
     spread: float
-    legs: dict[tuple[str, ...], float] | None = None
-
-
-def price_last_interval(inputs: PricingInputs) -> float:
-    """Bond price between the announcements, given the declared V1.
-
-    The maturity barrier check uses the lognormal transition anchored
-    at the announcement (the declared value is the only firm
-    information available), so the survival probability is
-    N[d_minus(V1/K2, t2 - t1)] regardless of the valuation time.
-    """
-    spec = inputs.spec
-    if not spec.t1 <= inputs.t < spec.t2:
-        raise ValueError(
-            f"valuation time must lie in [{spec.t1}, {spec.t2}), got {inputs.t}"
-        )
-    return price_bond(inputs).price
+    legs: dict[str, float] | None = None
 
 
 def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
@@ -294,7 +289,7 @@ def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
 
     The maturity branches are valued R_u + (1 - R_u) F cleared and
     floor + coefficient * F breached, F = e^{-lambda(V1)(t2 - t)}, and
-    weighted by the maturity survival N[d_minus(V1/K2, t2 - t1)]. In
+    weighted by the maturity survival ``survival_prob`` over t2 - t1. In
     the exact grouping each branch solves the one-factor decay equation
     backward from its terminal payoff (1 cleared, R_e breached). At
     t = t1 this is the announcement-date factor that I21 + ... + I24
@@ -318,8 +313,6 @@ def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
     interval's displacement enters the maturity check through the
     quadrature variable). A zero barrier short-circuits to +inf.
     """
-    if spec.K1 < 0.0 or spec.K2 < 0.0:
-        raise ValueError("barriers must be nonnegative")
     if spec.K1 == 0.0:
         alpha1 = math.inf
     else:
@@ -393,9 +386,10 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc, owner=0) -> np.nd
 class _Terms(NamedTuple):
     """The terms of one (firm, spec, t): ``TermBreakdown`` with ``i1``
     and ``leg`` per unit Z, the first-interval jump survival
-    e^{-lambda(V0)(t1 - t)}, and the error of a term set that cannot be
-    priced (a QuadratureConvergenceError, or the ValueError of a custom
-    intensity whose V1 underflows)."""
+    e^{-lambda(V0)(t1 - t)}, the I22 tail J22 before its coefficient,
+    and the error of a term set that cannot be priced (a
+    QuadratureConvergenceError, or the ValueError of a custom intensity
+    whose V1 underflows)."""
 
     i1: float
     i21: float
@@ -404,6 +398,7 @@ class _Terms(NamedTuple):
     i24: float
     leg: float
     decay1: float
+    j22: float
     error: Exception | None = None
 
 
@@ -413,8 +408,9 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     key, t < t1.
 
     Each term set is scalar ``math`` but for the I22/I24 tails of a
-    non-constant intensity with a nonzero coefficient. The tails of the
-    keys that share an intensity take one ``integrate_left_tail`` call:
+    non-constant intensity, taken whatever their coefficients: the I22
+    tail J22 also splits survival from a jump in ``legs``. The tails of
+    the keys that share an intensity take one ``integrate_left_tail`` call:
     over a float bound when one key needs them (the cheaper loop, that
     of a single price), else over the array of bounds. Each bound keeps
     the panels of a call of its own, so the two differ only in
@@ -433,12 +429,13 @@ def _term_sets(keys: list[tuple], conv: _Convention,
         probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
                                        conv.sign, n_surv1)
         coefficients = 1.0 - spec.R_u, coefficient
-        i22 = i24 = 0.0
+        i22 = i24 = j22 = 0.0
         if spec.intensity.family == "constant":
             F = math.exp(-spec.intensity.lambda0 * (spec.t2 - spec.t1))
             i22 = coefficients[0] * F * probs[0] + 0.0
             i24 = coefficients[1] * F * probs[1] + 0.0
-        elif coefficients != (0.0, 0.0):
+            j22 = F * probs[0]
+        else:
             passes.setdefault(spec.intensity, []).append(
                 (len(rows), coefficients, alphas.alpha1,
                  (alphas.alpha2, *_tail_params(firm, spec, conv.sign))))
@@ -446,7 +443,7 @@ def _term_sets(keys: list[tuple], conv: _Convention,
             i1=spec.R_u * (1.0 - decay1) * n_surv1, i21=spec.R_u * probs[0], i22=i22,
             i23=floor * probs[1], i24=i24,
             leg=(floor + coefficient * decay1) * normal_cdf(-alphas.alpha1),
-            decay1=decay1))
+            decay1=decay1, j22=j22))
     for intensity, tails in passes.items():
         index, pairs, bounds, params = zip(*tails)
         if len(tails) == 1:
@@ -473,7 +470,7 @@ def _term_sets(keys: list[tuple], conv: _Convention,
         for k, (c22, c24), (tail22, tail24), error in zip(
                 index, pairs, estimate.reshape(2, -1).T.tolist(), errors):
             rows[k] = rows[k]._replace(i22=c22 * tail22 + 0.0, i24=c24 * tail24 + 0.0,
-                                       error=error)
+                                       j22=tail22, error=error)
     return rows
 
 
@@ -501,10 +498,10 @@ def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
                                   terms.i24, z * terms.leg)
         jump_free = z * terms.decay1
         price = breakdown.i1 + jump_free * breakdown.i2_total + breakdown.expected_default
-        legs = {("survive_both", "unexpected_leg2"): jump_free * (terms.i21 + terms.i22),
-                ("expected_t2",): jump_free * (terms.i23 + terms.i24),
-                ("unexpected_leg1",): breakdown.i1,
-                ("expected_t1",): breakdown.expected_default}
+        legs = dict(zip(LEG_NAMES, (
+            jump_free * terms.j22, breakdown.i1,
+            jump_free * (terms.i21 - x.spec.R_u * terms.j22),
+            breakdown.expected_default, jump_free * (terms.i23 + terms.i24))))
     spread = math.inf if price <= 0.0 else -log_ratio(price, z) / (x.spec.t2 - x.t)
     # Not max(spread, 0.0), which keeps the -0.0 of a par price.
     return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z,
@@ -537,7 +534,7 @@ def price_full(
     if not 0.0 <= inputs.t < spec.t1:
         raise ValueError(
             f"price_full requires a valuation time in [0, {spec.t1}), "
-            f"got {inputs.t}; value later times with price_last_interval"
+            f"got {inputs.t}; value later times with price_bond"
         )
     return price_bond(inputs, mode, quad)
 

@@ -763,6 +763,14 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "--threads" in err and "n_threads" not in err
 
+    def test_odd_antithetic_paths_rejected(self, p0_file, capsys):
+        # Checked with the other flags, before either mode is priced, and
+        # named as the flag, not the McConfig field behind it.
+        assert main(["validate", p0_file, "--paths", "2001", "--antithetic"]) == 2
+        captured = capsys.readouterr()
+        assert "--paths" in captured.err and "n_paths" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_out_of_range_seed_rejected(self, p0_file, capsys, seed):
         # The error names the flag, not the McConfig field behind it.
@@ -863,17 +871,34 @@ class TestValidateCommand:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
 
     def test_leg_lines_print_price_legs(self, p0_file, capsys):
-        # The closed-form values of the leg lines are PriceResult.legs.
+        # One row per leg of LEG_NAMES: the simulated leg and its SE, then
+        # PriceResult.legs of each mode with its z.
         assert main(["validate", p0_file, "--paths", "2000", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        lines = out.split("legs (corrected closed form vs monte carlo):\n")[1].splitlines()
+        rows = out.split("\n    legs ")[1].splitlines()[1:6]
         inputs = load_scenarios(p0_file)["P0"].pricing_inputs()
-        corrected = pricer.price_bond(inputs, pricer.PricingMode.CORRECTED).legs
-        literal = pricer.price_bond(inputs, pricer.PricingMode.PAPER_LITERAL).legs
-        assert [line.split(" vs ")[0].split()[-1] for line in lines[:4]] == \
-            [cli._fmt(v) for v in corrected.values()]
-        assert lines[4].startswith("    expected_t1 (paper-literal grouping)")
-        assert lines[4].split()[-3] == cli._fmt(literal[("expected_t1",)])
+        est = simulate_price(inputs, McConfig(n_paths=2000, seed=7))
+        for name, row in zip(pricer.LEG_NAMES, rows):
+            fields = row.split()
+            assert fields[:3] == [name, cli._fmt(est.leg_breakdown[name]), "+/-"]
+            assert fields[4::3] == [cli._fmt(pricer.price_bond(inputs, mode).legs[name])
+                                    for mode in pricer.PricingMode]
+            assert fields[5::3] == ["z", "z"]
+
+    def test_unsampled_leg_prints_no_z(self, tmp_path, capsys):
+        # At V0 = 1000, 2,000 paths with seed 2 sample no jump before t1
+        # and no breach, though these legs are nonzero in closed form. Such
+        # a leg once printed a z on the SE floor (~2e10), or 0 for 1e-79.
+        path = tmp_path / "rich.yaml"
+        path.write_text(P0_YAML.replace("V0: 100.0", "V0: 1000.0"))
+        assert main(["validate", str(path), "--paths", "2000", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line for line in out.split("\n    legs ")[1].splitlines()[1:6]}
+        for name in ("unexpected_leg1", "expected_t1", "expected_t2"):
+            assert rows[name].count("simulated leg is 0") == 2, rows[name]
+        assert "simulated leg is 0" not in rows["survive_both"] + rows["unexpected_leg2"]
+        zs = re.findall(r"\bz +(?:[a-z-]+ +)?([+-][0-9.]+)", out)
+        assert len(zs) == 6 and all(abs(float(z)) < 1000.0 for z in zs)
 
     def test_post_announcement_prints_no_legs(self, tmp_path, capsys):
         path = tmp_path / "post.yaml"

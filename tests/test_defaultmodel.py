@@ -9,9 +9,9 @@ from dvbond.defaultmodel import (
     DefaultSpec,
     FirmModel,
     IntensityFunction,
-    d_minus,
     survival_prob,
 )
+from dvbond.mathkit import normal_cdf
 
 FIRM = FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=0.2)
 # drift-cancelling firm: mu - b = s_V^2 / 2
@@ -101,24 +101,31 @@ class TestIntensity:
 
 
 class TestDMinus:
+    # The standardized log-distance d_minus to a barrier, seen through
+    # survival_prob = N(d_minus).
+
     def test_vanishing_numerator(self):
-        assert d_minus(1.0, BALANCED, 0.7) == 0.0
+        assert survival_prob(BALANCED, 80.0, 80.0, 0.7) == 0.5
 
     def test_unit_displacement(self):
+        # rel 3e-14 on N(1) is rel 1e-13 on d_minus = 1.
         ratio = math.exp(0.2 * math.sqrt(0.5))
-        assert d_minus(ratio, BALANCED, 0.5) == pytest.approx(1.0, rel=1e-13)
+        assert survival_prob(BALANCED, 80.0 * ratio, 80.0, 0.5) == pytest.approx(
+            normal_cdf(1.0), rel=3e-14, abs=0.0)
 
     def test_standardized_log_distance(self):
-        got = d_minus(2.0, BALANCED, 0.5)
-        assert got == pytest.approx(math.log(2.0) / (0.2 * math.sqrt(0.5)),
-                                    rel=1e-14)
-        assert got == pytest.approx(4.9013, abs=1e-3)
+        # Below the barrier, where N(d_minus) keeps its relative precision:
+        # rel 2.5e-13 on N(-4.9013) is rel 1e-14 on d_minus.
+        d = math.log(2.0) / (0.2 * math.sqrt(0.5))
+        assert d == pytest.approx(4.9013, abs=1e-3)
+        assert survival_prob(BALANCED, 40.0, 80.0, 0.5) == pytest.approx(
+            normal_cdf(-d), rel=2.5e-13, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            d_minus(0.0, FIRM, 0.5)
+            survival_prob(FIRM, 0.0, 80.0, 0.5)
         with pytest.raises(ValueError):
-            d_minus(1.0, FIRM, 0.0)
+            survival_prob(FIRM, 100.0, 80.0, 0.0)
 
 
 class TestSurvivalProb:

@@ -13,9 +13,9 @@ EXPORTED = {
     "McEstimate", "PiecewiseConstant", "PriceResult", "PricingInputs",
     "PricingMode", "QuadratureConvergenceError", "QuadratureSpec",
     "ShortRateModel", "TermBreakdown", "coeff_A", "coeff_B", "compute_alphas",
-    "d_minus", "expected_default_leg", "integrate_left_tail",
+    "expected_default_leg", "integrate_left_tail",
     "normal_cdf", "price_batch", "price_bond",
-    "price_full", "price_last_interval", "simulate_price", "survival_prob",
+    "price_full", "simulate_price", "survival_prob",
     "zcb_price",
 }
 
@@ -33,6 +33,8 @@ def test_deleted_names_are_gone():
                          (pricer, "_TermSets"), (pricer, "_i22_i24"),
                          (pricer, "term_I21_I23"), (pricer, "term_I22_I24"),
                          (pricer, "credit_spread"), (pricer, "_spread"),
+                         (pricer, "price_last_interval"), (defaultmodel, "d_minus"),
+                         (defaultmodel, "_standardize"),
                          (mathkit, "_bvn_cdf_array"), (mathkit, "_bvn_plackett"),
                          (mathkit, "_bvn_asymptotic"),
                          (defaultmodel, "firm_value_step"),

@@ -20,11 +20,11 @@ from dvbond import (
     expected_default_leg,
     price_bond,
     price_full,
-    price_last_interval,
     simulate_price,
+    survival_prob,
     zcb_price,
 )
-from dvbond import PiecewiseConstant, ShortRateModel, mathkit, pricer
+from dvbond import PiecewiseConstant, ShortRateModel, mathkit, mcoracle, pricer
 from dvbond.mathkit import (
     QuadFormMatrix,
     bivariate_cdf_bruteforce,
@@ -32,8 +32,7 @@ from dvbond.mathkit import (
     integrate_left_tail,
     normal_cdf,
 )
-from dvbond.mcoracle import LEG_NAMES
-from dvbond.pricer import price_batch
+from dvbond.pricer import LEG_NAMES, price_batch
 
 from conftest import make_inputs
 from test_acceptance import random_scenario
@@ -98,32 +97,25 @@ class TestIntervalFactor:
         assert self.factor(cleared, p0_spec.t2, 0.3) == 1.0
         assert self.factor(breached, p0_spec.t2, 0.3) == p0_spec.R_e
 
-    def test_domain(self, p0_rate, p0_firm, p0_spec):
-        # The last-interval price exists only from t1 on.
-        early = PricingInputs(rate_model=p0_rate, firm=p0_firm, spec=p0_spec,
-                              r=0.05, t=0.2, V1=100.0)
-        with pytest.raises(ValueError):
-            price_last_interval(early)
-
 
 class TestPriceLastInterval:
     def test_full_recovery_is_par(self):
         inputs = make_inputs(default=dict(R_u=1.0, R_e=1.0), t=0.5, V1=100.0)
         z = zcb_price(inputs.rate_model, inputs.r, 0.5)
-        assert price_last_interval(inputs) == pytest.approx(z, rel=1e-14)
+        assert price_bond(inputs).price == pytest.approx(z, rel=1e-14)
 
     def test_default_free(self):
         inputs = make_inputs(default=dict(K2=0.0), t=0.5, V1=100.0,
                              intensity=IntensityFunction.constant(0.0))
         z = zcb_price(inputs.rate_model, inputs.r, 0.5)
-        assert price_last_interval(inputs) == pytest.approx(z, rel=1e-14)
+        assert price_bond(inputs).price == pytest.approx(z, rel=1e-14)
 
     def test_against_monte_carlo(self, p0_rate, p0_firm, p0_spec):
         inputs = PricingInputs(rate_model=p0_rate, firm=p0_firm, spec=p0_spec,
                                r=0.05, t=0.5, V1=100.0)
         est = simulate_price(inputs, McConfig(n_paths=400_000, seed=3,
                                               n_threads=4))
-        assert abs(price_last_interval(inputs) - est.price) <= 3 * est.std_error
+        assert abs(price_bond(inputs).price - est.price) <= 3 * est.std_error
 
     def test_requires_declared_value(self, p0_rate, p0_firm, p0_spec):
         with pytest.raises(ValueError):
@@ -180,12 +172,12 @@ class TestComputeAlphas:
         assert a.alpha2 == pytest.approx(1.5779, abs=1e-4)
 
     def test_change_of_variables_identity(self, p0_firm, p0_spec):
-        # At zero displacement the maturity check reduces to alpha2.
-        from dvbond.defaultmodel import d_minus
+        # At zero displacement the maturity check reduces to alpha2:
+        # rel 2e-14 on N(alpha2 = 1.58) is rel 1e-13 on alpha2.
         V1_mid = p0_firm.V0 * math.exp(p0_firm.log_drift * p0_spec.t1)
         a = compute_alphas(p0_firm, p0_spec)
-        assert d_minus(V1_mid / p0_spec.K2, p0_firm, 0.5) == pytest.approx(
-            a.alpha2, rel=1e-13)
+        assert survival_prob(p0_firm, V1_mid, p0_spec.K2, 0.5) == pytest.approx(
+            normal_cdf(a.alpha2), rel=2e-14, abs=0.0)
 
     def test_zero_barriers_short_circuit(self, p0_firm):
         spec = DefaultSpec(t1=0.5, t2=1.0, K1=0.0, K2=0.0, R_u=0.4, R_e=0.3)
@@ -454,7 +446,7 @@ class TestPriceFull:
             v1 = p0_firm.V0 * math.exp(p0_firm.log_drift * p0_spec.t1 + scale * z)
             post = PricingInputs(rate_model=p0_rate, firm=p0_firm, spec=p0_spec,
                                  r=0.05, t=p0_spec.t1, V1=v1)
-            return price_last_interval(post) \
+            return price_bond(post).price \
                 * math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
 
         surviving, _ = quad(integrand, -a1, 14.0, epsabs=1e-13, epsrel=1e-12)
@@ -481,7 +473,8 @@ class TestPriceBondRouting:
                                r=0.05, t=0.5, V1=100.0)
         res = price_bond(inputs)
         assert res.terms is None
-        assert res.price == pytest.approx(price_last_interval(inputs), rel=1e-15)
+        assert res.price == pytest.approx(
+            res.zcb * last_interval_factor(p0_spec, p0_firm, 100.0, 0.5), rel=1e-15)
 
     def test_pre_announcement_equals_price_full(self, p0_inputs):
         assert price_bond(p0_inputs).price == price_full(p0_inputs).price
@@ -527,6 +520,21 @@ class TestHugeDrift:
                 price_batch([inputs], mode)
             assert err.value.batch_index == 0
 
+    def test_full_recovery_custom_intensity(self):
+        # R_u = R_e = 1 pays par in every ending, yet the tails still run
+        # for the J22 of legs: where V1 stays positive the corrected price
+        # is Z and the legs sum to it; where V1 underflows the inputs are
+        # rejected, as at any recovery.
+        custom = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
+        res = price_bond(make_inputs(default=dict(R_u=1.0, R_e=1.0), intensity=custom))
+        assert res.price == res.zcb
+        assert abs(sum(res.legs.values()) - res.zcb) <= 1e-15 * res.zcb
+        inputs = make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0, R_u=1.0, R_e=1.0),
+                             intensity=custom)
+        for mode in PricingMode:
+            with pytest.raises(ValueError, match=r"^custom intensity: V1 underflows "):
+                price_bond(inputs, mode)
+
     def test_custom_intensity_underflow_names_its_point(self):
         # Both points share one intensity and so one tail pass; only
         # point 1 underflows, and the error is its own.
@@ -559,23 +567,46 @@ class TestTinyFirmVolatility:
 class TestLegs:
     @pytest.mark.parametrize("mode", list(PricingMode))
     def test_partition_and_sum_on_criterion_7(self, mode):
-        # Each Monte Carlo leg is covered by exactly one closed-form leg,
-        # and the legs add up to the price.
+        # The legs are the Monte Carlo legs, in LEG_NAMES order, and they
+        # add up to the price. survive_both and unexpected_leg2 split
+        # Z e^{-lambda(V0)(t1-t)} (I21 + I22); the full-recovery draw has
+        # I22 = 0 and still splits.
         rng = np.random.default_rng(7007)
-        for inputs in (random_scenario(rng) for _ in range(200)):
+        draws = [random_scenario(rng) for _ in range(200)]
+        draws.append(make_inputs(default=dict(R_u=1.0, R_e=1.0)))
+        for inputs in draws:
             res = price_full(inputs, mode)
-            assert sorted(name for keys in res.legs for name in keys) == sorted(LEG_NAMES)
+            assert list(res.legs) == list(LEG_NAMES)
             assert abs(sum(res.legs.values()) - res.price) \
                 <= 1e-15 * sum(abs(v) for v in res.legs.values())
+            t, spec = res.terms, inputs.spec
+            jump_free = res.zcb * math.exp(-spec.intensity(inputs.firm.V0)
+                                           * (spec.t1 - inputs.t))
+            want = jump_free * (t.i21 + t.i22)
+            got = res.legs["survive_both"] + res.legs["unexpected_leg2"]
+            assert abs(got - want) <= 1e-15 * want
+            assert res.legs["unexpected_leg2"] >= -1e-15 * want
+        assert res.terms.i22 == 0.0 and 0.0 < res.legs["unexpected_leg2"] < want
+
+    def test_one_definition_of_the_names(self):
+        assert mcoracle.LEG_NAMES is LEG_NAMES
 
     def test_terms_in_price_units(self, p0_inputs):
         res = price_full(p0_inputs)
-        t, scale = res.terms, res.zcb * math.exp(
-            -p0_inputs.spec.intensity(p0_inputs.firm.V0) * p0_inputs.spec.t1)
-        assert res.legs == {("survive_both", "unexpected_leg2"): scale * (t.i21 + t.i22),
-                            ("expected_t2",): scale * (t.i23 + t.i24),
-                            ("unexpected_leg1",): t.i1,
-                            ("expected_t1",): t.expected_default}
+        t, spec = res.terms, p0_inputs.spec
+        scale = res.zcb * math.exp(-spec.intensity(p0_inputs.firm.V0) * spec.t1)
+        assert list(res.legs) == list(LEG_NAMES)
+        assert res.legs["unexpected_leg1"] == t.i1
+        assert res.legs["expected_t1"] == t.expected_default
+        assert res.legs["expected_t2"] == scale * (t.i23 + t.i24)
+        # The split legs take the raw I22 tail J22, which the breakdown
+        # holds only as I22 = (1 - R_u) J22; dividing back costs an ulp of
+        # J22, which unexpected_leg2 = scale (I21 - R_u J22) bears against
+        # the larger I21.
+        j22 = t.i22 / (1.0 - spec.R_u)
+        assert res.legs["survive_both"] == pytest.approx(scale * j22, rel=1e-15, abs=0.0)
+        assert res.legs["unexpected_leg2"] == pytest.approx(
+            scale * (t.i21 - spec.R_u * j22), rel=0.0, abs=1e-15 * scale * t.i21)
 
     def test_none_after_first_announcement(self):
         inputs = make_inputs(t=0.6, V1=95.0)
@@ -659,8 +690,8 @@ def assert_results_match(got, want, tol=1e-12):
         assert abs(getattr(got.terms, field.name)
                    - getattr(want.terms, field.name)) <= tol, field.name
     assert list(got.legs) == list(want.legs)
-    for keys, value in want.legs.items():
-        assert abs(got.legs[keys] - value) <= tol, keys
+    for name, value in want.legs.items():
+        assert abs(got.legs[name] - value) <= tol, name
 
 
 class TestPriceBatch:
