@@ -94,7 +94,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import mathkit
 from .defaultmodel import DefaultSpec, FirmModel, survival_prob
@@ -360,8 +359,9 @@ def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
 
 def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc, owner=0) -> np.ndarray:
     """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
-    and F(s x) minus it; parameters are floats, or arrays that broadcast
-    against x. ``owner`` is the tail each node belongs to."""
+    and F(s x) minus it, N from ``mathkit._ndtr`` (numpy, no scipy);
+    parameters are floats, or arrays that broadcast against x.
+    ``owner`` is the tail each node belongs to."""
     # For a huge drift V1 overflows to inf at the far nodes, where the
     # intensity is 0 and F = 1, the exact limit. For a huge negative one
     # V1 underflows to 0, where IntensityFunction gives the limit: inf for
@@ -379,7 +379,7 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc, owner=0) -> np.nd
         lam = np.log1p(1.0 / v1) if intensity.family == "log_reciprocal" \
             else intensity(v1)
     F = np.exp(-delta * lam)
-    up = F * ndtr(alpha2 + sc * x)
+    up = F * mathkit._ndtr(alpha2 + sc * x)
     return np.array([up, F - up])
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from dvbond import mathkit, pricer
+from dvbond.defaultmodel import DefaultSpec, FirmModel, IntensityFunction
 from dvbond.mathkit import (
     GAUSSIAN_TAIL_CUTOFF,
     QuadFormMatrix,
@@ -54,6 +58,69 @@ class TestNormalCdf:
         assert normal_cdf(a) + normal_cdf(-a) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestNormalCdfArray:
+    """``mathkit._ndtr``, the numpy normal CDF of the pricer's tail kernel."""
+
+    SPECIAL = (8.3, 26.5, 37.5, 38.5)
+
+    def test_against_high_precision_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        z = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                            np.linspace(-3.0, 3.0, 6001),
+                            np.array(self.SPECIAL), -np.array(self.SPECIAL)])
+        want = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in z])
+        assert np.max(np.abs(mathkit._ndtr(z) - want)) <= 2.5e-16
+
+    def test_exact_limits_and_no_subnormal(self):
+        z = np.array([-np.inf, -38.5, -37.5, 37.5, 38.5, np.inf])
+        assert mathkit._ndtr(z).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        got = mathkit._ndtr(np.linspace(-40.0, 0.0, 40001))
+        assert np.all((got == 0.0) | (got >= np.finfo(float).tiny))
+
+    def test_shapes_kept(self):
+        z = np.linspace(-9.0, 9.0, 256 * 15)
+        flat = mathkit._ndtr(z)
+        assert flat.shape == z.shape
+        nodes = mathkit._ndtr(z.reshape(256, 15))
+        assert nodes.shape == (256, 15)
+        assert np.array_equal(nodes.ravel(), flat)
+
+    def test_no_runtime_warning(self):
+        z = np.array([-np.inf, -1e308, -40.0, -37.5, -5e-324, 0.0, 5e-324, 37.5,
+                      1e308, np.inf])
+        # Underflow is left at numpy's default, ignored: powers of a tiny
+        # |z| underflow to 0, where they add nothing to P or Q.
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            got = mathkit._ndtr(z)
+        assert got[5] == 0.5 and np.all(np.diff(got) >= 0.0)
+
+    def test_tail_kernel_matches_scipy(self, monkeypatch):
+        # The I22/I24 rows with N from scipy.special.ndtr, the kernel's
+        # earlier normal CDF, on P0 and the corners of the criterion-7
+        # box, in both orientations.
+        x = np.linspace(-GAUSSIAN_TAIL_CUTOFF, GAUSSIAN_TAIL_CUTOFF, 721)
+        intensity = IntensityFunction.log_reciprocal()
+        box = itertools.product((0.5, 3.0), (0.25, 0.75), (50.0, 200.0), (0.0, 0.1),
+                                (0.0, 0.06), (0.1, 0.5), (0.4, 0.95), (0.8, 1.25))
+        cases = [(1.0, 0.5, 100.0, 0.07, 0.05, 0.2, 0.7, 80.0 / 70.0)] + list(box)
+        args = []
+        for t2, t1_share, V0, mu, b, s_V, k1_share, k2_share in cases:
+            firm = FirmModel(V0=V0, mu=mu, b=b, s_V=s_V)
+            K1 = V0 * k1_share
+            spec = DefaultSpec(t1=t2 * t1_share, t2=t2, K1=K1, K2=K1 * k2_share,
+                               R_u=0.4, R_e=0.3, intensity=intensity)
+            alpha2 = pricer.compute_alphas(firm, spec).alpha2
+            for sign in (-1.0, 1.0):
+                args.append((alpha2, *pricer._tail_params(firm, spec, sign)))
+        got = [pricer._tail_rows(x, intensity, *a) for a in args]
+        monkeypatch.setattr(mathkit, "_ndtr", ndtr)
+        for rows, a in zip(got, args):
+            assert np.max(np.abs(rows - pricer._tail_rows(x, intensity, *a))) <= 1e-15
+
+
 class TestIntegrateLeftTail:
     def test_constant_to_zero(self):
         got = integrate_left_tail(lambda x: np.ones_like(x), 0.0)
@@ -70,8 +137,9 @@ class TestIntegrateLeftTail:
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_deep_left_tail_is_zero(self):
-        assert integrate_left_tail(lambda x: np.ones_like(x),
-                                   -GAUSSIAN_TAIL_CUTOFF) == 0.0
+        for upper in (-GAUSSIAN_TAIL_CUTOFF, -13.0, -math.inf):
+            got = integrate_left_tail(lambda x: np.ones_like(x), upper)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_truncation_loss_negligible_for_bounded_integrands(self):
         # Mass beyond the cutoff bounds the truncation error for |f| <= 1.
