@@ -21,7 +21,8 @@ continuously; the barrier comparison uses <= (the boundary event has
 probability zero under the lognormal law). A declared value that
 underflows to 0 takes its limit: no breach of a barrier of 0, which
 the lognormal value never reaches, and the intensity that
-``IntensityFunction`` alone gives at V = 0.
+``IntensityFunction`` alone gives at V = 0; one that overflows to inf
+takes the intensity it gives at V = inf.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ __all__ = [
     "survival_prob",
 ]
 
-# Log-spaced probe used to sanity-check user-supplied intensities.
-_CUSTOM_PROBE = np.logspace(-6.0, 6.0, 61)
+# Probe of user-supplied intensities: their limits at V = 0 and V = inf
+# around a log-spaced grid.
+_CUSTOM_PROBE = np.r_[0.0, np.logspace(-6.0, 6.0, 61), np.inf]
 
 
 def _require_finite(obj, names: tuple[str, ...]) -> None:
@@ -89,8 +91,10 @@ class IntensityFunction:
         ~5.6e-309, where 1/V overflows);
       * ``constant`` - lambda(V) = lambda0 >= 0;
       * ``custom`` - any nonnegative, hashable callable of V (must
-        accept numpy arrays); probed on a log grid at construction.
-        Its limit at V = 0 is unknown, so a call there is rejected.
+        accept numpy arrays). Its values at V = 0 and V = inf are the
+        limits an underflowed or overflowed V takes: nonnegative, inf
+        allowed, probed with a log grid at construction, and a NaN or
+        negative one is rejected there, naming its end.
 
     Two intensities are equal when their family, lambda0 and callable
     are: custom intensities of different callables differ, so the
@@ -114,10 +118,15 @@ class IntensityFunction:
                 hash(self.fn)
             except TypeError:
                 raise ValueError("custom intensity needs a hashable callable") from None
-            probe = np.asarray(self.fn(_CUSTOM_PROBE), dtype=float)
+            with np.errstate(all="ignore"):  # a NaN is reported below
+                probe = np.asarray(self.fn(_CUSTOM_PROBE), dtype=float)
             if probe.shape != _CUSTOM_PROBE.shape:
                 raise ValueError("custom intensity must map arrays elementwise")
-            if not np.all(np.isfinite(probe)) or np.any(probe < 0.0):
+            for end, limit in (("0", probe[0]), ("inf", probe[-1])):
+                if not limit >= 0.0:
+                    raise ValueError(f"custom intensity must have a nonnegative limit "
+                                     f"(inf allowed) at V = {end}, got {limit}")
+            if not np.all((probe[1:-1] >= 0.0) & (probe[1:-1] < np.inf)):
                 raise ValueError(
                     "custom intensity must be finite and nonnegative on V > 0"
                 )
@@ -141,15 +150,14 @@ class IntensityFunction:
             return self.lambda0 if self.family == "constant" \
                 else math.log1p(1.0 / V) if V > 0.0 else math.inf
         V_arr = np.asarray(V, dtype=float)
-        if np.any(V_arr < 0.0) or self.family == "custom" and np.any(V_arr == 0.0):
-            raise ValueError("intensity requires V >= 0, and V > 0 if custom")
-        if self.family == "log_reciprocal":
-            with np.errstate(over="ignore", divide="ignore"):
-                out = np.log1p(1.0 / V_arr)
-        elif self.family == "constant":
+        if not np.all(V_arr >= 0.0):
+            raise ValueError("intensity requires V >= 0")
+        if self.family == "constant":
             out = np.full_like(V_arr, self.lambda0)
         else:
-            out = np.asarray(self.fn(V_arr), dtype=float)
+            with np.errstate(over="ignore", divide="ignore"):
+                out = np.log1p(1.0 / V_arr) if self.family == "log_reciprocal" \
+                    else np.asarray(self.fn(V_arr), dtype=float)
         return float(out) if out.ndim == 0 else out
 
 

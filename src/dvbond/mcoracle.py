@@ -27,10 +27,12 @@ Design:
   assumptions instead of to the algebra under test.
 * A jump before the first announcement preempts the announcement-date
   barrier check.
-* A declared value that underflows to 0 takes the limit the closed
-  form prices, whatever the draws: it breaches a positive barrier and
-  never a barrier of 0, and ``IntensityFunction`` gives its intensity
-  (inf, a jump at once, for the log-reciprocal family).
+* A declared value that underflows to 0 or overflows to inf takes the
+  limit the closed form prices, whatever the draws and whatever the
+  intensity family: at 0 it breaches a positive barrier and never a
+  barrier of 0, and at either end ``IntensityFunction`` gives its
+  intensity: for the log-reciprocal family inf at 0 (a jump at once)
+  and 0 at inf, for a custom one its callable's values there.
 * Paths run in fixed chunks of 65536, each on its own SFC64 stream,
   ``SeedSequence(seed, spawn_key=(chunk,))``; chunk results merge in
   chunk order, so the estimate is bit-identical for a given seed at
@@ -294,10 +296,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
     stop1 = jump1 | barrier1
 
     V2 = _declared_value(log_v1, z[-1], firm, spec.t2 - spec.t1)[1]
-    # Only paths that did not stop need lambda(V1): a stopped one's V1 may
-    # have underflowed to 0, where a custom intensity has no value.
-    xi2 = _truncated_exp_clock(spec.intensity(
-        np.where(stop1, firm.V0, V1) if pre_announcement else V1), u[-1])
+    xi2 = _truncated_exp_clock(spec.intensity(V1), u[-1])
     jump2 = xi2 < spec.t2 - t_mid
     jump2 &= ~stop1
     barrier2 = (V2 <= spec.K2) & (spec.K2 > 0.0)

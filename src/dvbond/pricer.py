@@ -357,25 +357,19 @@ def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
             sign * firm.s_V * math.sqrt(spec.t1), sign * math.sqrt(spec.t1 / delta))
 
 
-def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc, owner=0) -> np.ndarray:
+def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
     and F(s x) minus it, N from ``mathkit._ndtr`` (numpy, no scipy);
-    parameters are floats, or arrays that broadcast against x.
-    ``owner`` is the tail each node belongs to."""
-    # For a huge drift V1 overflows to inf at the far nodes, where the
-    # intensity is 0 and F = 1, the exact limit. For a huge negative one
-    # V1 underflows to 0, where IntensityFunction gives the limit: inf for
-    # the log-reciprocal, so F = 0 (ln V1 < -709 there, and the exact F is
-    # below e^{-709 delta}). The log-reciprocal is inlined, as calling the
-    # intensity costs ~4 us per integrand call. A custom intensity has no
-    # limit at 0, so the error names the first tail that underflows.
+    parameters are floats, or arrays that broadcast against x."""
+    # For a huge drift V1 overflows to inf at the far nodes, for a huge
+    # negative one it underflows to 0, and either takes the limit that
+    # IntensityFunction gives there, custom intensities included. For the
+    # log-reciprocal that is 0 at inf, so F = 1, and inf at 0, so F = 0
+    # (ln V1 < -709 there, and the exact F is below e^{-709 delta}). The
+    # log-reciprocal is inlined, as calling the intensity costs ~4 us per
+    # integrand call.
     with np.errstate(over="ignore", divide="ignore"):
         v1 = np.exp(log_v1 + scale * x)
-        if intensity.family == "custom" and not np.all(v1 > 0.0):
-            err = ValueError("custom intensity: V1 underflows to 0 on the quadrature "
-                             "nodes (firm drift mu too negative)")
-            err.tail = int(np.broadcast_to(owner, v1.shape)[~(v1 > 0.0)].min())
-            raise err
         lam = np.log1p(1.0 / v1) if intensity.family == "log_reciprocal" \
             else intensity(v1)
     F = np.exp(-delta * lam)
@@ -387,9 +381,8 @@ class _Terms(NamedTuple):
     """The terms of one (firm, spec, t): ``TermBreakdown`` with ``i1``
     and ``leg`` per unit Z, the first-interval jump survival
     e^{-lambda(V0)(t1 - t)}, the I22 tail J22 before its coefficient,
-    and the error of a term set that cannot be priced (a
-    QuadratureConvergenceError, or the ValueError of a custom intensity
-    whose V1 underflows)."""
+    and the QuadratureConvergenceError of a term set whose tails ran out
+    of their node budget."""
 
     i1: float
     i21: float
@@ -399,7 +392,7 @@ class _Terms(NamedTuple):
     leg: float
     decay1: float
     j22: float
-    error: Exception | None = None
+    error: QuadratureConvergenceError | None = None
 
 
 def _term_sets(keys: list[tuple], conv: _Convention,
@@ -414,11 +407,9 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     over a float bound when one key needs them (the cheaper loop, that
     of a single price), else over the array of bounds. Each bound keeps
     the panels of a call of its own, so the two differ only in
-    summation order. A pass whose custom intensity underflows stops; its
-    other keys keep no tails, and the key that underflowed the error.
-    Adding 0.0 to I22 and I24 turns the -0.0 of a negative coefficient
-    times an empty tail (alpha1 below the cutoff, or no maturity
-    barrier for I24) into 0.0.
+    summation order. Adding 0.0 to I22 and I24 turns the -0.0 of a
+    negative coefficient times an empty tail (alpha1 below the cutoff,
+    or no maturity barrier for I24) into 0.0.
     """
     rows, passes = [], {}
     for firm, spec, t in keys:
@@ -456,17 +447,12 @@ def _term_sets(keys: list[tuple], conv: _Convention,
             columns = np.array(params).T
 
             def kernel(nodes):
-                return _tail_rows(nodes.x, intensity,
-                                  *(p[nodes.owner] for p in columns), owner=nodes.owner)
+                return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in columns))
         errors = [None] * len(tails)
         try:
             estimate = integrate_left_tail(kernel, bound, quad)
         except QuadratureConvergenceError as err:
             estimate, errors = err.estimate, [err if bad else None for bad in err.failed]
-        except ValueError as err:
-            if not hasattr(err, "tail"):
-                raise
-            estimate, errors[err.tail] = np.zeros(2 * len(tails)), err
         for k, (c22, c24), (tail22, tail24), error in zip(
                 index, pairs, estimate.reshape(2, -1).T.tolist(), errors):
             rows[k] = rows[k]._replace(i22=c22 * tail22 + 0.0, i24=c24 * tail24 + 0.0,
@@ -479,17 +465,16 @@ def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
     """The ``PriceResult`` of the valuation x at the discount bond z.
 
     After t1 there is no term set and the price is z times
-    ``_interval_factor``. A term set with an error raises it, with
-    ``batch_index`` i (when given) and, for a quadrature failure, the
-    terms computed so far as ``partial_terms``.
+    ``_interval_factor``. A term set with a quadrature failure raises
+    it, with ``batch_index`` i (when given) and the terms computed so
+    far as ``partial_terms``.
     """
     breakdown = legs = None
     if terms is None:
         price = z * _interval_factor(_CORRECTED, x.firm, x.spec, x.V1, x.t)
     elif terms.error is not None:
-        if isinstance(terms.error, QuadratureConvergenceError):
-            terms.error.partial_terms = {"i1": z * terms.i1,
-                                         "expected_default": z * terms.leg, "zcb": z}
+        terms.error.partial_terms = {"i1": z * terms.i1,
+                                     "expected_default": z * terms.leg, "zcb": z}
         if i is not None:
             terms.error.batch_index = i
         raise terms.error
@@ -572,10 +557,9 @@ def price_batch(
     per valuation, one ``zcb_price`` call per distinct rate model.
 
     A term set whose quadrature runs out of its node budget raises
-    QuadratureConvergenceError with ``partial_terms``. That error, the
-    ``ValueError`` of a custom intensity whose V1 underflows and that of
-    a discount bond whose exponent overflows carry ``batch_index``, the
-    position in ``inputs`` of the valuation.
+    QuadratureConvergenceError with ``partial_terms``. That error and
+    the ``ValueError`` of a discount bond whose exponent overflows carry
+    ``batch_index``, the position in ``inputs`` of the valuation.
     """
     keys: dict[tuple, int] = {}
     term_set = [None if x.t >= x.spec.t1

@@ -109,6 +109,8 @@ class PiecewiseConstant:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError(f"time must not be NaN, got {t}")
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
         out = np.asarray(self.values)[idx]
         return float(out) if out.ndim == 0 else out

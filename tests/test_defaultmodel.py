@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,10 +65,40 @@ class TestIntensity:
             with pytest.raises(ValueError, match="V >= 0"):
                 f(v)
 
-    def test_custom_has_no_limit_at_zero(self):
+    def test_custom_states_its_limits(self):
+        # A custom callable's values at V = 0 and V = inf are its limits,
+        # with no RuntimeWarning from its 1/0, and V < 0 stays rejected.
         f = IntensityFunction.custom(lambda v: 0.01 / v)
-        for v in (0.0, np.array([1.0, 0.0])):
-            with pytest.raises(ValueError, match="V > 0 if custom"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(0.0) == math.inf and f(math.inf) == 0.0
+            np.testing.assert_array_equal(f(np.array([0.0, 2.0, np.inf])),
+                                          [math.inf, 0.005, 0.0])
+        for v in (-1.0, np.array([1.0, -1.0])):
+            with pytest.raises(ValueError, match="V >= 0"):
+                f(v)
+
+    @pytest.mark.parametrize("fn, end", [
+        (lambda v: 0.1 + v * np.exp(-v), "inf"),   # inf * 0 at V = inf
+        (lambda v: 0.01 * v * np.log(v), "0"),      # 0 * -inf at V = 0
+        (lambda v: 0.01 / (1.0 + v) - 0.001 * (v > 1e300), "inf"),  # negative
+    ], ids=["nan-at-inf", "nan-at-0", "negative-at-inf"])
+    def test_custom_limit_rejected_at_construction(self, fn, end):
+        # A limit that is NaN or negative is named by its end, and the
+        # callable's invalid-value warning there is not what is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^custom intensity .* at V = {end}, "):
+                IntensityFunction.custom(fn)
+
+    @pytest.mark.parametrize("f", [IntensityFunction.log_reciprocal(),
+                                   IntensityFunction.constant(0.03),
+                                   IntensityFunction.custom(lambda v: 0.01 / v)],
+                             ids=["log_reciprocal", "constant", "custom"])
+    def test_nan_rejected(self, f):
+        # On the scalar and the array path alike, in every family.
+        for v in (math.nan, np.array([1.0, math.nan]), np.array(math.nan)):
+            with pytest.raises(ValueError, match="V >= 0"):
                 f(v)
 
     def test_custom_validated(self):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,20 @@ class TestAgainstClosedForm:
             closed = price_bond(inputs).price
             for seed in (1, 2, 3):
                 est = simulate_price(inputs, McConfig(n_paths=20_000, seed=seed))
+                assert abs(est.price - closed) <= 3 * est.std_error
+
+    def test_custom_intensity_takes_its_own_limit(self):
+        # At s_V = 50 only some V1 underflow to 0, where the custom twin of
+        # the log-reciprocal family states the limit inf. Every seed
+        # prices, with no RuntimeWarning from the callable's 1/0; they once
+        # raised or priced by seed.
+        twin = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
+        inputs = make_inputs(firm=dict(s_V=50.0), default=dict(K1=0.0), intensity=twin)
+        closed = price_bond(inputs).price
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(1, 7):
+                est = simulate_price(inputs, McConfig(n_paths=2000, seed=seed))
                 assert abs(est.price - closed) <= 3 * est.std_error
 
     @pytest.mark.parametrize("case", ["pre", "post"])

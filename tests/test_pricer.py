@@ -507,46 +507,44 @@ class TestHugeDrift:
         got = price_bond(inputs)
         assert got.price == pytest.approx(inputs.spec.R_u * got.zcb, abs=1e-12)
 
-    def test_custom_intensity_underflow_rejected(self):
-        # A custom intensity has no known limit at V1 = 0, so the inputs
-        # where V1 underflows are rejected, naming mu, in both routes.
+    @pytest.mark.parametrize("firm", [dict(mu=-1e6), dict(s_V=50.0)], ids=["mu", "s_V"])
+    def test_custom_intensity_underflow_prices_the_limit(self, firm):
+        # A custom intensity states its own limit at V1 = 0: its twin of
+        # the log-reciprocal family gives inf there, as the family does,
+        # and prices the family's limit in both routes and modes, with no
+        # RuntimeWarning from the callable's 1/0.
         custom = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
-        inputs = make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0),
-                             intensity=custom)
-        for mode in PricingMode:
-            with pytest.raises(ValueError, match=r"^custom intensity: .* mu "):
-                price_bond(inputs, mode)
-            with pytest.raises(ValueError, match=r"^custom intensity: ") as err:
-                price_batch([inputs], mode)
-            assert err.value.batch_index == 0
+        inputs = make_inputs(firm=firm, default=dict(K1=0.0), intensity=custom)
+        builtin = make_inputs(firm=firm, default=dict(K1=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in PricingMode:
+                want = price_bond(builtin, mode).price
+                assert abs(price_bond(inputs, mode).price - want) <= 1e-15
+                assert abs(price_batch([inputs], mode)[0].price - want) <= 1e-15
 
     def test_full_recovery_custom_intensity(self):
         # R_u = R_e = 1 pays par in every ending, yet the tails still run
-        # for the J22 of legs: where V1 stays positive the corrected price
-        # is Z and the legs sum to it; where V1 underflows the inputs are
-        # rejected, as at any recovery.
+        # for the J22 of legs: the corrected price is Z and the legs sum
+        # to it, also where V1 underflows to the callable's limit.
         custom = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
-        res = price_bond(make_inputs(default=dict(R_u=1.0, R_e=1.0), intensity=custom))
-        assert res.price == res.zcb
-        assert abs(sum(res.legs.values()) - res.zcb) <= 1e-15 * res.zcb
-        inputs = make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0, R_u=1.0, R_e=1.0),
-                             intensity=custom)
-        for mode in PricingMode:
-            with pytest.raises(ValueError, match=r"^custom intensity: V1 underflows "):
-                price_bond(inputs, mode)
+        for inputs in (make_inputs(default=dict(R_u=1.0, R_e=1.0), intensity=custom),
+                       make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0, R_u=1.0, R_e=1.0),
+                                   intensity=custom)):
+            res = price_bond(inputs)
+            assert res.price == res.zcb
+            assert abs(sum(res.legs.values()) - res.zcb) <= 1e-15 * res.zcb
 
-    def test_custom_intensity_underflow_names_its_point(self):
+    def test_custom_intensity_underflow_in_a_shared_pass(self):
         # Both points share one intensity and so one tail pass; only
-        # point 1 underflows, and the error is its own.
+        # point 1 underflows, and each prices as it does alone.
         custom = IntensityFunction.custom(lambda v: np.log1p(1.0 / np.asarray(v)))
         batch = [make_inputs(default=dict(K1=0.0), intensity=custom),
                  make_inputs(firm=dict(mu=-1e6), default=dict(K1=0.0),
                              intensity=custom)]
         for mode in PricingMode:
-            price_bond(batch[0], mode)
-            with pytest.raises(ValueError, match=r"^custom intensity: ") as err:
-                price_batch(batch, mode)
-            assert err.value.batch_index == 1
+            for res, inputs in zip(price_batch(batch, mode), batch):
+                assert_results_match(res, price_bond(inputs, mode))
 
 
 class TestTinyFirmVolatility:
@@ -709,7 +707,7 @@ class TestPriceBatch:
         batch = [
             make_inputs(t=0.6, V1=95.0),
             make_inputs(intensity=IntensityFunction.custom(
-                lambda v: 0.02 + 0.0 * np.asarray(v))),
+                lambda v: np.full(np.shape(v), 0.02))),
             make_inputs(default=dict(K1=0.0)),
             make_inputs(r=0.02),
             make_inputs(default=dict(K2=0.0)),

@@ -52,6 +52,13 @@ class TestPiecewiseConstant:
         np.testing.assert_array_equal(f(np.array([0.0, 0.5, 0.9])),
                                       [1.0, 2.0, 3.0])
 
+    def test_nan_time_rejected(self):
+        # A NaN time once mapped to the last value, on both paths.
+        f = PiecewiseConstant((0.5,), (1.0, 2.0))
+        for t in (math.nan, np.array([0.2, math.nan])):
+            with pytest.raises(ValueError, match="time"):
+                f(t)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstant((0.5, 0.5), (1.0, 2.0, 3.0))
