@@ -80,21 +80,22 @@ def _mode(scenario: Scenario, flag: str | None) -> PricingMode:
 def _csv_table(columns: tuple, prefix: list[str], rows) -> str:
     """The CSV text of ``columns`` and one row per (result, *lead) of
     ``rows``: the ``prefix`` fields, the ``lead`` numbers, then price
-    through expected_leg. The prefix is quoted once by ``csv.writer``;
-    the numbers never need quoting, so a row is one format call, and a
-    row valued after t1 leaves the six term columns empty."""
+    through expected_leg, the terms read from the shared term set as
+    ``PriceResult.terms`` derives them. The prefix is quoted once; a row
+    is one ``%`` format (as ``{:.15g}``, but cheaper), and one after t1
+    has empty term cells."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(prefix)
-    head = buf.getvalue().replace("{", "{{").replace("}", "}}")
+    head = buf.getvalue().replace("%", "%%")
     numbers = len(columns) - len(prefix)
-    full = head + ",{:.15g}" * numbers + "\r\n"
-    post = head + ",{:.15g}" * (numbers - 6) + ",,,,,,\r\n"
+    full = head + ",%.15g" * numbers + "\r\n"
+    post = head + ",%.15g" * (numbers - 6) + ",,,,,,\r\n"
     text = [",".join(columns) + "\r\n"]
     for result, *lead in rows:
-        t, priced = result.terms, (result.price, result.zcb, result.spread)
-        text.append(post.format(*lead, *priced) if t is None
-                    else full.format(*lead, *priced, t.i1, t.i21, t.i22, t.i23,
-                                     t.i24, t.expected_default))
+        t, z = result._terms, result.zcb
+        priced = (*lead, result.price, z, result.spread)
+        text.append(post % priced if t is None else
+                    full % (*priced, z * t.i1, t.i21, t.i22, t.i23, t.i24, z * t.leg))
     return "".join(text)
 
 
@@ -118,18 +119,11 @@ def cmd_price(args) -> int:
     result = price_bond(inputs, mode)
     print(f"scenario {scenario.name} (mode {mode.value}"
           + (", literal-A discount curve" if args.paper_literal_a else "") + ")")
-    print(f"  price   {_fmt(result.price)}")
-    print(f"  zcb     {_fmt(result.zcb)}")
-    print(f"  spread  {_fmt(result.spread)}")
-    if result.terms:
-        t = result.terms
-        print(f"  I1      {_fmt(t.i1)}")
-        print(f"  I21     {_fmt(t.i21)}")
-        print(f"  I22     {_fmt(t.i22)}")
-        print(f"  I23     {_fmt(t.i23)}")
-        print(f"  I24     {_fmt(t.i24)}")
-        print(f"  exp.leg {_fmt(t.expected_default)}")
-    else:
+    terms = result.terms or ()
+    for label, value in zip("price zcb spread I1 I21 I22 I23 I24 exp.leg".split(),
+                            (result.price, result.zcb, result.spread, *terms)):
+        print(f"  {label:8s}{_fmt(value)}")
+    if not terms:
         print("  (post-announcement valuation: no term decomposition)")
     if args.csv:
         _write_csv(args.csv, _csv_table(PRICE_COLUMNS, [scenario.name, mode.value],
@@ -137,35 +131,45 @@ def cmd_price(args) -> int:
     return 0
 
 
-def _sweep_point(inputs: PricingInputs, axis: str, value: float) -> PricingInputs:
-    """The pricing inputs with the swept field set to ``value``.
+def _setter(record, name: str):
+    """A function of a value: ``record`` built again by its constructor,
+    field ``name`` set to the value, the other arguments read once (which
+    ``dataclasses.replace`` does per call, at twice the cost)."""
+    fields = [field.name for field in dataclasses.fields(record)]
+    args, at = [getattr(record, field) for field in fields], fields.index(name)
 
-    Only the object that holds the field is rebuilt, so its constructor
-    checks the new value, and then ``PricingInputs`` checks the whole;
-    a t2 point also moves the discount-bond maturity.
-    """
+    def rebuilt(value):
+        args[at] = value
+        return type(record)(*args)
+    return rebuilt
+
+
+def _point_maker(inputs: PricingInputs, axis: str):
+    """A function of a grid value: ``inputs`` with the swept field set to
+    it. The holder of the field and then ``PricingInputs`` are rebuilt,
+    so both check it; a t2 point also moves the discount-bond maturity."""
     holder = _SWEEP_AXES[axis]
     if holder is None:
-        return dataclasses.replace(inputs, **{_INPUT_FIELDS.get(axis, axis): value})
-    change = ({"intensity": IntensityFunction.constant(value)}
-              if axis == "lambda0" else {axis: value})
-    parts = {holder: dataclasses.replace(getattr(inputs, holder), **change)}
+        return _setter(inputs, _INPUT_FIELDS.get(axis, axis))
+    inner = _setter(getattr(inputs, holder), "intensity" if axis == "lambda0" else axis)
+    outer, x = _setter(inputs, holder), inputs
+    if axis == "lambda0":
+        return lambda value: outer(inner(IntensityFunction.constant(value)))
     if axis == "t2":
-        parts["rate_model"] = dataclasses.replace(inputs.rate_model,
-                                                  maturity=value)
-    return dataclasses.replace(inputs, **parts)
+        maturity = _setter(x.rate_model, "maturity")  # built after the spec checks t2
+        return lambda value: PricingInputs(spec=inner(value), rate_model=maturity(value),
+                                           firm=x.firm, r=x.r, t=x.t, V1=x.V1)
+    return lambda value: outer(inner(value))
 
 
 def cmd_sweep(args) -> int:
     """Price the scenario at each grid value of one field.
 
-    Each point is the loaded scenario's ``PricingInputs`` with the swept
-    field replaced; the replaced model and ``PricingInputs`` check the
-    value again. Every grid value is validated before any is priced, so
-    an invalid value exits 2 even when another value would fail to
-    converge. Errors name the axis and the grid value, also those raised
-    while the points are priced together by ``price_batch``. Each row is
-    one format call on a template whose quoted prefix is built once.
+    Each point is built by ``_point_maker``. Every grid value is
+    validated before any is priced, so an invalid value exits 2 even
+    when another value would fail to converge. Errors name the axis and
+    the grid value, also those raised while the points are priced
+    together by ``price_batch``; the rows are ``_csv_table``'s.
     """
     scenario = _select(_load(args.file), args.scenario)
     mode = _mode(scenario, args.mode)
@@ -186,10 +190,10 @@ def cmd_sweep(args) -> int:
             not getattr(base.rate_model, args.axis).is_constant:
         return _fail(2, f"axis {args.axis} requires a constant coefficient")
 
-    points = []
+    points, point = [], _point_maker(base, args.axis)
     for value in grid:
         try:
-            points.append(_sweep_point(base, args.axis, value))
+            points.append(point(value))
         except ValueError as err:
             return _fail(2, f"{args.axis} grid value {value!r}: {err}")
     try:

@@ -44,9 +44,10 @@ Z, so one function, ``_term_sets``, computes the terms per unit Z of
 each distinct (firm, spec, t): scalar ``math`` per term set, except
 for one quadrature pass per intensity over the I22/I24 tails. One
 finisher, ``_result``, prices a valuation from Z and its term set (none
-at or after t1), for ``price_bond`` and ``price_batch`` alike; it also
-takes the credit spread -ln(price / Z) / (t2 - t) that every
-``PriceResult`` carries.
+at or after t1), for ``price_bond`` and ``price_batch`` alike. The
+``PriceResult`` holds Z, the price, the credit spread
+-ln(price / Z) / (t2 - t) and the term set, shared by the valuations of
+one (firm, spec, t); its ``terms`` and ``legs`` are built when read.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -90,7 +91,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -184,16 +185,14 @@ class PricingInputs:
                 "discount-bond maturity must equal the bond maturity t2 "
                 f"({self.rate_model.maturity} != {self.spec.t2})"
             )
-        if self.t >= self.spec.t1:
-            if self.V1 is None or not self.V1 > 0.0:
-                raise ValueError(
-                    "valuing at or after the first announcement requires "
-                    "a positive declared value V1"
-                )
+        if self.t >= self.spec.t1 and (self.V1 is None or not self.V1 > 0.0):
+            raise ValueError(
+                "valuing at or after the first announcement requires "
+                "a positive declared value V1"
+            )
 
 
-@dataclass(frozen=True)
-class Alpha:
+class Alpha(NamedTuple):
     """Standardized survival thresholds at the two announcement dates.
 
     Either entry is +inf when the matching barrier is zero (survival
@@ -204,8 +203,7 @@ class Alpha:
     alpha2: float
 
 
-@dataclass(frozen=True)
-class TermBreakdown:
+class TermBreakdown(NamedTuple):
     """Closed-form price decomposition.
 
     ``i1`` and ``expected_default`` include the discount-bond factor;
@@ -241,14 +239,16 @@ class TermBreakdown:
     i24: float
     expected_default: float
 
-    @property
-    def i2_total(self) -> float:
-        return self.i21 + self.i22 + self.i23 + self.i24
-
 
 @dataclass(frozen=True)
 class PriceResult:
     """Bond price with its decomposition and the discount bond used.
+
+    A view: it holds Z, the mode, the price and the spread, and shares
+    the term set of its (firm, spec, t) with each valuation of the same.
+    ``terms`` and ``legs`` are derived from them on each read. They are
+    None at or after t1, where the closed form is a two-branch
+    expression with no integral decomposition.
 
     ``legs`` splits the price as the Monte Carlo oracle splits it, in
     price units, keyed by ``LEG_NAMES`` in that order; the legs sum to
@@ -264,9 +264,7 @@ class PriceResult:
 
     J22 is the probability of clearing both barriers with no jump
     between the announcements; P21 - J22 >= 0 that of clearing both
-    with a jump. ``terms`` and ``legs`` are None when the valuation
-    fell in the post-announcement regime (t >= t1), where the closed
-    form is a two-branch expression with no integral decomposition.
+    with a jump.
 
     ``spread`` is the continuously compounded yield spread over the
     default-free bond, -ln(price / Z) / (t2 - t): 0.0 (not -0.0) at
@@ -275,10 +273,25 @@ class PriceResult:
 
     price: float
     mode: PricingMode
-    terms: TermBreakdown | None
     zcb: float
     spread: float
-    legs: dict[str, float] | None = None
+    _terms: _Terms | None = field(default=None, repr=False)
+
+    @property
+    def terms(self) -> TermBreakdown | None:
+        t = self._terms
+        return None if t is None else TermBreakdown(
+            self.zcb * t.i1, t.i21, t.i22, t.i23, t.i24, self.zcb * t.leg)
+
+    @property
+    def legs(self) -> dict[str, float] | None:
+        t = self._terms
+        if t is None:
+            return None
+        jump_free = self.zcb * t.decay1
+        return dict(zip(LEG_NAMES, (
+            jump_free * t.j22, self.zcb * t.i1, jump_free * (t.i21 - t.R_u * t.j22),
+            self.zcb * t.leg, jump_free * (t.i23 + t.i24))))
 
 
 def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
@@ -324,7 +337,7 @@ def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
         alpha2 = (log_ratio(firm.V0, spec.K2) + firm.log_drift * spec.t2) / (
             firm.s_V * math.sqrt(spec.t2 - spec.t1)
         )
-    return Alpha(alpha1=alpha1, alpha2=alpha2)
+    return Alpha(alpha1, alpha2)
 
 
 def _barrier_probabilities(alpha1: float, alpha2: float, t1: float, t2: float,
@@ -349,18 +362,11 @@ def _barrier_probabilities(alpha1: float, alpha2: float, t1: float, t2: float,
     return n_up, n_surv1 - n_up
 
 
-def _tail_params(firm: FirmModel, spec: DefaultSpec, sign: float):
-    """The parameters of ``_tail_rows`` after alpha2: delta = t2 - t1,
-    the mean of ln V1, s s_V sqrt(t1) and s c."""
-    delta = spec.t2 - spec.t1
-    return (delta, math.log(firm.V0) + firm.log_drift * spec.t1,
-            sign * firm.s_V * math.sqrt(spec.t1), sign * math.sqrt(spec.t1 / delta))
-
-
 def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     """The I22 and I24 kernels at the nodes x, F(s x) N(alpha2 + s c x)
-    and F(s x) minus it, N from ``mathkit._ndtr`` (numpy, no scipy);
-    parameters are floats, or arrays that broadcast against x."""
+    and F(s x) minus it, N from ``mathkit._ndtr`` (numpy, no scipy), for
+    delta = t2 - t1, log_v1 the mean of ln V1, scale = s s_V sqrt(t1) and
+    sc = s c: floats, or arrays that broadcast against x."""
     # For a huge drift V1 overflows to inf at the far nodes, for a huge
     # negative one it underflows to 0, and either takes the limit that
     # IntensityFunction gives there, custom intensities included. For the
@@ -378,21 +384,22 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
 
 
 class _Terms(NamedTuple):
-    """The terms of one (firm, spec, t): ``TermBreakdown`` with ``i1``
-    and ``leg`` per unit Z, the first-interval jump survival
-    e^{-lambda(V0)(t1 - t)}, the I22 tail J22 before its coefficient,
-    and the QuadratureConvergenceError of a term set whose tails ran out
-    of their node budget."""
+    """The terms of one (firm, spec, t), which its results share: the
+    ``TermBreakdown`` with ``i1`` and ``leg`` per unit Z, the jump survival
+    e^{-lambda(V0)(t1 - t)}, R_u, the I22 tail J22 before its coefficient
+    and the QuadratureConvergenceError of tails that ran out of their
+    node budget; the fields that need no tails first."""
 
     i1: float
     i21: float
-    i22: float
     i23: float
-    i24: float
     leg: float
     decay1: float
+    R_u: float
+    i22: float
+    i24: float
     j22: float
-    error: QuadratureConvergenceError | None = None
+    error: QuadratureConvergenceError | None
 
 
 def _term_sets(keys: list[tuple], conv: _Convention,
@@ -411,33 +418,26 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     negative coefficient times an empty tail (alpha1 below the cutoff,
     or no maturity barrier for I24) into 0.0.
     """
-    rows, passes = [], {}
-    for firm, spec, t in keys:
-        alphas = compute_alphas(firm, spec)
+    heads, tails, passes, sign = [], [None] * len(keys), {}, conv.sign
+    for k, (firm, spec, t) in enumerate(keys):
+        alpha1, alpha2 = compute_alphas(firm, spec)
         decay1 = math.exp(-spec.intensity(firm.V0) * (spec.t1 - t))
-        n_surv1 = normal_cdf(alphas.alpha1)
-        floor, coefficient = conv.breach(spec.R_u, spec.R_e)
-        probs = _barrier_probabilities(alphas.alpha1, alphas.alpha2, spec.t1, spec.t2,
-                                       conv.sign, n_surv1)
-        coefficients = 1.0 - spec.R_u, coefficient
-        i22 = i24 = j22 = 0.0
+        n_surv1 = normal_cdf(alpha1)
+        floor, c24 = conv.breach(spec.R_u, spec.R_e)
+        p21, p23 = _barrier_probabilities(alpha1, alpha2, spec.t1, spec.t2, sign, n_surv1)
+        c22, delta = 1.0 - spec.R_u, spec.t2 - spec.t1
         if spec.intensity.family == "constant":
-            F = math.exp(-spec.intensity.lambda0 * (spec.t2 - spec.t1))
-            i22 = coefficients[0] * F * probs[0] + 0.0
-            i24 = coefficients[1] * F * probs[1] + 0.0
-            j22 = F * probs[0]
+            F = math.exp(-spec.intensity.lambda0 * delta)
+            tails[k] = c22 * F * p21 + 0.0, c24 * F * p23 + 0.0, F * p21, None
         else:
-            passes.setdefault(spec.intensity, []).append(
-                (len(rows), coefficients, alphas.alpha1,
-                 (alphas.alpha2, *_tail_params(firm, spec, conv.sign))))
-        rows.append(_Terms(
-            i1=spec.R_u * (1.0 - decay1) * n_surv1, i21=spec.R_u * probs[0], i22=i22,
-            i23=floor * probs[1], i24=i24,
-            leg=(floor + coefficient * decay1) * normal_cdf(-alphas.alpha1),
-            decay1=decay1, j22=j22))
-    for intensity, tails in passes.items():
-        index, pairs, bounds, params = zip(*tails)
-        if len(tails) == 1:
+            passes.setdefault(spec.intensity, []).append((k, (c22, c24), alpha1, (
+                alpha2, delta, math.log(firm.V0) + firm.log_drift * spec.t1,
+                sign * firm.s_V * math.sqrt(spec.t1), sign * math.sqrt(spec.t1 / delta))))
+        heads.append((spec.R_u * (1.0 - decay1) * n_surv1, spec.R_u * p21, floor * p23,
+                      (floor + c24 * decay1) * normal_cdf(-alpha1), decay1, spec.R_u))
+    for intensity, group in passes.items():
+        index, pairs, bounds, params = zip(*group)
+        if len(group) == 1:
             bound = bounds[0]
 
             def kernel(x):
@@ -448,16 +448,15 @@ def _term_sets(keys: list[tuple], conv: _Convention,
 
             def kernel(nodes):
                 return _tail_rows(nodes.x, intensity, *(p[nodes.owner] for p in columns))
-        errors = [None] * len(tails)
+        errors = [None] * len(group)
         try:
             estimate = integrate_left_tail(kernel, bound, quad)
         except QuadratureConvergenceError as err:
             estimate, errors = err.estimate, [err if bad else None for bad in err.failed]
         for k, (c22, c24), (tail22, tail24), error in zip(
                 index, pairs, estimate.reshape(2, -1).T.tolist(), errors):
-            rows[k] = rows[k]._replace(i22=c22 * tail22 + 0.0, i24=c24 * tail24 + 0.0,
-                                       j22=tail22, error=error)
-    return rows
+            tails[k] = (c22 * tail22 + 0.0, c24 * tail24 + 0.0, tail22, error)
+    return [_Terms(*head, *tail) for head, tail in zip(heads, tails)]
 
 
 def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
@@ -465,11 +464,10 @@ def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
     """The ``PriceResult`` of the valuation x at the discount bond z.
 
     After t1 there is no term set and the price is z times
-    ``_interval_factor``. A term set with a quadrature failure raises
-    it, with ``batch_index`` i (when given) and the terms computed so
-    far as ``partial_terms``.
+    ``_interval_factor``; before, z I1 + z decay1 (I21 + ... + I24) + z leg.
+    A term set with a quadrature failure raises it, with ``batch_index``
+    i (when given) and the terms computed so far as ``partial_terms``.
     """
-    breakdown = legs = None
     if terms is None:
         price = z * _interval_factor(_CORRECTED, x.firm, x.spec, x.V1, x.t)
     elif terms.error is not None:
@@ -479,25 +477,17 @@ def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
             terms.error.batch_index = i
         raise terms.error
     else:
-        breakdown = TermBreakdown(z * terms.i1, terms.i21, terms.i22, terms.i23,
-                                  terms.i24, z * terms.leg)
-        jump_free = z * terms.decay1
-        price = breakdown.i1 + jump_free * breakdown.i2_total + breakdown.expected_default
-        legs = dict(zip(LEG_NAMES, (
-            jump_free * terms.j22, breakdown.i1,
-            jump_free * (terms.i21 - x.spec.R_u * terms.j22),
-            breakdown.expected_default, jump_free * (terms.i23 + terms.i24))))
+        price = (z * terms.i1 + z * terms.decay1 * (terms.i21 + terms.i22 + terms.i23
+                                                   + terms.i24) + z * terms.leg)
     spread = math.inf if price <= 0.0 else -log_ratio(price, z) / (x.spec.t2 - x.t)
     # Not max(spread, 0.0), which keeps the -0.0 of a par price.
-    return PriceResult(price=price, mode=mode, terms=breakdown, zcb=z,
-                       spread=spread if spread > 0.0 else 0.0, legs=legs)
+    return PriceResult(price, mode, z, spread if spread > 0.0 else 0.0, terms)
 
 
 def expected_default_leg(inputs: PricingInputs,
                          mode: PricingMode = PricingMode.CORRECTED) -> float:
-    """First-barrier-breach leg of the pre-announcement price,
-    Z * [floor + coefficient * e^{-lambda(V0)(t1-t)}] * N(-alpha1) with
-    the breach grouping of the mode (module docs)."""
+    """First-barrier-breach leg of the pre-announcement price (module
+    docs): ``price_full(inputs, mode).terms.expected_default``."""
     return price_full(inputs, mode).terms.expected_default
 
 
@@ -561,9 +551,13 @@ def price_batch(
     the ``ValueError`` of a discount bond whose exponent overflows carry
     ``batch_index``, the position in ``inputs`` of the valuation.
     """
-    keys: dict[tuple, int] = {}
-    term_set = [None if x.t >= x.spec.t1
-                else keys.setdefault((x.firm, x.spec, x.t), len(keys)) for x in inputs]
+    keys, seen, term_set = {}, {}, []  # seen: by the identity of firm and spec
+    for x in inputs:
+        same = (id(x.firm), id(x.spec), x.t)
+        if same not in seen:
+            seen[same] = None if x.t >= x.spec.t1 else keys.setdefault(
+                (x.firm, x.spec, x.t), len(keys))
+        term_set.append(seen[same])
     terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
     z = _discount_bonds(inputs).tolist()
     return [_result(x, z[i], None if k is None else terms[k], mode, i)
@@ -578,9 +572,11 @@ def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:
     of the valuation whose Z fails: a group that fails on arrays is
     priced again one valuation at a time.
     """
-    groups: dict[ShortRateModel, list[int]] = {}
+    groups, seen = {}, {}  # seen: the group by the identity of the model
     for j, x in enumerate(points):
-        groups.setdefault(x.rate_model, []).append(j)
+        if id(x.rate_model) not in seen:
+            seen[id(x.rate_model)] = groups.setdefault(x.rate_model, [])
+        seen[id(x.rate_model)].append(j)
     z = np.empty(len(points))
     for model, js in groups.items():
         if len(js) > 1:

@@ -113,8 +113,10 @@ class TestNormalCdfArray:
             spec = DefaultSpec(t1=t2 * t1_share, t2=t2, K1=K1, K2=K1 * k2_share,
                                R_u=0.4, R_e=0.3, intensity=intensity)
             alpha2 = pricer.compute_alphas(firm, spec).alpha2
+            delta, log_v1 = spec.t2 - spec.t1, math.log(V0) + firm.log_drift * spec.t1
             for sign in (-1.0, 1.0):
-                args.append((alpha2, *pricer._tail_params(firm, spec, sign)))
+                args.append((alpha2, delta, log_v1, sign * s_V * math.sqrt(spec.t1),
+                             sign * math.sqrt(spec.t1 / delta)))
         got = [pricer._tail_rows(x, intensity, *a) for a in args]
         monkeypatch.setattr(mathkit, "_ndtr", ndtr)
         for rows, a in zip(got, args):

@@ -418,7 +418,8 @@ class TestPriceFull:
             sign = -1.0 if mode is PricingMode.CORRECTED else 1.0
             direct = integrate_left_tail(
                 lambda x: factor_at(sign * x, mode), a1)
-            assert res.terms.i2_total == pytest.approx(direct, abs=1e-8)
+            t = res.terms
+            assert t.i21 + t.i22 + t.i23 + t.i24 == pytest.approx(direct, abs=1e-8)
 
     def test_orientation_free_terms_match_across_modes(self, p0_inputs):
         rc = price_full(p0_inputs, PricingMode.CORRECTED)
@@ -684,9 +685,8 @@ def assert_results_match(got, want, tol=1e-12):
     if want.terms is None:
         assert got.terms is None and got.legs is None
         return
-    for field in dataclasses.fields(want.terms):
-        assert abs(getattr(got.terms, field.name)
-                   - getattr(want.terms, field.name)) <= tol, field.name
+    for name in want.terms._fields:
+        assert abs(getattr(got.terms, name) - getattr(want.terms, name)) <= tol, name
     assert list(got.legs) == list(want.legs)
     for name, value in want.legs.items():
         assert abs(got.legs[name] - value) <= tol, name
@@ -818,3 +818,51 @@ class TestPriceBatch:
         with pytest.raises(QuadratureConvergenceError) as scalar:
             price_bond(batch[1], quad=starved)
         assert err.value.partial_terms == scalar.value.partial_terms
+
+
+class TestPriceResultView:
+    """A result holds its valuation's numbers and a shared term set;
+    ``terms`` and ``legs`` are built from them when read."""
+
+    def test_fields_cannot_be_assigned(self, p0_inputs):
+        res = price_bond(p0_inputs)
+        for name, value in (("price", 1.0), ("terms", None), ("legs", None)):
+            with pytest.raises(AttributeError):
+                setattr(res, name, value)
+        assert res.terms is not None and res.legs is not None
+
+    def test_terms_and_legs_read_twice_are_equal(self, p0_inputs):
+        for mode in PricingMode:
+            for res in (price_bond(p0_inputs, mode), price_batch([p0_inputs], mode)[0]):
+                assert res.terms == res.terms and res.legs == res.legs
+                assert res.legs is not res.legs  # a fresh dict each read
+
+    def test_equal_records_share_one_term_set(self, monkeypatch):
+        # Distinct but equal firm and spec objects, and points that share
+        # the same objects, all key the one term set of P0: one tail pass.
+        calls = []
+        real = pricer.integrate_left_tail
+        monkeypatch.setattr(pricer, "integrate_left_tail",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        p0 = make_inputs()
+        batch = [make_inputs(r=0.01), p0, dataclasses.replace(p0, r=0.03), make_inputs()]
+        assert batch[0].firm is not p0.firm and batch[0].spec is not p0.spec
+        got = price_batch(batch)
+        assert len(calls) == 1 and isinstance(calls[0], float)  # one bound
+        assert len({res.terms.i22 for res in got}) == 1
+        monkeypatch.undo()
+        for res, inputs in zip(got, batch):
+            assert_results_match(res, price_bond(inputs), tol=0.0)
+
+    def test_unread_results_build_no_breakdown(self, monkeypatch):
+        built = []
+
+        class Counting(pricer.TermBreakdown):
+            def __new__(cls, *args):
+                built.append(1)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(pricer, "TermBreakdown", Counting)
+        got = price_batch([make_inputs(firm=dict(V0=v)) for v in (80.0, 100.0, 120.0)])
+        assert [res.price for res in got] and built == []
+        assert got[1].terms.i1 > 0.0 and len(built) == 1
