@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import io
 import os
-import re
 import sys
 
 from .config import ConfigError, Scenario, load_scenarios
@@ -315,11 +314,12 @@ def _attach_grid(argv: list[str]) -> list[str]:
     """Join a ``--grid`` value that starts with a minus sign to its flag.
 
     argparse exempts only a bare negative number from option parsing, so
-    it reads "--grid -0.01,0.02" as a flag with no value.
+    it reads "--grid -0.01,0.02" or "--grid -inf,0.05" as a flag with no
+    value; any single-dash token after a bare ``--grid`` is its value.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--grid" and re.match(r"-[0-9.]", token):
+        if out and out[-1] == "--grid" and token[:1] == "-" and token[:2] != "--":
             out[-1] = f"--grid={token}"
         else:
             out.append(token)

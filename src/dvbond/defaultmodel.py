@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mathkit import log_ratio, normal_cdf
+from .mathkit import _require_finite, log_ratio, normal_cdf
 
 __all__ = [
     "FirmModel",
@@ -45,13 +45,6 @@ __all__ = [
 # Probe of user-supplied intensities: their limits at V = 0 and V = inf
 # around a log-spaced grid.
 _CUSTOM_PROBE = np.r_[0.0, np.logspace(-6.0, 6.0, 61), np.inf]
-
-
-def _require_finite(obj, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -152,13 +145,17 @@ class IntensityFunction:
         V_arr = np.asarray(V, dtype=float)
         if not np.all(V_arr >= 0.0):
             raise ValueError("intensity requires V >= 0")
-        if self.family == "constant":
-            out = np.full_like(V_arr, self.lambda0)
-        else:
-            with np.errstate(over="ignore", divide="ignore"):
-                out = np.log1p(1.0 / V_arr) if self.family == "log_reciprocal" \
-                    else np.asarray(self.fn(V_arr), dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            out = self._unchecked(V_arr)
         return float(out) if out.ndim == 0 else out
+
+    def _unchecked(self, V: np.ndarray) -> np.ndarray:
+        """lambda(V) of an array V >= 0, unchecked. 1/V divides by zero
+        at V = 0 and overflows below ~5.6e-309: callers ignore both."""
+        if self.family == "constant":
+            return np.full_like(V, self.lambda0)
+        return np.log1p(1.0 / V) if self.family == "log_reciprocal" \
+            else np.asarray(self.fn(V), dtype=float)
 
 
 @dataclass(frozen=True)

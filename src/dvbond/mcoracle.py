@@ -85,7 +85,7 @@ CHUNK_PATHS = 1 << 16
 _Stats = tuple[int, np.ndarray, np.ndarray]  # a chunk's statistics record
 
 # Each path's leg label is its index into LEG_NAMES (from ``pricer``).
-_SURVIVE, _UNEXPECTED_1, _UNEXPECTED_2, _EXPECTED_T1, _EXPECTED_T2 = range(5)
+_LEG = {name: i for i, name in enumerate(LEG_NAMES)}
 
 # Largest double below 1; keeps mirrored uniforms inside [0, 1).
 _U_CAP = math.nextafter(1.0, 0.0)
@@ -318,7 +318,7 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
     total = np.add(noise, int_mean, out=noise)
     payoff = np.where(barrier2, spec.R_e, 1.0)  # at s2, per unit of discount
     # Leg labels index LEG_NAMES: a nominal path survives or breaches K2.
-    label = np.where(barrier2, _EXPECTED_T2, _SURVIVE)
+    label = np.where(barrier2, _LEG["expected_t2"], _LEG["survive_both"])
     s1 = np.where(jump1[paths], t + xi1[paths], t_mid) if pre_announcement else t_mid
     s2 = np.where(jump2[paths], t_mid + xi2[paths], np.where(stop1[paths], s1, spec.t2))
     r2, total_ev = _rate_transition(plan, x.r, t, s1, zr[0])
@@ -335,7 +335,8 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
         x.rate_model, r2[own], s2[own])
     label[ev] = np.select(
         [barrier1[ev], jump1[ev], barrier2[ev]],
-        [_EXPECTED_T1, _UNEXPECTED_1, _EXPECTED_T2], _UNEXPECTED_2)
+        [_LEG["expected_t1"], _LEG["unexpected_leg1"], _LEG["expected_t2"]],
+        _LEG["unexpected_leg2"])
     # Discount each payoff along its own path from its payment time.
     pay = np.exp(np.negative(total, out=total), out=total)
     pay *= payoff

@@ -102,6 +102,7 @@ from .mathkit import (
     DEFAULT_QUADRATURE,
     QuadratureConvergenceError,
     QuadratureSpec,
+    _require_finite,
     integrate_left_tail,
     log_ratio,
     normal_cdf,
@@ -172,10 +173,7 @@ class PricingInputs:
     V1: float | None = None
 
     def __post_init__(self):
-        for name in ("r", "t", "V1"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(self, ("r", "t", "V1"))
         if not 0.0 <= self.t < self.spec.t2:
             raise ValueError(
                 f"valuation time must lie in [0, {self.spec.t2}), got {self.t}"
@@ -371,14 +369,9 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
     # negative one it underflows to 0, and either takes the limit that
     # IntensityFunction gives there, custom intensities included. For the
     # log-reciprocal that is 0 at inf, so F = 1, and inf at 0, so F = 0
-    # (ln V1 < -709 there, and the exact F is below e^{-709 delta}). The
-    # log-reciprocal is inlined, as calling the intensity costs ~4 us per
-    # integrand call.
+    # (ln V1 < -709 there, and the exact F is below e^{-709 delta}).
     with np.errstate(over="ignore", divide="ignore"):
-        v1 = np.exp(log_v1 + scale * x)
-        lam = np.log1p(1.0 / v1) if intensity.family == "log_reciprocal" \
-            else intensity(v1)
-    F = np.exp(-delta * lam)
+        F = np.exp(-delta * intensity._unchecked(np.exp(log_v1 + scale * x)))
     up = F * mathkit._ndtr(alpha2 + sc * x)
     return np.array([up, F - up])
 
@@ -569,8 +562,8 @@ def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:
     rate model, on arrays when the model has several valuations.
 
     A ``ValueError`` carries ``batch_index``, the position in ``points``
-    of the valuation whose Z fails: a group that fails on arrays is
-    priced again one valuation at a time.
+    of the valuation whose Z fails: on arrays, that of the first element
+    that fails, which ``zcb_price`` gives as ``index``.
     """
     groups, seen = {}, {}  # seen: the group by the identity of the model
     for j, x in enumerate(points):
@@ -579,17 +572,12 @@ def _discount_bonds(points: list[PricingInputs]) -> np.ndarray:
         seen[id(x.rate_model)].append(j)
     z = np.empty(len(points))
     for model, js in groups.items():
-        if len(js) > 1:
-            try:
-                z[js] = zcb_price(model, np.array([points[j].r for j in js]),
-                                  np.array([points[j].t for j in js]))
-                continue
-            except ValueError:
-                pass
-        for j in js:
-            try:
-                z[j] = zcb_price(model, points[j].r, points[j].t)
-            except ValueError as err:
-                err.batch_index = j
-                raise
+        # One valuation takes the float path of ``price_bond``.
+        r, t = ((points[js[0]].r, points[js[0]].t) if len(js) == 1 else
+                (np.array([points[j].r for j in js]), np.array([points[j].t for j in js])))
+        try:
+            z[js] = zcb_price(model, r, t)
+        except ValueError as err:
+            err.batch_index = js[getattr(err, "index", 0)]
+            raise
     return z

@@ -51,6 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .mathkit import _require_finite
+
 __all__ = [
     "PiecewiseConstant",
     "ShortRateModel",
@@ -69,12 +71,6 @@ _SMALL_X = 1e-2
 _MAX_EXP = math.log(np.finfo(float).max)
 
 
-def _require_finite(name: str, values) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """Right-continuous step function of time.
@@ -89,8 +85,7 @@ class PiecewiseConstant:
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _require_finite("breakpoints", self.breakpoints)
-        _require_finite("values", self.values)
+        _require_finite(self, ("breakpoints", "values"))
         if len(self.values) != len(self.breakpoints) + 1:
             raise ValueError(
                 f"need {len(self.breakpoints) + 1} values for "
@@ -114,13 +109,6 @@ class PiecewiseConstant:
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
         out = np.asarray(self.values)[idx]
         return float(out) if out.ndim == 0 else out
-
-
-def _as_step(name: str, f) -> PiecewiseConstant:
-    if isinstance(f, PiecewiseConstant):
-        return f
-    _require_finite(name, (float(f),))
-    return PiecewiseConstant.constant(f)
 
 
 class _SegmentTable(NamedTuple):
@@ -155,10 +143,14 @@ class ShortRateModel:
     paper_literal_a: bool = False
 
     def __post_init__(self):
-        for name in ("a1", "a2", "s_r"):
-            object.__setattr__(self, name, _as_step(name, getattr(self, name)))
-        object.__setattr__(self, "maturity", float(self.maturity))
-        _require_finite("maturity", (self.maturity,))
+        # A number is checked under its own name; a1, a2 and s_r become steps.
+        for name in ("a1", "a2", "s_r", "maturity"):
+            value = getattr(self, name)
+            if not isinstance(value, PiecewiseConstant):
+                object.__setattr__(self, name, float(value))
+                _require_finite(self, (name,))
+                if name != "maturity":
+                    object.__setattr__(self, name, PiecewiseConstant.constant(value))
         if not self.maturity > 0.0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
         for name in ("a1", "a2", "s_r"):
@@ -275,6 +267,14 @@ def _time_error(model: ShortRateModel, t) -> ValueError:
     return ValueError(f"time must lie in [0, {model.maturity}], got {t!r}")
 
 
+def _raise_at_first(ok: np.ndarray, error) -> None:
+    """Raise error(i), carrying ``index`` i, at the first False of ok."""
+    if not ok.all():
+        err = error(i := int(np.argmin(ok)))
+        err.index = i
+        raise err
+
+
 def _AB(model: ShortRateModel, t):
     """(A(t), B(t)): floats for a float time, else arrays from one
     segment lookup."""
@@ -286,8 +286,8 @@ def _AB(model: ShortRateModel, t):
         return _segment_AB(tab.level[j], tab.a2[j], tab.s_r[j], tab.edges[j + 1] - t,
                            tab.b_edges[j + 1], tab.a_edges[j + 1])
     t = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t)) or np.any(t < 0.0) or np.any(t > model.maturity):
-        raise _time_error(model, t)
+    _raise_at_first((t >= 0.0) & (t <= model.maturity),
+                    lambda i: _time_error(model, float(t.flat[i])))
     shape, t = t.shape, t.reshape(-1)
     edges = np.asarray(tab.edges)
     j = np.minimum(np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
@@ -331,7 +331,9 @@ def zcb_price(model: ShortRateModel, r, t):
 
     Raises ``ValueError`` naming ``s_r`` and the exponent when exp would
     overflow or the exponent is NaN: a large rate volatility makes A
-    huge, and a price of inf would otherwise pass on silently.
+    huge, and a price of inf would otherwise pass on silently. On arrays
+    the error is that of the first such element, whose flat position it
+    carries as ``index``; so is the error of a time outside [0, T].
     """
     a, b = _AB(model, t)
     if _is_scalar(t) and _is_scalar(r):
@@ -341,9 +343,6 @@ def zcb_price(model: ShortRateModel, r, t):
         return math.exp(x)
     r = np.asarray(r, dtype=float)
     x = a - b * r
-    fits = x <= _MAX_EXP
-    if not fits.all():
-        i = int(np.argmin(fits))  # the first exponent that does not fit
-        raise _exponent_error(model, float(x.flat[i]),
-                              float(np.broadcast_to(r, x.shape).flat[i]))
+    _raise_at_first(x <= _MAX_EXP, lambda i: _exponent_error(
+        model, float(x.flat[i]), float(np.broadcast_to(r, x.shape).flat[i])))
     return _out(np.exp(x))

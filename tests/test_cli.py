@@ -502,6 +502,15 @@ class TestSweepCommand:
         values = [line.split(",")[3] for line in lines[1:]]
         assert values == ["-0.01", "0.02"]
 
+    @pytest.mark.parametrize("value, shown", [
+        ("-inf", "-inf"), ("-nan", "nan"), ("-Infinity", "-inf")])
+    def test_negative_non_finite_grid_value(self, p0_file, capsys, value, shown):
+        # A value after a bare --grid is taken as one, as with "=".
+        want = f"error: r0 grid value {shown}: r must be finite, got {shown}\n"
+        for argv in (["--grid", f"{value},0.05"], [f"--grid={value},0.05"]):
+            assert main(["sweep", p0_file, "--axis", "r0", *argv]) == 2
+            assert capsys.readouterr() == ("", want)
+
     # A grid per axis; valuation_time crosses t1 and K1/K2 include zero.
     AXIS_GRIDS = {
         "valuation_time": "0.0,0.3,0.6", "r0": "-0.01,0.05", "a1": "0.0,0.02",

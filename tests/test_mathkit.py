@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
@@ -337,6 +337,46 @@ class TestIntegrateLeftTail:
         with pytest.raises(QuadratureConvergenceError) as err:
             integrate_left_tail(lambda n: np.abs(n.x - 0.37), np.full(4, 1.3), short)
         assert err.value.failed.all()
+
+    @staticmethod
+    def _tail_or_error(f, upper, spec):
+        """(estimate, failed mask) of a call, whether or not it converges."""
+        try:
+            return integrate_left_tail(f, upper, spec), np.zeros(np.size(upper), bool)
+        except QuadratureConvergenceError as err:
+            return err.estimate, err.failed
+
+    @seed(20130215)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.floats(-13.0, 13.0) | st.just(math.inf),
+                              st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+           st.integers(32, 4000))
+    def test_many_bounds_are_separate_calls(self, bounds_kinks, max_nodes):
+        # Per bound: the estimate, the failed flag and the nodes spent
+        # are those of a call over that bound alone.
+        uppers, kinks = (np.array(v) for v in zip(*bounds_kinks))
+        spec = QuadratureSpec(max_nodes=max_nodes)
+        joint_nodes = np.zeros(len(uppers), dtype=int)
+
+        def kinked(x, kink):
+            return np.array([np.abs(x - kink), ndtr(x) * np.maximum(x - kink, 0.0)])
+
+        def joint_kernel(nodes):
+            np.add.at(joint_nodes, nodes.owner.ravel(), nodes.x.shape[1])
+            return kinked(nodes.x, kinks[nodes.owner])
+
+        joint, joint_failed = self._tail_or_error(joint_kernel, uppers, spec)
+        for j, (upper, kink) in enumerate(zip(uppers.tolist(), kinks.tolist())):
+            nodes = []
+
+            def one(x, kink=kink):
+                nodes.append(x.size)
+                return kinked(x, kink)
+
+            alone, failed = self._tail_or_error(one, upper, spec)
+            assert np.abs(joint[:, j] - alone).max() <= 1e-14
+            assert joint_failed[j] == failed[0]
+            assert joint_nodes[j] == sum(nodes)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):

@@ -807,6 +807,22 @@ class TestPriceBatch:
         for res, inputs in zip(got, batch):
             assert_results_match(res, price_bond(inputs))
 
+    @pytest.mark.parametrize("rates, index", [
+        ((1e5, 0.05), 2),  # one call on arrays fails at its second point
+        ((0.05,), 1),  # a group of one takes the float path
+    ])
+    def test_discount_bond_failure_names_its_point(self, rates, index):
+        # s_r = 100 overflows exp(A - B r) at r = 0.05 but not at r = 1e5.
+        wild = ShortRateModel(a1=0.01, a2=0.2, s_r=100.0, maturity=1.0)
+        batch = [make_inputs()] + [
+            dataclasses.replace(make_inputs(r=r), rate_model=wild) for r in rates]
+        with pytest.raises(ValueError) as err:
+            price_batch(batch + [make_inputs()])
+        assert err.value.batch_index == index
+        with pytest.raises(ValueError) as scalar:
+            price_bond(batch[index])
+        assert str(err.value) == str(scalar.value)
+
     def test_quadrature_failure_is_the_scalar_error(self):
         starved = QuadratureSpec(abs_tol=1e-15, max_nodes=32)
         batch = [make_inputs(intensity=IntensityFunction.constant(0.1)),

@@ -313,6 +313,28 @@ class TestZcbPrice:
         assert zcb_price(wild, 0.05, 1.0) == 1.0
         assert np.all(np.isfinite(zcb_price(wild, np.array([0.05]), 0.9)))
 
+    def test_array_error_carries_first_index(self):
+        # t = 1 is par; from the second element on the exponent overflows.
+        wild = ShortRateModel(a1=0.01, a2=0.2, s_r=100.0, maturity=1.0)
+        with pytest.raises(ValueError) as err:
+            zcb_price(wild, np.full(3, 0.05), np.array([1.0, 0.0, 0.5]))
+        assert err.value.index == 1
+        with pytest.raises(ValueError) as scalar:
+            zcb_price(wild, 0.05, 0.0)
+        assert str(err.value) == str(scalar.value)
+        assert not hasattr(scalar.value, "index")
+        with pytest.raises(ValueError, match=r"= nan at r = nan") as err:
+            zcb_price(VASICEK, np.array([0.05, 0.01, math.nan, math.nan]), 0.5)
+        assert err.value.index == 2
+        # A 2-D call gives the flat position; a time outside [0, T] is
+        # named as the scalar call names it.
+        with pytest.raises(ValueError) as err:
+            zcb_price(VASICEK, 0.05, np.array([[0.5, 0.2], [3.0, -1.0]]))
+        assert err.value.index == 2
+        with pytest.raises(ValueError) as scalar:
+            zcb_price(VASICEK, 0.05, 3.0)
+        assert str(err.value) == str(scalar.value)
+
     def test_nan_exponent_rejected(self):
         with pytest.raises(ValueError, match="exponent A - B\\*r = nan"):
             zcb_price(VASICEK, np.array([0.05, math.nan]), 0.5)
