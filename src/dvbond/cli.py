@@ -82,7 +82,7 @@ def _csv_table(columns: tuple, prefix: list[str], rows) -> str:
     through expected_leg, the terms read from the shared term set as
     ``PriceResult.terms`` derives them. The prefix is quoted once; a row
     is one ``%`` format (as ``{:.15g}``, but cheaper), and one after t1
-    has empty term cells."""
+    (``post_t1``) has empty term cells."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(prefix)
     head = buf.getvalue().replace("%", "%%")
@@ -93,7 +93,7 @@ def _csv_table(columns: tuple, prefix: list[str], rows) -> str:
     for result, *lead in rows:
         t, z = result._terms, result.zcb
         priced = (*lead, result.price, z, result.spread)
-        text.append(post % priced if t is None else
+        text.append(post % priced if t.post_t1 else
                     full % (*priced, z * t.i1, t.i21, t.i22, t.i23, t.i24, z * t.leg))
     return "".join(text)
 
@@ -248,8 +248,8 @@ def cmd_validate(args) -> int:
     the last printed digit into |z| >> 3. Any stochastic SE lies many
     orders of magnitude above the floor, so the 3-SE gate is not widened.
 
-    Before t1 a table compares each of the ``LEG_NAMES`` legs of the
-    simulation with that leg of both closed forms. A leg that is 0 in the
+    A table compares each of the ``LEG_NAMES`` legs of the simulation
+    with that leg of both closed forms. A leg that is 0 in the
     simulation (no path paid on it) and nonzero in the closed form prints
     ``simulated leg is 0`` in place of a z, which the SE floor would
     make huge, or 0 for a tiny leg.
@@ -294,14 +294,13 @@ def cmd_validate(args) -> int:
         return (f"    {name:16s}{mc:>22s} +/- {se:8s}"
                 + "".join(f" {cf:>22s} {z:16s}" for cf, z in cells)).rstrip()
 
-    if corrected.legs is not None:
-        print(leg_row("legs", "monte carlo", "SE", [(m.value, "z") for m in PricingMode]))
-        for name in LEG_NAMES:
-            mc, se = est.leg_breakdown[name], est.leg_std_error[name]
-            print(leg_row(name, _fmt(mc), f"{se:.3g}", [
-                (_fmt(cf), "simulated leg is 0" if mc == 0.0 and cf != 0.0
-                 else f"z {z_score(cf, mc, se):+.3f}")
-                for cf in (corrected.legs[name], literal.legs[name])]))
+    print(leg_row("legs", "monte carlo", "SE", [(m.value, "z") for m in PricingMode]))
+    for name in LEG_NAMES:
+        mc, se = est.leg_breakdown[name], est.leg_std_error[name]
+        print(leg_row(name, _fmt(mc), f"{se:.3g}", [
+            (_fmt(cf), "simulated leg is 0" if mc == 0.0 and cf != 0.0
+             else f"z {z_score(cf, mc, se):+.3f}")
+            for cf in (corrected.legs[name], literal.legs[name])]))
 
     ok = abs(z_corr) <= 3.0
     print("PASS: corrected closed form within 3 SE of the simulation"

@@ -32,22 +32,23 @@ are Gaussian-weighted left-tail integrals, taken in one quadrature
 pass over shared panels that evaluates F and one normal CDF per node.
 With a constant intensity F is the constant exp(-lambda0 (t2 - t1)),
 and they are F times the same two probabilities as I21 and I23;
-``price_full`` computes those once.
+``_term_sets`` computes those once.
 
 ``PriceResult.legs`` splits the price into those five endings, keyed
 by ``LEG_NAMES`` as ``mcoracle`` labels its paths; survival and a jump
 between the announcements split I21 + I22 with no extra quadrature.
 
 ``price_bond`` prices one valuation; ``price_batch`` prices many. Every
-term but Z depends only on (firm, spec, t) and the price is linear in
-Z, so one function, ``_term_sets``, computes the terms per unit Z of
-each distinct (firm, spec, t): scalar ``math`` per term set, except
-for one quadrature pass per intensity over the I22/I24 tails. One
-finisher, ``_result``, prices a valuation from Z and its term set (none
-at or after t1), for ``price_bond`` and ``price_batch`` alike. The
-``PriceResult`` holds Z, the price, the credit spread
--ln(price / Z) / (t2 - t) and the term set, shared by the valuations of
-one (firm, spec, t); its ``terms`` and ``legs`` are built when read.
+term but Z depends only on (firm, spec, t), and at or after t1 on the
+declared V1, where I21 and I23 are the two maturity branches given V1
+and the rest are 0. The price is linear in Z, so one function,
+``_term_sets``, computes the terms per unit Z of each distinct key:
+scalar ``math`` per term set, except for one quadrature pass per
+intensity over the I22/I24 tails. One finisher, ``_result``, prices a
+valuation from Z and its term set, for ``price_bond`` and
+``price_batch`` alike. The ``PriceResult`` holds Z, the price, the
+credit spread -ln(price / Z) / (t2 - t) and the term set, shared by the
+valuations of one key; its ``terms`` and ``legs`` are built when read.
 
 Two pricing modes exist because the historically printed closed form
 disagrees with the exact expectation of the model in three places, and
@@ -161,8 +162,8 @@ _CONVENTIONS = {
 class PricingInputs:
     """Everything a single valuation needs.
 
-    ``V1`` is the declared value at the first announcement; it must be
-    supplied when valuing at or after t1 and is ignored before.
+    ``V1`` is the declared value at the first announcement, positive; it
+    must be supplied when valuing at or after t1 and is ignored before.
     """
 
     rate_model: ShortRateModel
@@ -183,7 +184,9 @@ class PricingInputs:
                 "discount-bond maturity must equal the bond maturity t2 "
                 f"({self.rate_model.maturity} != {self.spec.t2})"
             )
-        if self.t >= self.spec.t1 and (self.V1 is None or not self.V1 > 0.0):
+        if self.V1 is not None and not self.V1 > 0.0:
+            raise ValueError(f"V1 must be positive, got {self.V1}")
+        if self.t >= self.spec.t1 and self.V1 is None:
             raise ValueError(
                 "valuing at or after the first announcement requires "
                 "a positive declared value V1"
@@ -243,15 +246,15 @@ class PriceResult:
     """Bond price with its decomposition and the discount bond used.
 
     A view: it holds Z, the mode, the price and the spread, and shares
-    the term set of its (firm, spec, t) with each valuation of the same.
-    ``terms`` and ``legs`` are derived from them on each read. They are
-    None at or after t1, where the closed form is a two-branch
+    the term set of its ``_key`` with each valuation of the same.
+    ``terms`` and ``legs`` are derived from them on each read. ``terms``
+    is None at or after t1, where the closed form is a two-branch
     expression with no integral decomposition.
 
     ``legs`` splits the price as the Monte Carlo oracle splits it, in
     price units, keyed by ``LEG_NAMES`` in that order; the legs sum to
-    the price up to roundoff. With D = Z e^{-lambda(V0)(t1-t)}, P21 the
-    bivariate probability of I21 = R_u P21 and J22 the tail of
+    the price up to roundoff. Before t1, with D = Z e^{-lambda(V0)(t1-t)},
+    P21 the bivariate probability of I21 = R_u P21 and J22 the tail of
     I22 = (1 - R_u) J22:
 
         survive_both     D J22
@@ -262,7 +265,9 @@ class PriceResult:
 
     J22 is the probability of clearing both barriers with no jump
     between the announcements; P21 - J22 >= 0 that of clearing both
-    with a jump.
+    with a jump. At or after t1, given V1, with F = e^{-lambda(V1)(t2-t)}
+    and S2 the maturity survival, they are Z F S2, 0, Z R_u (1 - F) S2,
+    0 and Z (R_u + (R_e - R_u) F) (1 - S2).
 
     ``spread`` is the continuously compounded yield spread over the
     default-free bond, -ln(price / Z) / (t2 - t): 0.0 (not -0.0) at
@@ -273,45 +278,21 @@ class PriceResult:
     mode: PricingMode
     zcb: float
     spread: float
-    _terms: _Terms | None = field(default=None, repr=False)
+    _terms: _Terms = field(repr=False)
 
     @property
     def terms(self) -> TermBreakdown | None:
         t = self._terms
-        return None if t is None else TermBreakdown(
+        return None if t.post_t1 else TermBreakdown(
             self.zcb * t.i1, t.i21, t.i22, t.i23, t.i24, self.zcb * t.leg)
 
     @property
-    def legs(self) -> dict[str, float] | None:
+    def legs(self) -> dict[str, float]:
         t = self._terms
-        if t is None:
-            return None
         jump_free = self.zcb * t.decay1
         return dict(zip(LEG_NAMES, (
-            jump_free * t.j22, self.zcb * t.i1, jump_free * (t.i21 - t.R_u * t.j22),
+            jump_free * t.j22, self.zcb * t.i1, jump_free * (t.i21 - t.j22_in_i21 * t.j22),
             self.zcb * t.leg, jump_free * (t.i23 + t.i24))))
-
-
-def _interval_factor(conv: _Convention, firm: FirmModel, spec: DefaultSpec,
-                     V1: float, t: float) -> float:
-    """Value factor at t in [t1, t2) given the declared V1: the price is
-    Z(r, t) times it.
-
-    The maturity branches are valued R_u + (1 - R_u) F cleared and
-    floor + coefficient * F breached, F = e^{-lambda(V1)(t2 - t)}, and
-    weighted by the maturity survival ``survival_prob`` over t2 - t1. In
-    the exact grouping each branch solves the one-factor decay equation
-    backward from its terminal payoff (1 cleared, R_e breached). At
-    t = t1 this is the announcement-date factor that I21 + ... + I24
-    average over V1 on {V1 > K1}, exactly for CORRECTED and in the
-    printed grouping for PAPER_LITERAL. Both modes price after t1 with
-    the exact grouping.
-    """
-    decay = math.exp(-spec.intensity(V1) * (spec.t2 - t))
-    surv = survival_prob(firm, V1, spec.K2, spec.t2 - spec.t1)
-    floor, coefficient = conv.breach(spec.R_u, spec.R_e)
-    return ((spec.R_u + (1.0 - spec.R_u) * decay) * surv
-            + (floor + coefficient * decay) * (1.0 - surv))
 
 
 def compute_alphas(firm: FirmModel, spec: DefaultSpec) -> Alpha:
@@ -377,29 +358,37 @@ def _tail_rows(x, intensity, alpha2, delta, log_v1, scale, sc) -> np.ndarray:
 
 
 class _Terms(NamedTuple):
-    """The terms of one (firm, spec, t), which its results share: the
+    """The terms of one ``_key``, which its results share: the
     ``TermBreakdown`` with ``i1`` and ``leg`` per unit Z, the jump survival
-    e^{-lambda(V0)(t1 - t)}, R_u, the I22 tail J22 before its coefficient
-    and the QuadratureConvergenceError of tails that ran out of their
-    node budget; the fields that need no tails first."""
+    decay1 = e^{-lambda(V0)(t1 - t)}, the multiple of J22 that I21 holds,
+    ``post_t1`` (no I-terms, so no ``PriceResult.terms``), the I22 tail J22
+    before its coefficient and the QuadratureConvergenceError of tails that
+    ran out of their node budget; the fields that need no tails first."""
 
     i1: float
     i21: float
     i23: float
     leg: float
     decay1: float
-    R_u: float
+    j22_in_i21: float
+    post_t1: bool
     i22: float
     i24: float
     j22: float
     error: QuadratureConvergenceError | None
 
 
+def _key(x: PricingInputs) -> tuple:
+    """What the term set of x depends on: (firm, spec, t, V1), with V1
+    None before t1, where it is not yet declared."""
+    return x.firm, x.spec, x.t, x.V1 if x.t >= x.spec.t1 else None
+
+
 def _term_sets(keys: list[tuple], conv: _Convention,
                quad: QuadratureSpec) -> list[_Terms]:
-    """The terms of ``price_full`` per unit Z of each (firm, spec, t)
-    key, t < t1.
+    """The terms per unit Z of each ``_key``.
 
+    Before t1 they are those of ``price_full``, and I21 holds R_u J22.
     Each term set is scalar ``math`` but for the I22/I24 tails of a
     non-constant intensity, taken whatever their coefficients: the I22
     tail J22 also splits survival from a jump in ``legs``. The tails of
@@ -410,9 +399,27 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     summation order. Adding 0.0 to I22 and I24 turns the -0.0 of a
     negative coefficient times an empty tail (alpha1 below the cutoff,
     or no maturity barrier for I24) into 0.0.
+
+    At or after t1, given V1, I21 and I23 are the maturity branches,
+    R_u + (1 - R_u) F cleared and floor + coefficient * F breached, with
+    F = e^{-lambda(V1)(t2 - t)}, weighted by the maturity survival S2
+    over t2 - t1; J22 = F S2, all of it in I21, decay1 = 1 and the rest
+    0. Both modes take the exact grouping here, where each branch solves
+    the one-factor decay equation backward from its terminal payoff (1
+    cleared, R_e breached); at t = t1 the sum is what I21 + ... + I24
+    average over V1 on {V1 > K1} (in the printed grouping for
+    PAPER_LITERAL).
     """
     heads, tails, passes, sign = [], [None] * len(keys), {}, conv.sign
-    for k, (firm, spec, t) in enumerate(keys):
+    for k, (firm, spec, t, V1) in enumerate(keys):
+        if V1 is not None:
+            F = math.exp(-spec.intensity(V1) * (spec.t2 - t))
+            S2 = survival_prob(firm, V1, spec.K2, spec.t2 - spec.t1)
+            floor, c24 = _CORRECTED.breach(spec.R_u, spec.R_e)
+            heads.append((0.0, (spec.R_u + (1.0 - spec.R_u) * F) * S2,
+                          (floor + c24 * F) * (1.0 - S2), 0.0, 1.0, 1.0, True))
+            tails[k] = 0.0, 0.0, F * S2, None
+            continue
         alpha1, alpha2 = compute_alphas(firm, spec)
         decay1 = math.exp(-spec.intensity(firm.V0) * (spec.t1 - t))
         n_surv1 = normal_cdf(alpha1)
@@ -427,7 +434,7 @@ def _term_sets(keys: list[tuple], conv: _Convention,
                 alpha2, delta, math.log(firm.V0) + firm.log_drift * spec.t1,
                 sign * firm.s_V * math.sqrt(spec.t1), sign * math.sqrt(spec.t1 / delta))))
         heads.append((spec.R_u * (1.0 - decay1) * n_surv1, spec.R_u * p21, floor * p23,
-                      (floor + c24 * decay1) * normal_cdf(-alpha1), decay1, spec.R_u))
+                      (floor + c24 * decay1) * normal_cdf(-alpha1), decay1, spec.R_u, False))
     for intensity, group in passes.items():
         index, pairs, bounds, params = zip(*group)
         if len(group) == 1:
@@ -452,26 +459,22 @@ def _term_sets(keys: list[tuple], conv: _Convention,
     return [_Terms(*head, *tail) for head, tail in zip(heads, tails)]
 
 
-def _result(x: PricingInputs, z: float, terms: _Terms | None, mode: PricingMode,
+def _result(x: PricingInputs, z: float, terms: _Terms, mode: PricingMode,
             i: int | None = None) -> PriceResult:
-    """The ``PriceResult`` of the valuation x at the discount bond z.
+    """The ``PriceResult`` of the valuation x at the discount bond z and
+    its term set: z I1 + z decay1 (I21 + ... + I24) + z leg.
 
-    After t1 there is no term set and the price is z times
-    ``_interval_factor``; before, z I1 + z decay1 (I21 + ... + I24) + z leg.
     A term set with a quadrature failure raises it, with ``batch_index``
     i (when given) and the terms computed so far as ``partial_terms``.
     """
-    if terms is None:
-        price = z * _interval_factor(_CORRECTED, x.firm, x.spec, x.V1, x.t)
-    elif terms.error is not None:
+    if terms.error is not None:
         terms.error.partial_terms = {"i1": z * terms.i1,
                                      "expected_default": z * terms.leg, "zcb": z}
         if i is not None:
             terms.error.batch_index = i
         raise terms.error
-    else:
-        price = (z * terms.i1 + z * terms.decay1 * (terms.i21 + terms.i22 + terms.i23
-                                                   + terms.i24) + z * terms.leg)
+    price = (z * terms.i1 + z * terms.decay1 * (terms.i21 + terms.i22 + terms.i23
+                                               + terms.i24) + z * terms.leg)
     spread = math.inf if price <= 0.0 else -log_ratio(price, z) / (x.spec.t2 - x.t)
     # Not max(spread, 0.0), which keeps the -0.0 of a par price.
     return PriceResult(price, mode, z, spread if spread > 0.0 else 0.0, terms)
@@ -514,14 +517,13 @@ def price_bond(
 ) -> PriceResult:
     """Price at any valuation time before maturity.
 
-    Times at or past the first announcement (which require the declared
-    V1) are priced by the post-announcement closed form, which has no
-    integral decomposition.
+    At or past the first announcement (which requires the declared V1)
+    the closed form is the two maturity branches given V1, with no
+    I-terms: ``terms`` is None, and ``legs`` splits the price into the
+    three endings left.
     """
     z = zcb_price(inputs.rate_model, inputs.r, inputs.t)
-    terms = None if inputs.t >= inputs.spec.t1 else _term_sets(
-        [(inputs.firm, inputs.spec, inputs.t)], _CONVENTIONS[mode], quad)[0]
-    return _result(inputs, z, terms, mode)
+    return _result(inputs, z, _term_sets([_key(inputs)], _CONVENTIONS[mode], quad)[0], mode)
 
 
 def price_batch(
@@ -532,12 +534,12 @@ def price_batch(
     """``price_bond`` of many valuations, in input order.
 
     Equals ``[price_bond(x, mode, quad) for x in inputs]`` up to
-    roundoff. Every term but Z depends only on (firm, spec, t) and the
-    price is linear in Z, so ``_term_sets`` computes the terms once per
-    distinct (firm, spec, t) before t1 (a sweep over r0 or a rate
-    coefficient shares one set), with the I22/I24 tails of those that
-    share an intensity in one quadrature pass, and Z is computed once
-    per valuation, one ``zcb_price`` call per distinct rate model.
+    roundoff. Every term but Z depends only on ``_key`` and the price is
+    linear in Z, so ``_term_sets`` computes the terms once per distinct
+    key (a sweep over r0 or a rate coefficient shares one set), with the
+    I22/I24 tails of those that share an intensity in one quadrature
+    pass, and Z is computed once per valuation, one ``zcb_price`` call
+    per distinct rate model.
 
     A term set whose quadrature runs out of its node budget raises
     QuadratureConvergenceError with ``partial_terms``. That error and
@@ -546,14 +548,13 @@ def price_batch(
     """
     keys, seen, term_set = {}, {}, []  # seen: by the identity of firm and spec
     for x in inputs:
-        same = (id(x.firm), id(x.spec), x.t)
+        same = (id(x.firm), id(x.spec), x.t, x.V1)
         if same not in seen:
-            seen[same] = None if x.t >= x.spec.t1 else keys.setdefault(
-                (x.firm, x.spec, x.t), len(keys))
+            seen[same] = keys.setdefault(_key(x), len(keys))
         term_set.append(seen[same])
     terms = _term_sets(list(keys), _CONVENTIONS[mode], quad)
     z = _discount_bonds(inputs).tolist()
-    return [_result(x, z[i], None if k is None else terms[k], mode, i)
+    return [_result(x, z[i], terms[k], mode, i)
             for i, (x, k) in enumerate(zip(inputs, term_set))]
 
 

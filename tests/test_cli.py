@@ -423,6 +423,17 @@ class TestPriceCommand:
         assert out.read_bytes().decode() == csv_writer_text(
             cli.PRICE_COLUMNS, [[name, mode]], [inputs], mode)
 
+    @pytest.mark.parametrize("valuation_time", ["0.0", "0.2", "0.75"])
+    @pytest.mark.parametrize("V1", ["-5.0", "0.0"])
+    def test_non_positive_declared_value_exits_2(self, tmp_path, capsys, valuation_time, V1):
+        # Before t1 such a V1 once priced, ignored, with exit 0.
+        path = tmp_path / "v1.yaml"
+        path.write_text(P0_YAML.replace("valuation_time: 0.0", f"valuation_time: {valuation_time}")
+                        .replace("s_V: 0.2", f"s_V: 0.2\n      V1: {V1}"))
+        assert main(["price", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: scenarios.P0: V1 must be positive, got {float(V1)}\n")
+
     def test_post_announcement_scenario(self, tmp_path, capsys):
         path = tmp_path / "post.yaml"
         path.write_text(P0_YAML.replace("valuation_time: 0.0",
@@ -510,6 +521,17 @@ class TestSweepCommand:
         for argv in (["--grid", f"{value},0.05"], [f"--grid={value},0.05"]):
             assert main(["sweep", p0_file, "--axis", "r0", *argv]) == 2
             assert capsys.readouterr() == ("", want)
+
+    @pytest.mark.parametrize("valuation_time", ["0.2", "0.75"])
+    def test_non_positive_declared_value_names_grid_value(self, tmp_path, capsys,
+                                                           valuation_time):
+        # Before t1 this grid once printed three identical rows, exit 0.
+        path = tmp_path / "post.yaml"
+        path.write_text(P0_YAML.replace("valuation_time: 0.0", f"valuation_time: {valuation_time}")
+                        .replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"))
+        assert main(["sweep", str(path), "--axis", "V1", "--grid=-5,0,95"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: V1 grid value -5.0: V1 must be positive, got -5.0\n")
 
     # A grid per axis; valuation_time crosses t1 and K1/K2 include zero.
     AXIS_GRIDS = {
@@ -909,13 +931,24 @@ class TestValidateCommand:
         zs = re.findall(r"\bz +(?:[a-z-]+ +)?([+-][0-9.]+)", out)
         assert len(zs) == 6 and all(abs(float(z)) < 1000.0 for z in zs)
 
-    def test_post_announcement_prints_no_legs(self, tmp_path, capsys):
+    def test_post_announcement_prints_five_legs(self, tmp_path, capsys):
+        # After t1 the table has the same five rows; the two legs of t1 are
+        # 0 in the simulation and in both closed forms.
         path = tmp_path / "post.yaml"
         path.write_text(P0_YAML.replace("valuation_time: 0.0", "valuation_time: 0.75")
                         .replace("s_V: 0.2", "s_V: 0.2\n      V1: 95.0"))
         assert main(["validate", str(path), "--paths", "2000", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "legs" not in out
+        assert "PASS" in out
+        rows = out.split("\n    legs ")[1].splitlines()[1:6]
+        inputs = load_scenarios(str(path))["P0"].pricing_inputs()
+        for name, row in zip(pricer.LEG_NAMES, rows):
+            fields = row.split()
+            assert fields[0] == name
+            assert fields[4::3] == [cli._fmt(pricer.price_bond(inputs, mode).legs[name])
+                                    for mode in pricer.PricingMode]
+        for row in (rows[1], rows[3]):
+            assert row.split()[1:] == ["0", "+/-", "0", "0", "z", "+0.000", "0", "z", "+0.000"]
 
     @pytest.mark.parametrize("t1", ["0.5", "0.95"])
     def test_tiny_firm_volatility(self, tmp_path, capsys, t1):

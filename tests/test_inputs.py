@@ -1,4 +1,5 @@
-"""Every constructor rejects NaN and infinite inputs, naming the field."""
+"""Every constructor rejects NaN and infinite inputs, naming the field,
+and a declared value V1 that is not positive, at every valuation time."""
 
 import math
 
@@ -43,3 +44,11 @@ def test_non_finite_rejected_naming_field(field, value):
         BUILDERS[field](value)
     assert str(err.value).startswith(f"{field} must be finite")
 
+
+@pytest.mark.parametrize("t", [0.0, 0.2, 0.6])
+@pytest.mark.parametrize("value", [-5.0, -5e-324, -0.0, 0.0])
+def test_non_positive_declared_value_rejected(t, value):
+    # Before t1 (0.5) a given V1 was once accepted and ignored.
+    with pytest.raises(ValueError) as err:
+        make_inputs(t=t, V1=value)
+    assert str(err.value) == f"V1 must be positive, got {value}"

@@ -191,6 +191,20 @@ class TestAgainstClosedForm:
         for name, value in closed.items():
             assert abs(est.leg_breakdown[name] - value) <= 3 * est.leg_std_error[name], name
 
+    def test_every_leg_after_t1_within_3_se(self):
+        # After t1 the closed form splits the price into the three
+        # maturity endings the simulation labels; the two legs of t1 are 0
+        # in both.
+        inputs = make_inputs(t=0.75, V1=95.0)
+        closed = price_bond(inputs).legs
+        est = simulate_price(inputs, McConfig(n_paths=200_000, seed=7, n_threads=2))
+        assert list(closed) == list(est.leg_breakdown) == list(LEG_NAMES)
+        for name in ("unexpected_leg1", "expected_t1"):
+            assert closed[name] == est.leg_breakdown[name] == 0.0
+        for name in ("survive_both", "unexpected_leg2", "expected_t2"):
+            assert abs(est.leg_breakdown[name] - closed[name]) \
+                <= 3 * est.leg_std_error[name], name
+
     def test_post_announcement_regime(self, p0_rate, p0_firm, p0_spec):
         inputs = PricingInputs(rate_model=p0_rate, firm=p0_firm, spec=p0_spec,
                                r=0.05, t=0.7, V1=90.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -36,6 +37,7 @@ from dvbond.pricer import LEG_NAMES, price_batch
 
 from conftest import make_inputs
 from test_acceptance import random_scenario
+from test_pde import KINKED
 
 
 def last_interval_factor(spec, firm, V1, t):
@@ -62,8 +64,15 @@ def quadform_pair(t1, t2):
 
 
 def announcement_factor(mode, firm, spec, V1):
-    """The pricer's value factor at t1 given V1, in the grouping of ``mode``."""
-    return pricer._interval_factor(pricer._CONVENTIONS[mode], firm, spec, V1, spec.t1)
+    """Value factor at t1 given V1 in the grouping of ``mode``, the breach
+    (floor, coefficient) of its convention: what I21 + ... + I24 average
+    over V1 on {V1 > K1}."""
+    delta = spec.t2 - spec.t1
+    decay = math.exp(-spec.intensity(V1) * delta)
+    surv = survival_prob(firm, V1, spec.K2, delta)
+    floor, coefficient = pricer._CONVENTIONS[mode].breach(spec.R_u, spec.R_e)
+    return (spec.R_u + (1.0 - spec.R_u) * decay) * surv \
+        + (floor + coefficient * decay) * (1.0 - surv)
 
 
 class TestIntervalFactor:
@@ -72,9 +81,13 @@ class TestIntervalFactor:
 
     @staticmethod
     def factor(spec, t, lam):
+        # The pricer's term row of V1 = 100 at t: the cleared branch I21
+        # plus the breached one I23. t = t2 is a key no PricingInputs holds.
         spec = dataclasses.replace(spec, intensity=IntensityFunction.constant(lam))
         firm = FirmModel(V0=100.0, mu=0.07, b=0.05, s_V=0.2)
-        return pricer._interval_factor(pricer._CORRECTED, firm, spec, 100.0, t)
+        row = pricer._term_sets([(firm, spec, t, 100.0)], pricer._CORRECTED,
+                                mathkit.DEFAULT_QUADRATURE)[0]
+        return row.i21 + row.i23
 
     def test_no_intensity_survived(self, p0_spec):
         cleared = dataclasses.replace(p0_spec, K2=0.0)
@@ -607,11 +620,39 @@ class TestLegs:
         assert res.legs["unexpected_leg2"] == pytest.approx(
             scale * (t.i21 - spec.R_u * j22), rel=0.0, abs=1e-15 * scale * t.i21)
 
-    def test_none_after_first_announcement(self):
-        inputs = make_inputs(t=0.6, V1=95.0)
-        for mode in PricingMode:
-            assert price_bond(inputs, mode).legs is None
-            assert price_batch([inputs], mode)[0].legs is None
+    def test_after_first_announcement(self):
+        # After t1 the legs are the three maturity branches given V1, in
+        # the exact grouping in both modes and routes, here with S2 from
+        # scipy: Z F S2, Z R_u (1 - F) S2 and
+        # Z (R_u + (R_e - R_u) F) (1 - S2), each to 8 ulps of Z (a few
+        # rounded products, and S2 from another normal CDF). The two legs of
+        # t1 are exactly 0, and the legs sum to the price to 8 ulps of their
+        # magnitudes.
+        ulps = 8 * np.finfo(float).eps
+        rng = np.random.default_rng(2013)
+        draws = [make_inputs(t=0.6, V1=95.0), make_inputs(t=0.75, V1=60.0, default=dict(K2=0.0)),
+                 make_inputs(t=0.9, V1=120.0, default=dict(R_u=1.0)),
+                 make_inputs(t=0.5, V1=80.0, intensity=KINKED)]
+        for x in (random_scenario(rng) for _ in range(40)):
+            t = x.spec.t1 + (x.spec.t2 - x.spec.t1) * rng.uniform(0.0, 0.99)
+            V1 = x.firm.V0 * math.exp(rng.uniform(-0.5, 0.5))
+            draws.append(dataclasses.replace(x, t=t, V1=V1))
+        for inputs, mode in itertools.product(draws, PricingMode):
+            firm, spec, V1 = inputs.firm, inputs.spec, inputs.V1
+            delta = spec.t2 - spec.t1
+            F = math.exp(-spec.intensity(V1) * (spec.t2 - inputs.t))
+            S2 = 1.0 if spec.K2 == 0.0 else ndtr(
+                (math.log(V1 / spec.K2) + firm.log_drift * delta) / (firm.s_V * math.sqrt(delta)))
+            for res in (price_bond(inputs, mode), price_batch([inputs], mode)[0]):
+                z, legs = res.zcb, res.legs
+                assert list(legs) == list(LEG_NAMES) and res.terms is None
+                assert legs["unexpected_leg1"] == legs["expected_t1"] == 0.0
+                for name, want in (
+                        ("survive_both", F * S2), ("unexpected_leg2", spec.R_u * (1 - F) * S2),
+                        ("expected_t2", (spec.R_u + (spec.R_e - spec.R_u) * F) * (1 - S2))):
+                    assert abs(legs[name] - z * want) <= ulps * z, name
+                assert abs(sum(legs.values()) - res.price) \
+                    <= ulps * sum(abs(v) for v in legs.values())
 
 
 class TestCreditSpread:
@@ -683,10 +724,10 @@ def assert_results_match(got, want, tol=1e-12):
     assert abs(got.price - want.price) <= tol
     assert abs(got.zcb - want.zcb) <= tol
     if want.terms is None:
-        assert got.terms is None and got.legs is None
-        return
-    for name in want.terms._fields:
-        assert abs(getattr(got.terms, name) - getattr(want.terms, name)) <= tol, name
+        assert got.terms is None
+    else:
+        for name in want.terms._fields:
+            assert abs(getattr(got.terms, name) - getattr(want.terms, name)) <= tol, name
     assert list(got.legs) == list(want.legs)
     for name, value in want.legs.items():
         assert abs(got.legs[name] - value) <= tol, name
@@ -725,6 +766,7 @@ class TestPriceBatch:
             for res, inputs in zip(got, batch):
                 assert_results_match(res, price_bond(inputs, mode))
             assert got[0].terms is None and got[8].terms is None
+            assert got[0].legs["expected_t1"] == got[8].legs["expected_t1"] == 0.0
             assert got[7].price == 0.0
 
     def test_empty_batch(self):
@@ -796,13 +838,19 @@ class TestPriceBatch:
         assert len(calls) == 1
 
     def test_post_announcement_points_share_one_discount_bond_call(self, monkeypatch):
-        calls = []
-        real = pricer.zcb_price
+        # Points after t1 that differ only in r share one Z call and one
+        # term set, keyed by V1; a point of another V1 has its own.
+        calls, keys = [], []
+        real, real_sets = pricer.zcb_price, pricer._term_sets
         monkeypatch.setattr(pricer, "zcb_price",
                             lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(pricer, "_term_sets",
+                            lambda *args: keys.extend(args[0]) or real_sets(*args))
         batch = [make_inputs(t=0.7, V1=95.0, r=r) for r in np.linspace(-0.01, 0.08, 50)]
+        batch.append(make_inputs(t=0.7, V1=90.0))
         got = price_batch(batch)
         assert len(calls) == 1
+        assert [key[3] for key in keys] == [95.0, 90.0]
         monkeypatch.undo()
         for res, inputs in zip(got, batch):
             assert_results_match(res, price_bond(inputs))
