@@ -252,7 +252,9 @@ def cmd_validate(args) -> int:
     with that leg of both closed forms. A leg that is 0 in the
     simulation (no path paid on it) and nonzero in the closed form prints
     ``simulated leg is 0`` in place of a z, which the SE floor would
-    make huge, or 0 for a tiny leg.
+    make huge, or 0 for a tiny leg. A leg that is 0 in both, as
+    ``unexpected_leg1`` and ``expected_t1`` are after t1, prints
+    ``leg is 0 in both``: there is nothing to judge.
     """
     if args.paths < 2:
         return _fail(2, f"--paths must be at least 2, got {args.paths}")
@@ -298,8 +300,8 @@ def cmd_validate(args) -> int:
     for name in LEG_NAMES:
         mc, se = est.leg_breakdown[name], est.leg_std_error[name]
         print(leg_row(name, _fmt(mc), f"{se:.3g}", [
-            (_fmt(cf), "simulated leg is 0" if mc == 0.0 and cf != 0.0
-             else f"z {z_score(cf, mc, se):+.3f}")
+            (_fmt(cf), f"z {z_score(cf, mc, se):+.3f}" if mc != 0.0
+             else "simulated leg is 0" if cf != 0.0 else "leg is 0 in both")
             for cf in (corrected.legs[name], literal.legs[name])]))
 
     ok = abs(z_corr) <= 3.0

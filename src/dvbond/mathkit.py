@@ -12,12 +12,12 @@ Provides three building blocks:
 
    which serves every semi-infinite kernel of the pricer that has no
    closed form. An integrand may return k rows; they then share one
-   panel set and one Gaussian-weight evaluation per node, and a panel
-   is bisected while any row misses its error budget. The upper bound
-   may be an array: the panels of all bounds are then evaluated
-   together (the integrand learns the bound of each node from
-   ``TailNodes``), each bound keeping the panels and node budget of a
-   call of its own; a float bound is the case of one.
+   panel set and one Gaussian-weight evaluation per node, and panels
+   are bisected while any row's summed error estimate exceeds its
+   budget. The upper bound may be an array: the panels of all bounds
+   are then evaluated together (the integrand learns the bound of each
+   node from ``TailNodes``), each bound keeping the panels and node
+   budget of a call of its own; a float bound is the case of one.
 3. ``bvn_cdf`` - the standard bivariate normal CDF with correlation
    rho, by the Drezner-Wesolowsky/Genz method (Genz 2004, Statistics
    and Computing 14:251-260): a 6-, 12- or 20-point Gauss-Legendre
@@ -345,16 +345,18 @@ def integrate_left_tail(
     alone, so the two differ only in summation order. A float bound is
     the case m = 1.
 
-    A panel is bisected while any row's local Gauss-Kronrod error
-    estimate exceeds ``abs_tol / n_panels`` (the panels of its own
-    bound), so every row meets the tolerance. Each round checks one
-    budget rule per bound: with n panels, n0 of them from the first
-    pass, and s to bisect, the bound fails when 30 (n + s) - 15 n0
-    nodes would exceed ``max_nodes`` (when n + s exceeds
-    (max_nodes + 15 n0) // 30), and is not bisected again. Once the
-    others have converged, QuadratureConvergenceError is raised with
-    the best estimate and bound of each row and a mask of the failed
-    bounds.
+    A bound is refined while a row's error estimate, the sum of
+    |K15 - G7| over the panels of the bound, exceeds ``abs_tol`` (the
+    global test of QUADPACK's QAG). Each round bisects the panels whose
+    estimate in such a row exceeds ``abs_tol / n_panels``; a row with
+    none is over by the rounding of its sum alone, and is done. Each
+    round checks one budget rule per bound: with n panels, n0 of them
+    from the first pass, and s to bisect, the bound fails when
+    30 (n + s) - 15 n0 nodes would exceed ``max_nodes`` (when n + s
+    exceeds (max_nodes + 15 n0) // 30), and is not bisected again. Once
+    the others have converged, QuadratureConvergenceError is raised with
+    the best estimate and summed error estimate of each row and a mask
+    of the failed bounds.
     """
     one = isinstance(upper, (int, float))
     if one:
@@ -369,8 +371,7 @@ def integrate_left_tail(
         fx = np.asarray(f(x), dtype=float) * np.exp(-0.5 * x * x)
         sums = fx.reshape(*fx.shape[:-1], n0, 15) @ _WKE
         err = np.abs(sums[..., 1])
-        # max(err) * half is the largest err * half: rounding is monotone.
-        if not err.max(initial=0.0) * half > spec.abs_tol / max(n0, 1):
+        if not err.sum(axis=-1).max(initial=0.0) * half > spec.abs_tol:
             return _per_row(half * sums[..., 0].sum(axis=-1))
         kron, err, f = half * sums[..., 0], half * err, _flat(f)
         edges = 2.0 * half * np.arange(n0 + 1.0) - GAUSSIAN_TAIL_CUTOFF
@@ -391,7 +392,9 @@ def integrate_left_tail(
     failed = np.zeros(m, dtype=bool)
 
     while True:
+        # Only the rows over budget bisect, and only panels over their share.
         bad = err > (spec.abs_tol / n_panels)[owner]
+        bad &= (_sum_by_owner(err, owner, m) > spec.abs_tol)[..., owner]
         if not np.count_nonzero(bad):  # ~0.3 us, against ~1.1 for .any()
             break
         if bad.ndim == 2:

@@ -12,6 +12,7 @@ from scipy.special import ndtr
 from dvbond import mathkit, pricer
 from dvbond.defaultmodel import DefaultSpec, FirmModel, IntensityFunction
 from dvbond.mathkit import (
+    DEFAULT_QUADRATURE,
     GAUSSIAN_TAIL_CUTOFF,
     QuadFormMatrix,
     QuadratureConvergenceError,
@@ -192,18 +193,42 @@ class TestIntegrateLeftTail:
         assert abs(joint[1] - separate[2]) <= 1e-13
 
     def test_tolerance_follows_panel_count(self):
-        # |sin 3x| has seven kinks below 1.3, so bisection takes the
-        # panel count far past its first pass of 14. Each round compares
-        # the panels with abs_tol / (the count after the last round);
-        # the first-pass count would stop at 3,090 nodes.
+        # |sin 3x| has kinks at k pi / 3, so bisection takes the panel
+        # count far past its first pass of 14. A round runs while the
+        # summed error estimate exceeds abs_tol, and bisects the panels
+        # over abs_tol / (the count after the last round); the first-pass
+        # count would stop at 3,090 nodes, and a rule that holds every
+        # panel within abs_tol / n whatever the sum would take 3,630.
+        mpmath = pytest.importorskip("mpmath")
         nodes = []
 
         def counted(x):
             nodes.append(x.size)
             return np.abs(np.sin(3.0 * x))
 
-        integrate_left_tail(counted, 1.3)
-        assert sum(nodes) == 3630
+        got = integrate_left_tail(counted, 1.3)
+        assert sum(nodes) == 3300
+        mpmath.mp.dps = 40
+        kinks = [k * mpmath.pi / 3 for k in range(-12, 2)]
+        want = mpmath.quad(lambda x: abs(mpmath.sin(3 * x)) * mpmath.npdf(x),
+                           [-mpmath.inf, *kinks, mpmath.mpf(1.3)])
+        assert abs(got - float(want)) <= DEFAULT_QUADRATURE.abs_tol
+
+    def test_row_within_its_summed_budget_takes_the_first_pass(self):
+        # Two of the 15 first-pass panels exceed abs_tol / 15 on their
+        # own, but the 15 error estimates sum to 4.4e-13, within abs_tol,
+        # so no panel is bisected. The integral is P(X <= 3, Y - 1.4 X <= 1)
+        # for independent standard normals X and Y.
+        nodes = []
+
+        def counted(x):
+            nodes.append(x.size)
+            return mathkit._ndtr(1.0 + 1.4 * x)
+
+        got = integrate_left_tail(counted, 3.0)
+        assert nodes == [225]
+        sd = math.sqrt(1.0 + 1.4 ** 2)
+        assert abs(got - bvn_cdf(3.0, 1.0 / sd, -1.4 / sd)) <= 1e-15
 
     def test_rows_over_empty_range_are_zeros(self):
         got = integrate_left_tail(lambda x: np.array([x, 2.0 * x, x * x]),

@@ -335,6 +335,27 @@ class TestTermI22I24:
             checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize("mode", list(PricingMode))
+    def test_tails_meet_the_tolerance(self, mode):
+        # A tail stops refining once each row's summed error estimate is
+        # within abs_tol, so a panel may end above abs_tol / n. On 200
+        # log-reciprocal draws of criterion 7's box, the I22/I24 terms of
+        # single and batched term sets stay within 1e-12 of a 1e-15 pass.
+        rng = np.random.default_rng(2027)
+        keys = []
+        while len(keys) < 200:
+            inputs = random_scenario(rng)
+            if inputs.spec.intensity.family == "log_reciprocal":
+                keys.append(pricer._key(inputs))
+        conv = pricer._CONVENTIONS[mode]
+        tight = pricer._term_sets(keys, conv, QuadratureSpec(abs_tol=1e-15))
+        single = [pricer._term_sets([key], conv, mathkit.DEFAULT_QUADRATURE)[0]
+                  for key in keys]
+        for got in (single, pricer._term_sets(keys, conv, mathkit.DEFAULT_QUADRATURE)):
+            for terms, want in zip(got, tight):
+                for name in ("i22", "i24", "j22"):
+                    assert abs(getattr(terms, name) - getattr(want, name)) <= 1e-12, name
+
     def test_deep_first_barrier_breach(self):
         # alpha1 below -12 leaves no left tail to integrate.
         inputs = make_inputs(default=dict(K1=1e7))
