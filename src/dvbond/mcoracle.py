@@ -37,8 +37,11 @@ Design:
   ``SeedSequence(seed, spawn_key=(chunk,))``; chunk results merge in
   chunk order, so the estimate is bit-identical for a given seed at
   any thread count; the worker threads persist across calls. A chunk
-  draws z1, z2, u1, u2 (z1 and u1 only before t1), one rate normal per
-  nominal unit, then the full rate normals of each event unit.
+  draws z1, z2 (z1 only before t1) first and turns them into V1, V2,
+  the barrier flags and lambda(V1); then u1, u2, which become the jump
+  clocks; then one rate normal per nominal unit and the full rate
+  normals of each event unit, once the event units are known. No
+  full-length array outlives its last reader.
 * A unit is a path or an antithetic pair, nominal when none of its
   paths jumps or breaches K1. A nominal path pays at t2, and its
   int_t^t2 r is one Gaussian shared by every nominal path
@@ -183,16 +186,14 @@ def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
     """Waiting time of the jump clock, written over the uniforms ``u``.
 
     ``lam`` is one intensity or one per path; the time is +inf where it
-    is zero or small enough to overflow the quotient (the limit).
+    is small enough to overflow the quotient (the limit) or zero, and
+    NaN where it is zero and u is 0.0. Neither is below any horizon.
     """
     xi = np.negative(u, out=u)
     np.log1p(xi, out=xi)
-    np.negative(xi, out=xi)
-    live = np.asarray(lam) > 0.0
-    with np.errstate(over="ignore"):
-        np.divide(xi, lam, out=xi, where=live)
-    np.copyto(xi, np.inf, where=~live)
-    return xi
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.divide(xi, lam, out=xi)
+    return np.negative(xi, out=xi)
 
 
 def _nominal_integral(plan: _Plan) -> tuple[float, float]:
@@ -277,69 +278,80 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
     spec, firm, t = x.spec, x.firm, x.t
     pre_announcement = t < spec.t1
     z = rng.standard_normal((1 + pre_announcement, n_units))  # z1 (before t1), z2
-    u = rng.random((1 + pre_announcement, n_units))  # u1 (before t1), u2
     if plan.antithetic:
         z = np.concatenate([z, -z], axis=1)
-        u = np.concatenate([u, np.minimum(1.0 - u, _U_CAP)], axis=1)
 
     if pre_announcement:
         log_v1, V1 = _declared_value(math.log(firm.V0), z[0], firm, spec.t1)
-        xi1 = _truncated_exp_clock(spec.intensity(firm.V0), u[0])
-        jump1 = xi1 < spec.t1 - t
         # A barrier of 0 is never breached, even by a V1 that underflowed.
         barrier1 = (V1 <= spec.K1) & (spec.K1 > 0.0)
         t_mid = spec.t1
     else:
         log_v1, V1 = math.log(x.V1), x.V1
-        jump1 = barrier1 = np.zeros(z.shape[1], dtype=bool)
+        barrier1 = np.zeros(z.shape[1], dtype=bool)
         t_mid = t
-    stop1 = jump1 | barrier1
-
     V2 = _declared_value(log_v1, z[-1], firm, spec.t2 - spec.t1)[1]
-    xi2 = _truncated_exp_clock(spec.intensity(V1), u[-1])
-    jump2 = xi2 < spec.t2 - t_mid
-    jump2 &= ~stop1
     barrier2 = (V2 <= spec.K2) & (spec.K2 > 0.0)
+    del z, log_v1, V2
+    with np.errstate(over="ignore", divide="ignore"):  # V1 = exp(ln V1) >= 0
+        lam2 = spec.intensity._unchecked(V1) if pre_announcement else spec.intensity(V1)
+    del V1
+
+    u = rng.random((1 + pre_announcement, n_units))  # u1 (before t1), u2
+    if plan.antithetic:
+        u = np.concatenate([u, u], axis=1)
+        np.subtract(1.0, u[:, n_units:], out=u[:, n_units:])
+        np.minimum(u, _U_CAP, out=u)  # u < 1 is u <= _U_CAP: only mirrors move
+    # The clocks overwrite the uniforms: u holds xi1 (before t1) and xi2.
+    jump1 = barrier1
+    if pre_announcement:
+        jump1 = _truncated_exp_clock(spec.intensity(firm.V0), u[0]) < spec.t1 - t
+    stop1 = jump1 | barrier1
+    jump2 = _truncated_exp_clock(lam2, u[-1]) < spec.t2 - t_mid
+    jump2 &= ~stop1
 
     # A nominal unit draws one normal for its shared Gaussian integral, an
     # event unit the full set for per-path transitions to s2 (tau, t1 or t2).
     event = stop1 | jump2
     event_unit = event[:n_units] | event[n_units:] if plan.antithetic else event
-    paths = np.flatnonzero(event_unit)
+    units = np.flatnonzero(event_unit)
+    paths = np.concatenate([units, units + n_units]) if plan.antithetic else units
+    jump1_ev, jump2_ev, stop1_ev = jump1[paths], jump2[paths], stop1[paths]
+    s1 = np.where(jump1_ev, t + u[0, paths], t_mid) if pre_announcement else t_mid
+    s2 = np.where(jump2_ev, t_mid + u[-1, paths], np.where(stop1_ev, s1, spec.t2))
+    del u, lam2
     noise = np.zeros(n_units)
-    noise[~event_unit] = rng.standard_normal(n_units - paths.size)
-    zr = rng.standard_normal((2, len(plan.segments), 2, paths.size))
+    noise[~event_unit] = rng.standard_normal(n_units - units.size)
+    zr = rng.standard_normal((2, len(plan.segments), 2, units.size))
     int_mean, int_sd = _nominal_integral(plan)
     noise *= int_sd
     if plan.antithetic:
         noise = np.concatenate([noise, -noise])
         zr = np.concatenate([zr, -zr], axis=-1)
-        paths = np.concatenate([paths, paths + n_units])
     total = np.add(noise, int_mean, out=noise)
-    payoff = np.where(barrier2, spec.R_e, 1.0)  # at s2, per unit of discount
-    # Leg labels index LEG_NAMES: a nominal path survives or breaches K2.
-    label = np.where(barrier2, _LEG["expected_t2"], _LEG["survive_both"])
-    s1 = np.where(jump1[paths], t + xi1[paths], t_mid) if pre_announcement else t_mid
-    s2 = np.where(jump2[paths], t_mid + xi2[paths], np.where(stop1[paths], s1, spec.t2))
+    # Leg labels index LEG_NAMES: a nominal path survives (0) or breaches K2.
+    label = np.multiply(barrier2, _LEG["expected_t2"], dtype=np.intp)
     r2, total_ev = _rate_transition(plan, x.r, t, s1, zr[0])
     # r2 holds r at s1 so far. A path that stops in the first interval
     # pays at s2 = s1; the others go on from t_mid.
-    go = np.flatnonzero(~stop1[paths])
+    go = np.flatnonzero(~stop1_ev)
     r2[go], int_go = _rate_transition(plan, r2[go], t_mid, s2[go], zr[1][..., go])
     total_ev[go] += int_go
     total[paths] = total_ev
-    # A recovery claim is valued on the default-free bond at (r, s2).
     own = event[paths]
     ev = paths[own]
-    payoff[ev] = np.where(jump1[ev] | jump2[ev], spec.R_u, spec.R_e) * zcb_price(
-        x.rate_model, r2[own], s2[own])
     label[ev] = np.select(
-        [barrier1[ev], jump1[ev], barrier2[ev]],
+        [barrier1[ev], jump1_ev[own], barrier2[ev]],
         [_LEG["expected_t1"], _LEG["unexpected_leg1"], _LEG["expected_t2"]],
         _LEG["unexpected_leg2"])
-    # Discount each payoff along its own path from its payment time.
+    # Discount each payoff along its own path from its payment time: a
+    # nominal one pays 1 or R_e at t2, an event one its recovery claim,
+    # valued on the default-free bond at (r, s2).
     pay = np.exp(np.negative(total, out=total), out=total)
-    pay *= payoff
+    barrier2[ev] = False  # an event path pays its own claim, below
+    np.multiply(pay, spec.R_e, out=pay, where=barrier2)
+    pay[ev] *= np.where(jump1_ev[own] | jump2_ev[own], spec.R_u, spec.R_e) * zcb_price(
+        x.rate_model, r2[own], s2[own])
     np.ldexp(pay, -plan.exponent, out=pay)
 
     if plan.antithetic:

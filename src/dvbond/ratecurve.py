@@ -277,7 +277,7 @@ def _raise_at_first(ok: np.ndarray, error) -> None:
 
 def _AB(model: ShortRateModel, t):
     """(A(t), B(t)): floats for a float time, else arrays from one
-    segment lookup."""
+    segment lookup (none for a one-segment model)."""
     tab = model._table
     if _is_scalar(t):
         if not 0.0 <= t <= model.maturity:
@@ -290,7 +290,8 @@ def _AB(model: ShortRateModel, t):
                     lambda i: _time_error(model, float(t.flat[i])))
     shape, t = t.shape, t.reshape(-1)
     edges = np.asarray(tab.edges)
-    j = np.minimum(np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
+    j = 0 if len(tab.a2) == 1 else np.minimum(  # one segment: no lookup, no gathers
+        np.searchsorted(edges, t, side="right"), len(tab.a2)) - 1
     a, b = _segment_AB(np.asarray(tab.level)[j], np.asarray(tab.a2)[j],
                        np.asarray(tab.s_r)[j], edges[j + 1] - t,
                        np.asarray(tab.b_edges)[j + 1], np.asarray(tab.a_edges)[j + 1])

@@ -25,6 +25,7 @@ from dvbond import (
     zcb_price,
 )
 from dvbond.mcoracle import (
+    _U_CAP,
     CHUNK_PATHS,
     LEG_NAMES,
     _build_plan,
@@ -478,6 +479,23 @@ class TestDrawHelpers:
         assert list(xi[:3]) == [np.inf] * 3
         assert xi[3] == pytest.approx(math.log(2.0) / 2.0, rel=1e-15)
 
+    def test_clock_limits(self):
+        # At lambda = 0 no time is below any finite horizon: it is +inf,
+        # or 0/0 = NaN at u = 0.0. At lambda = inf every time is 0. A
+        # scalar lambda and one per path give the same times, and neither
+        # warns.
+        lams = np.array([0.0, 1e-300, 1.0, np.inf])
+        u = np.array([0.0, 0.5, _U_CAP])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scalar = np.array([_truncated_exp_clock(lam, u.copy()) for lam in lams])
+            per_path = _truncated_exp_clock(np.repeat(lams, u.size), np.tile(u, lams.size))
+        np.testing.assert_array_equal(per_path, scalar.ravel())
+        assert not np.any(scalar[0] < np.finfo(float).max)
+        assert np.all(scalar[-1] == 0.0)
+        np.testing.assert_array_equal(scalar[2], -np.log1p(-u))
+        assert scalar[1, 0] == 0.0 and np.all(np.isfinite(scalar[1]))
+
 
 class TestNominalIntegral:
     @pytest.mark.parametrize("rate", ["constant", "piecewise"])
@@ -738,3 +756,39 @@ class TestChunkAgainstReference:
         # A single path: it is nominal or an event unit.
         for case in ("all_nominal", "all_barrier1", "P0"):
             self.check(make_inputs(**_chunk_cases()[case]), n_units=1)
+
+
+class TestChunkMemory:
+    """The traced peak of one 65,536-path chunk, per simulated path.
+
+    A chunk holds each full-length array only until its last reader.
+    Before t1 the widest moment is the declared values: the two rows of
+    normals z1, z2 (16 B per path), which become ln V1 and ln V2 in
+    place, next to V1 and V2 (16 B), plus 1-byte flags (the barrier
+    flags and their temporaries). Every later stage holds less: lambda(V1)
+    (8 B) comes after z and V2 are gone and takes V1's place, the
+    uniforms (16 B) come after V1 is gone, and the payoff stage holds
+    the discounted payoffs, the leg labels and one deviation array
+    (8 B each). After t1 there is one row and one value fewer. So 40 B
+    per path bounds a plain chunk on either side of t1.
+
+    An antithetic chunk draws half of each row and joins it to its
+    mirror, and its pair statistics add half-length arrays (the pair
+    price and the pair legs' labels and values) next to the payoffs
+    and labels: the mirror's transient copies, 16 B per path more.
+    """
+
+    @pytest.mark.parametrize("antithetic, bound", [(False, 40), (True, 56)])
+    @pytest.mark.parametrize("t, V1", [(0.0, None), (0.75, 95.0)])
+    def test_chunk_peak_is_bounded_per_path(self, t, V1, antithetic, bound):
+        plan = _build_plan(make_inputs(t=t, V1=V1),
+                           McConfig(n_paths=2, antithetic=antithetic))
+        n_units = CHUNK_PATHS // 2 if antithetic else CHUNK_PATHS
+        _simulate_chunk(plan, 7, 0, n_units)  # builds the rate table untraced
+        tracemalloc.start()
+        try:
+            _simulate_chunk(plan, 7, 0, n_units)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * CHUNK_PATHS

@@ -256,6 +256,19 @@ class TestZcbPrice:
                 z_one = np.array([zcb_price(model, r, float(t)) for t in ts])
                 np.testing.assert_allclose(z_one, z_arr, rtol=1e-15, atol=0)
 
+    def test_one_segment_route_matches_the_lookup(self):
+        # A breakpoint between equal values splits the constant model into
+        # two segments: on arrays it takes the segment lookup, the
+        # constant model passes its one segment's constants as floats.
+        split = ShortRateModel(a1=PiecewiseConstant((0.4,), (0.01, 0.01)),
+                               a2=0.2, s_r=0.01, maturity=1.0)
+        assert (len(VASICEK._table.a2), len(split._table.a2)) == (1, 2)
+        ts = np.concatenate([np.linspace(0.0, 1.0, 101), [0.4 - 1e-12, 0.4 + 1e-12]])
+        for r in (-0.02, 0.05):
+            rs = np.full_like(ts, r)
+            np.testing.assert_allclose(zcb_price(split, rs, ts),
+                                       zcb_price(VASICEK, rs, ts), rtol=4e-16, atol=0)
+
     @staticmethod
     def mp_zcb(mpmath, segments, r):
         """Z at the left end of ``segments``, (length, a1, a2, s_r) from
