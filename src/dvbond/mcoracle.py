@@ -16,8 +16,8 @@ Design:
   Financial Engineering*, sec. 3.3). Its moments are
   ``ratecurve._segment_moments``, the same that build the discount
   bond's A and B, so one module owns the segment integrals. An event
-  path takes two transitions, t -> s1 and s1 -> s2, to its payment
-  time s2, each chained over the coefficient segments it overlaps. The
+  path takes one transition, t -> s2, to its payment time s2 (the rate
+  is Markov), chained over the coefficient segments it overlaps. The
   discount factor therefore carries no discretisation error, and
   memory is O(paths) whatever the maturity.
 * Jump default within an interval uses the inverse CDF of the
@@ -45,9 +45,9 @@ Design:
 * A unit is a path or an antithetic pair, nominal when none of its
   paths jumps or breaches K1. A nominal path pays at t2, and its
   int_t^t2 r is one Gaussian shared by every nominal path
-  (``_nominal_integral``): one normal. An event unit's paths take a
-  pair of normals per segment and transition, and ``_rate_transition``
-  per path. Each path's law, and each pair's, is that of the full set.
+  (``_Plan.nominal``): one normal. An event unit's paths take a
+  (segments, 2) block of normals and one ``_rate_transition`` call.
+  Each path's law, and each pair's, is that of the full set.
 * Antithetic variates mirror every draw (normals, rate normals
   included, negated; uniforms reflected); the standard error then
   comes from the pair means.
@@ -150,12 +150,14 @@ class _Plan:
     ``segments`` splits [t, t2] at the rate-coefficient breakpoints into
     (left, right, a1, a2, s_r) spans of constant rate dynamics.
     ``exponent`` is the ``math.frexp`` exponent of Z(r, t), 0 when Z is 0.
+    ``nominal`` is the (mean, SD) of a nominal path's int_t^t2 r.
     """
 
     inputs: PricingInputs
     segments: tuple[tuple[float, float, float, float, float], ...]
     antithetic: bool
     exponent: int
+    nominal: tuple[float, float]
 
 
 def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
@@ -164,10 +166,12 @@ def _build_plan(inputs: PricingInputs, cfg: McConfig) -> _Plan:
         b for f in (rate.a1, rate.a2, rate.s_r) for b in f.breakpoints
         if t < b < t2
     ))
-    return _Plan(inputs, tuple(
+    segments = tuple(
         (lo, hi, float(rate.a1(lo)), float(rate.a2(lo)), float(rate.s_r(lo)))
-        for lo, hi in zip(edges, edges[1:])), cfg.antithetic,
-        math.frexp(zcb_price(rate, inputs.r, t))[1])
+        for lo, hi in zip(edges, edges[1:]))
+    return _Plan(inputs, segments, cfg.antithetic,
+                 math.frexp(zcb_price(rate, inputs.r, t))[1],
+                 _nominal_integral(inputs.r, segments))
 
 
 def _declared_value(log_prev, z: np.ndarray, firm, dt: float):
@@ -196,12 +200,11 @@ def _truncated_exp_clock(lam, u: np.ndarray) -> np.ndarray:
     return np.negative(xi, out=xi)
 
 
-def _nominal_integral(plan: _Plan) -> tuple[float, float]:
-    """Mean and SD of the Gaussian int_t^t2 r given r(t) = ``plan.inputs.r``:
-    the exact segment transitions chained over ``plan.segments``."""
-    m_r, m_int = plan.inputs.r, 0.0
+def _nominal_integral(r: float, segments) -> tuple[float, float]:
+    """Mean and SD of the Gaussian int_t^t2 r from r(t) = ``r``, over ``segments``."""
+    m_r, m_int = r, 0.0
     v_rr = v_ri = v_int = 0.0  # covariance of (r, integral)
-    for left, right, a1, a2, s_r in plan.segments:
+    for left, right, a1, a2, s_r in segments:
         decay, ramp, lag, var_r, cov, var_int = _segment_moments1(a1, a2, s_r, right - left)
         m_int += ramp * m_r + a1 * lag
         m_r = decay * m_r + a1 * ramp
@@ -311,19 +314,20 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
     jump2 &= ~stop1
 
     # A nominal unit draws one normal for its shared Gaussian integral, an
-    # event unit the full set for per-path transitions to s2 (tau, t1 or t2).
+    # event unit the full set for its per-path transition to s2.
     event = stop1 | jump2
     event_unit = event[:n_units] | event[n_units:] if plan.antithetic else event
     units = np.flatnonzero(event_unit)
     paths = np.concatenate([units, units + n_units]) if plan.antithetic else units
     jump1_ev, jump2_ev, stop1_ev = jump1[paths], jump2[paths], stop1[paths]
+    # The payment time s2: the jump time, t1 after a breach of K1, or t2.
     s1 = np.where(jump1_ev, t + u[0, paths], t_mid) if pre_announcement else t_mid
     s2 = np.where(jump2_ev, t_mid + u[-1, paths], np.where(stop1_ev, s1, spec.t2))
     del u, lam2
     noise = np.zeros(n_units)
     noise[~event_unit] = rng.standard_normal(n_units - units.size)
-    zr = rng.standard_normal((2, len(plan.segments), 2, units.size))
-    int_mean, int_sd = _nominal_integral(plan)
+    zr = rng.standard_normal((len(plan.segments), 2, units.size))
+    int_mean, int_sd = plan.nominal
     noise *= int_sd
     if plan.antithetic:
         noise = np.concatenate([noise, -noise])
@@ -331,13 +335,8 @@ def _simulate_chunk(plan: _Plan, seed: int, chunk_idx: int, n_units: int) -> _St
     total = np.add(noise, int_mean, out=noise)
     # Leg labels index LEG_NAMES: a nominal path survives (0) or breaches K2.
     label = np.multiply(barrier2, _LEG["expected_t2"], dtype=np.intp)
-    r2, total_ev = _rate_transition(plan, x.r, t, s1, zr[0])
-    # r2 holds r at s1 so far. A path that stops in the first interval
-    # pays at s2 = s1; the others go on from t_mid.
-    go = np.flatnonzero(~stop1_ev)
-    r2[go], int_go = _rate_transition(plan, r2[go], t_mid, s2[go], zr[1][..., go])
-    total_ev[go] += int_go
-    total[paths] = total_ev
+    r2, total[paths] = _rate_transition(plan, x.r, t, s2, zr)
+    del zr
     own = event[paths]
     ev = paths[own]
     label[ev] = np.select(

@@ -30,7 +30,6 @@ from dvbond.mcoracle import (
     LEG_NAMES,
     _build_plan,
     _declared_value,
-    _nominal_integral,
     _rate_transition,
     _simulate_chunk,
     _truncated_exp_clock,
@@ -38,6 +37,12 @@ from dvbond.mcoracle import (
 from dvbond.ratecurve import _segment_moments
 
 from conftest import make_inputs
+
+# Rate coefficients with breakpoints at 0.4, 0.5 and 0.7, on both sides of
+# t1 = 0.5: four segments over [0, 1].
+PIECEWISE_RATE = dict(a1=PiecewiseConstant((0.4,), (0.01, 0.03)),
+                      a2=PiecewiseConstant((0.7,), (0.2, 0.35)),
+                      s_r=PiecewiseConstant((0.5,), (0.01, 0.02)))
 
 
 class TestMcConfig:
@@ -181,10 +186,13 @@ class TestAgainstClosedForm:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"intensity": IntensityFunction.constant(2.0)}, {"firm": {"s_V": 0.6}},
-    ], ids=["P0", "lambda0=2", "s_V=0.6"])
+        {"rate": PIECEWISE_RATE, "intensity": IntensityFunction.constant(2.0)},
+    ], ids=["P0", "lambda0=2", "s_V=0.6", "piecewise-lambda0=2"])
     def test_every_corrected_leg_within_3_se(self, overrides):
         # The five legs one by one, survive_both and unexpected_leg2
-        # included, which the closed form splits from I21 + I22.
+        # included, which the closed form splits from I21 + I22. With the
+        # piecewise rate, the one transition of a path that jumps between
+        # the announcements crosses t1 and the breakpoints 0.4, 0.5, 0.7.
         inputs = make_inputs(**overrides)
         closed = price_bond(inputs).legs
         est = simulate_price(inputs, McConfig(n_paths=1_000_000, seed=7, n_threads=2))
@@ -508,7 +516,7 @@ class TestNominalIntegral:
         inputs = make_inputs(rate=piecewise if rate == "piecewise" else None,
                              t=t, V1=V1)
         plan = _build_plan(inputs, McConfig(n_paths=2))
-        mean, sd = _nominal_integral(plan)
+        mean, sd = plan.nominal
         log_z = math.log(zcb_price(inputs.rate_model, inputs.r, t))
         assert -mean + 0.5 * sd * sd == pytest.approx(log_z, rel=1e-13, abs=0.0)
         assert (mean, sd) == pytest.approx(_reference_nominal(plan), rel=1e-13)
@@ -542,13 +550,10 @@ def _reference_nominal(plan):
     squares sum to the variance.
     """
     x = plan.inputs
-    k = 2 * len(plan.segments) * 2
+    k = len(plan.segments) * 2
     z = np.concatenate([np.zeros((k, 1)), np.eye(k)], axis=1)
-    z = z.reshape(2, len(plan.segments), 2, k + 1)
-    t_mid = x.spec.t1 if x.t < x.spec.t1 else x.t
-    r1, int1 = _reference_transition(plan, np.full(k + 1, x.r), x.t, t_mid, z[0])
-    _, int2 = _reference_transition(plan, r1, t_mid, x.spec.t2, z[1])
-    total = int1 + int2
+    z = z.reshape(len(plan.segments), 2, k + 1)
+    _, total = _reference_transition(plan, np.full(k + 1, x.r), x.t, x.spec.t2, z)
     return total[0], math.sqrt(np.sum(np.square(total[1:] - total[0])))
 
 
@@ -558,9 +563,10 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
     must reproduce from the same draws.
 
     Draw order: z1, z2, u1, u2 (z1 and u1 only before t1), one normal
-    per nominal unit, then (2, segments, 2) normals per event unit; a
-    unit is a path or an antithetic pair, and it is an event unit when
-    any of its paths jumps or breaches K1.
+    per nominal unit, then (segments, 2) normals per event unit for its
+    one transition from t to the payment time s2; a unit is a path or
+    an antithetic pair, and it is an event unit when any of its paths
+    jumps or breaches K1.
     """
     rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed, spawn_key=(chunk_idx,))))
@@ -609,16 +615,15 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
     event_units = int(event[:n_units].sum())
     w = np.zeros(n_units)
     w[~event[:n_units]] = rng.standard_normal(n_units - event_units)
-    zr = np.zeros((2, len(plan.segments), 2, n_units))
+    zr = np.zeros((len(plan.segments), 2, n_units))
     zr[..., event[:n_units]] = rng.standard_normal(
-        (2, len(plan.segments), 2, event_units))
+        (len(plan.segments), 2, event_units))
     if plan.antithetic:
         w = np.concatenate([w, -w])
         zr = np.concatenate([zr, -zr], axis=-1)
-    r1, int1 = _reference_transition(plan, np.full(m, x.r), x.t, s1, zr[0])
-    r2, int2 = _reference_transition(plan, r1, s1, s2, zr[1])
+    r2, integral = _reference_transition(plan, np.full(m, x.r), x.t, s2, zr)
     mean, sd = _reference_nominal(plan)
-    total = np.where(event, int1 + int2, mean + sd * w)
+    total = np.where(event, integral, mean + sd * w)
 
     pay = np.exp(-total)
     surv_t2 = enter2 & ~jump2
@@ -650,15 +655,12 @@ def _reference_chunk(plan, seed, chunk_idx, n_units):
 def _chunk_cases():
     kinked = IntensityFunction.custom(
         lambda v: 0.02 + 0.3 * np.maximum(0.0, 1.0 - v / 90.0))
-    piecewise = dict(a1=PiecewiseConstant((0.4,), (0.01, 0.03)),
-                     a2=PiecewiseConstant((0.7,), (0.2, 0.35)),
-                     s_r=PiecewiseConstant((0.5,), (0.01, 0.02)))
     return {
         "P0": dict(),
         "mid_first_interval": dict(r=0.04, t=0.25),
         "post_t1": dict(t=0.7, V1=90.0),
-        "piecewise": dict(rate=piecewise),
-        "piecewise_mid": dict(rate=piecewise, t=0.3),
+        "piecewise": dict(rate=PIECEWISE_RATE),
+        "piecewise_mid": dict(rate=PIECEWISE_RATE, t=0.3),
         "kinked_intensity": dict(intensity=kinked),
         "no_intensity": dict(intensity=IntensityFunction.constant(0.0)),
         # Guard extremes: no path with an event, every path with one.
@@ -714,9 +716,9 @@ class TestChunkAgainstReference:
     @pytest.mark.parametrize("case", ["all_nominal", "P0", "all_barrier1",
                                       "lambda_20"])
     def test_per_path_work_only_on_event_units(self, monkeypatch, case):
-        # The first per-path transition (t -> s1) covers exactly the paths
-        # of the event units, with a full normal set each; the second a
-        # subset of them. No nominal unit gets per-path work.
+        # One per-path transition (t -> s2) covers exactly the paths of
+        # the event units, with a full normal set each. No nominal unit
+        # gets per-path work.
         calls = []
 
         def spy(plan, r, lo, hi, z):
@@ -733,8 +735,7 @@ class TestChunkAgainstReference:
             plan = _build_plan(inputs, McConfig(n_paths=2, antithetic=antithetic))
             units = _reference_chunk(plan, 2024, 0, n_units)["event_units"]
             per_unit = 2 if antithetic else 1
-            assert calls[0] == (segments, 2, per_unit * units)
-            assert calls[1][:2] == (segments, 2) and calls[1][2] <= calls[0][2]
+            assert calls == [(segments, 2, per_unit * units)]
             if case == "all_nominal":
                 assert units == 0
             elif case == "P0":
